@@ -1,11 +1,11 @@
-"""Predictor calibration: analytic estimates vs the cycle-level engines.
+"""Predictor calibration: analytic estimates vs the trace executor.
 
 The closed-form model in :mod:`repro.analysis.predictor` is only useful
 if its error against the simulator is known and bounded.  This module
 runs the full buildable workload set through both paths — simulate with
-the vector engine (bit-identical to the scalar engine by the PR-2
-equivalence contract), predict analytically from the same compiled
-trace — and reports per-workload relative errors.
+``StreamPIMDevice.execute_trace`` (phased) or the streamed pipeline,
+predict analytically from the same compiled trace — and reports
+per-workload relative errors.
 
 Error bounds are documented **per workload class**, because the model's
 accuracy is structural, not incidental:
@@ -215,23 +215,18 @@ def calibrate_workload(
     cache=None,
     cache_dir=None,
     use_cache: bool = True,
-    engine: str = "vector",
     stream: bool = False,
 ) -> WorkloadCalibration:
     """Simulate and predict one workload; return the comparison.
 
     Args:
-        engine: ``"vector"`` (default) or ``"scalar"`` — which simulator
-            provides the reference run.  The two are bit-identical by
-            contract; the scalar option exists so calibration can spot-
-            check that contract end to end.
         stream: reference the streamed execution path
             (:func:`~repro.core.compile.stream_workload`) instead of the
-            phased one; stats are bit-identical by the PR-7 contract, so
-            this validates the predictor against the streaming pipeline.
+            phased one; stats are bit-identical by the streaming
+            contract, so this validates the predictor against the
+            streaming pipeline.
     """
     from repro.core.compile import compile_workload, stream_workload
-    from repro.sim.vector_exec import execute_columnar
     from repro.workloads import find_workload
 
     spec = (
@@ -264,14 +259,9 @@ def calibrate_workload(
         trace = compiled.trace
         device = compiled.device
         sim0 = time.perf_counter()
-        if engine == "scalar":
-            stats = device.execute_trace(
-                trace, workload=spec.name, functional=False
-            )
-        else:
-            stats = execute_columnar(
-                device, trace, workload=spec.name, functional=False
-            )
+        stats = device.execute_trace(
+            trace, workload=spec.name, functional=False, verify=False
+        )
         sim_seconds = time.perf_counter() - sim0
 
     pred0 = time.perf_counter()
@@ -301,7 +291,7 @@ def calibrate_workload(
         workload=name,
         scale=scale,
         workload_class=workload_class(name),
-        engine="stream" if stream else engine,
+        engine="stream" if stream else "vector",
         commands=predicted.commands,
         ops=predicted.ops,
         simulated_time_ns=float(stats.time_ns),
@@ -319,7 +309,6 @@ def run_calibration(
     cache=None,
     cache_dir=None,
     use_cache: bool = True,
-    engine: str = "vector",
     heavy: bool = False,
     progress=None,
 ) -> CalibrationReport:
@@ -343,7 +332,6 @@ def run_calibration(
             cache=cache,
             cache_dir=cache_dir,
             use_cache=use_cache,
-            engine=engine,
         )
         report.results.append(result)
         if progress is not None:

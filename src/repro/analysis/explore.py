@@ -307,7 +307,6 @@ def run_explore(
     from repro.core.compile import compile_workload
     from repro.core.device import StreamPIMConfig, StreamPIMDevice
     from repro.core.scheduler import SchedulerPolicy
-    from repro.sim.vector_exec import execute_columnar
     from repro.workloads import find_workload
 
     if grid is None:
@@ -414,8 +413,8 @@ def run_explore(
         ]
         t0 = time.perf_counter()
         device = StreamPIMDevice(point.config(base))
-        stats = execute_columnar(
-            device, trace, workload=spec.name, functional=False
+        stats = device.execute_trace(
+            trace, workload=spec.name, functional=False, verify=False
         )
         report.sim_seconds += time.perf_counter() - t0
         report.verified += 1

@@ -24,7 +24,7 @@ Subcommands:
 * ``repro-streampim cache stats|clear`` — inspect or empty the
   content-addressed trace cache (``docs/compile_pipeline.md``);
 * ``repro-streampim calibrate`` — analytic-predictor error report
-  against the cycle-level engines (``docs/modeling.md``);
+  against the trace executor (``docs/modeling.md``);
 * ``repro-streampim explore`` — closed-form design-space sweep with
   Pareto-frontier re-simulation (``docs/modeling.md``);
 * ``repro-streampim serve`` — long-lived simulation service with a
@@ -51,7 +51,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.area import AreaModel
 from repro.analysis.report import format_table
 from repro.baselines import default_platforms
-from repro.isa.trace import read_trace, write_trace
+from repro.isa.trace import write_trace
 from repro.workloads import (
     DNN_WORKLOADS,
     EXTRA_WORKLOADS,
@@ -442,7 +442,7 @@ def _parse_cases(items):
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    """Predictor calibration: analytic model vs a cycle-level engine."""
+    """Predictor calibration: analytic model vs the trace executor."""
     from repro.analysis.calibrate import run_calibration
 
     cases = _parse_cases(args.workloads) if args.workloads else None
@@ -464,7 +464,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         seed=args.seed,
         cache_dir=getattr(args, "cache_dir", None),
         use_cache=not getattr(args, "no_trace_cache", False),
-        engine=args.engine,
         heavy=args.heavy,
         progress=show,
     )
@@ -531,19 +530,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     """Replay a saved VPC trace through the event-driven device."""
     from repro.core.device import StreamPIMDevice
+    from repro.isa.columnar import ColumnarTrace
 
-    if args.stream and args.engine != "vector":
-        raise SystemExit(
-            "--stream replays through the chunked vector executor; "
-            "use --engine vector (or drop --stream)"
-        )
-    if args.engine == "vector":
-        # Columnar bulk decode feeds the vectorized executor directly.
-        from repro.isa.columnar import read_trace_columnar
-
-        trace = read_trace_columnar(args.trace)
-    else:
-        trace = _load_trace_file(args.trace)
+    trace = ColumnarTrace.read(args.trace)
     device = StreamPIMDevice()
     collector = None
     if args.profile:
@@ -569,10 +558,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         stats = result.stats
     else:
         stats = device.execute_trace(
-            trace,
-            functional=False,
-            verify=not args.no_verify,
-            engine=args.engine,
+            trace, functional=False, verify=not args.no_verify
         )
     print(f"replayed {len(trace):,} commands from {args.trace}")
     print(f"time   : {stats.time_ns / 1e3:.2f} us")
@@ -666,11 +652,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     spec = _lookup_workload(args.workload, args.scale)
     if spec.build is None:
         raise SystemExit(f"workload {args.workload!r} has no task builder")
-    if args.stream and args.engine != "vector":
-        raise SystemExit(
-            "--stream profiles through the chunked vector executor; "
-            "use --engine vector (or drop --stream)"
-        )
     collector = Collector()
     if args.stream:
         from repro.core.device import StreamPIMDevice
@@ -681,38 +662,22 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
         trace = streamed.trace
         stats = streamed.stats
-        engine_label = "vector (streamed)"
     else:
         compiled = _compile_spec(spec, args)
-        trace = compiled.trace  # columnar; both engines consume directly
+        trace = compiled.trace
         device = compiled.device.observe(collector)
         stats = device.execute_trace(
-            trace,
-            workload=spec.name,
-            functional=args.functional,
-            engine=args.engine,
+            trace, workload=spec.name, functional=args.functional
         )
-        engine_label = args.engine
     print(
         f"profiled {spec.name} @ scale {args.scale}: {len(trace):,} "
-        f"commands, engine {engine_label}"
+        f"commands{', streamed' if args.stream else ''}"
     )
     print(f"time   : {stats.time_ns / 1e3:.2f} us")
     print(f"energy : {stats.energy.total_pj / 1e3:.2f} nJ")
     if args.stream:
         _print_stream_summary(streamed.telemetry)
     return _export_profile(collector, stats, args.output)
-
-
-def _load_trace_file(path: str):
-    """Read a trace file, sniffing the binary magic prefix."""
-    from repro.isa.trace import _BINARY_MAGIC, read_trace_binary
-
-    with open(path, "rb") as handle:
-        head = handle.read(len(_BINARY_MAGIC))
-    if head == _BINARY_MAGIC:
-        return read_trace_binary(path)
-    return read_trace(path)
 
 
 def _check_specs(scale: float):
@@ -752,13 +717,13 @@ def _verify_spec(spec, hazard_window: int, args=None):
         geometry=compiled.device.config.geometry,
         plan=compiled.task.placement_plan,
         hazard_window=hazard_window,
+        rules=_trace_rules(args),
     )
     report = verifier.verify(
         compiled.trace, subject=f"workload {spec.name}"
     )
     if compiled.deep_report is not None:
-        report.extend(compiled.deep_report.diagnostics)
-        report.suppressed += compiled.deep_report.suppressed
+        report.merge(compiled.deep_report)
     return report
 
 
@@ -775,26 +740,42 @@ def _parse_rule_filter(value: Optional[str]):
         raise SystemExit(str(exc))
 
 
+def _rule_filter(args):
+    """The ``--select``/``--ignore`` selection as a rule-ID predicate."""
+    select = _parse_rule_filter(getattr(args, "select", None))
+    ignore = _parse_rule_filter(getattr(args, "ignore", None))
+    return lambda rule_id: (select is None or rule_id in select) and (
+        ignore is None or rule_id not in ignore
+    )
+
+
+def _trace_rules(args):
+    """The trace rules ``check`` should run (None: all of them).
+
+    Passing the selection to the verifier, not just filtering its
+    report, keeps a filtered-out rule from spending the diagnostic cap
+    that the kept rules' findings need.
+    """
+    from repro.verify import TRACE_RULES
+
+    keep = _rule_filter(args)
+    rules = [rule_id for rule_id in TRACE_RULES if keep(rule_id)]
+    return None if len(rules) == len(TRACE_RULES) else rules
+
+
 def _report_findings(reports, args, strict: bool) -> int:
     """Print reports (text or ``--json`` NDJSON); count the failures.
 
-    ``--select``/``--ignore`` filter diagnostics before the pass/fail
-    decision, so ignoring a rule also stops it from failing the run.
+    ``--select``/``--ignore`` filter diagnostics and suppressed tallies
+    before the pass/fail decision, so ignoring a rule also stops it
+    from failing the run.
     """
     import json
 
-    select = _parse_rule_filter(getattr(args, "select", None))
-    ignore = _parse_rule_filter(getattr(args, "ignore", None))
+    keep = _rule_filter(args)
     failed = 0
     for report in reports:
-        if select is not None:
-            report.diagnostics = [
-                d for d in report.diagnostics if d.rule_id in select
-            ]
-        if ignore is not None:
-            report.diagnostics = [
-                d for d in report.diagnostics if d.rule_id not in ignore
-            ]
+        report.keep_rules(keep)
         ok = report.ok(strict=strict)
         failed += 0 if ok else 1
         if getattr(args, "json", False):
@@ -825,26 +806,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
     elif args.target is None:
         raise SystemExit("check needs a trace file or workload name")
     elif os.path.exists(args.target):
-        trace = _load_trace_file(args.target)
-        verifier = TraceVerifier(hazard_window=args.hazard_window)
+        from repro.isa.columnar import ColumnarTrace
+
+        trace = ColumnarTrace.read(args.target)
+        verifier = TraceVerifier(
+            hazard_window=args.hazard_window, rules=_trace_rules(args)
+        )
         report = verifier.verify(trace, subject=f"trace {args.target}")
         if args.deep:
             # Bare trace files carry no placement plan, so the dataflow
             # pass runs degraded: SPV008/SPV011 need initialised spans
             # and are skipped, SPV009/SPV010/SPV012 still apply.
-            from repro.isa.columnar import ColumnarTrace
             from repro.verify import DataflowAnalyzer
 
-            cols = (
-                trace
-                if isinstance(trace, ColumnarTrace)
-                else ColumnarTrace.from_trace(trace)
+            report.merge(
+                DataflowAnalyzer().analyze(trace, subject=report.subject)
             )
-            deep = DataflowAnalyzer().analyze(
-                cols, subject=report.subject
-            )
-            report.extend(deep.diagnostics)
-            report.suppressed += deep.suppressed
         reports.append(report)
     else:
         spec = _lookup_workload(args.target, args.scale)
@@ -922,7 +899,7 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
     if spec.build is None:
         raise SystemExit(f"workload {args.workload!r} has no task builder")
     compiled = _compile_spec(spec, args)
-    trace = compiled.trace  # columnar; both engines consume it directly
+    trace = compiled.trace
     collector = None
     if args.profile:
         from repro.obs import Collector
@@ -935,7 +912,6 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
         config=_fault_config(args),
         seed=args.seed,
         workload=spec.name,
-        engine=args.engine,
     )
     _print_run_report(report)
     if stats is not None and stats.time_breakdown.recovery_ns > 0.0:
@@ -963,7 +939,6 @@ def _cmd_faults_campaign(args: argparse.Namespace) -> int:
             runs=args.runs,
             master_seed=args.master_seed,
             jobs=args.jobs,
-            engine=args.engine,
             use_cache=not args.no_trace_cache,
             cache_dir=args.cache_dir,
             deep_check=args.deep,
@@ -979,8 +954,7 @@ def _cmd_faults_campaign(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
     print(
         f"campaign : {report.workload} (scale {report.scale}), "
-        f"{report.n_runs} runs, engine {report.engine}, "
-        f"policy {report.policy}"
+        f"{report.n_runs} runs, policy {report.policy}"
     )
     print(
         f"faults   : {report.total_injected} injected, "
@@ -1277,13 +1251,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the pre-execution bounds verification",
     )
     replay.add_argument(
-        "--engine",
-        choices=("scalar", "vector"),
-        default="scalar",
-        help="event executor: the reference per-VPC loop or the "
-        "columnar vectorized fast path (identical results)",
-    )
-    replay.add_argument(
         "--profile",
         metavar="FILE",
         default=None,
@@ -1303,12 +1270,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("workload")
     profile.add_argument("--scale", type=float, default=0.05)
-    profile.add_argument(
-        "--engine",
-        choices=("scalar", "vector"),
-        default="vector",
-        help="trace engine (both emit identical span streams)",
-    )
     profile.add_argument(
         "--functional",
         action="store_true",
@@ -1393,12 +1354,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=3,
             help="re-shift attempts before retry escalates to abort",
-        )
-        cmd.add_argument(
-            "--engine",
-            choices=("scalar", "vector"),
-            default="scalar",
-            help="trace engine (both produce identical reports)",
         )
         cmd.add_argument(
             "-o",
@@ -1487,7 +1442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     calibrate = sub.add_parser(
         "calibrate",
-        help="analytic predictor error vs a cycle-level engine",
+        help="analytic predictor error vs the trace executor",
     )
     calibrate.add_argument(
         "--workloads",
@@ -1495,12 +1450,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME[:SCALE]",
         help="cases to calibrate (default: the full buildable set)",
-    )
-    calibrate.add_argument(
-        "--engine",
-        choices=("vector", "scalar"),
-        default="vector",
-        help="reference simulator (bit-identical by contract)",
     )
     calibrate.add_argument(
         "--heavy",

@@ -326,7 +326,7 @@ def stream_workload(
     """Compile ``spec`` in chunks and execute them as they are lowered.
 
     The streamed analogue of ``compile_workload`` followed by
-    ``materialize`` and ``execute_trace(engine="vector")``, with the
+    ``materialize`` and ``execute_trace``, with the
     phase barrier removed: every ``chunk_vpcs`` lowered records (cut at
     operation boundaries) are verified and executed before the next
     operation is lowered.  Cache interplay:

@@ -8,10 +8,11 @@ collection uses read/write commands.
 
 Two execution modes are provided:
 
-* **event mode** (:meth:`StreamPIMDevice.execute_trace`) — discrete-event
-  execution of an explicit VPC stream with per-subarray blocking between
-  read/write and shift/compute operation classes.  State-accurate for
-  data (a sparse word store) and used to validate the analytic mode.
+* **event mode** (:meth:`StreamPIMDevice.execute_trace`) — execution of
+  an explicit VPC stream with per-subarray blocking between read/write
+  and shift/compute operation classes, through the columnar engine of
+  :mod:`repro.sim.vector_exec`.  State-accurate for data (a sparse word
+  store) and used to validate the analytic mode.
 * **analytic mode** (:meth:`StreamPIMDevice.execute_rounds`) — closed-form
   composition of prep/compute rounds through the
   :class:`~repro.core.scheduler.Scheduler`; this is how the paper-scale
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -37,16 +38,10 @@ from repro.core.scheduler import (
     SchedulerPolicy,
 )
 from repro.core.subarray_engine import SubarrayEngine
-from repro.isa.trace import VPCTrace
-from repro.isa.vpc import VPC, VPCOpcode
 from repro.obs.spans import NULL_COLLECTOR
 from repro.rm.address import AddressMap, DeviceGeometry
-from repro.rm.nanowire import ShiftError
 from repro.rm.timing import RMTimingConfig
-from repro.sim.engine import Resource
-from repro.sim.errors import SimulationFault
-from repro.sim.stats import EnergyBreakdown, RunStats, TimeBreakdown
-from repro.sim.vector_exec import sweep_spans
+from repro.sim.stats import RunStats
 
 
 @dataclass(frozen=True)
@@ -120,13 +115,6 @@ class WordStore:
         return len(self._words)
 
 
-@dataclass
-class _Span:
-    start: float
-    finish: float
-    kind: str  # "rw" or "pim"
-
-
 class StreamPIMDevice:
     """One StreamPIM device instance."""
 
@@ -156,7 +144,7 @@ class StreamPIMDevice:
     def observe(self, collector) -> "StreamPIMDevice":
         """Attach an observation collector to this device.
 
-        Wires the device's trace engines plus the analytic scheduler
+        Wires the device's trace execution plus the analytic scheduler
         and RM-bus cost model to the same collector, so one profiled
         run lands in one span/metric stream.  Pass
         :data:`repro.obs.NULL_COLLECTOR` to detach.  Returns the device
@@ -179,11 +167,11 @@ class StreamPIMDevice:
     # ------------------------------------------------------------------
     def execute_trace(
         self,
-        trace: VPCTrace,
+        trace,
         workload: str = "trace",
         functional: bool = True,
         verify: bool = True,
-        engine: str = "scalar",
+        engine: str = "vector",
         faults=None,
     ) -> RunStats:
         """Execute an explicit VPC stream with per-subarray blocking.
@@ -191,172 +179,40 @@ class StreamPIMDevice:
         VPCs are issued in order; each waits for the subarrays it touches
         (and, for read/write-class transfers, the shared internal bus).
         The asynchronous send-response protocol lets independent VPCs on
-        different subarrays overlap.
+        different subarrays overlap.  The trace (a ``VPCTrace`` is
+        converted to columnar on entry) runs as one chunk of a
+        :class:`~repro.sim.vector_exec.VectorExecState`.
 
         Args:
-            trace: the VPC stream (a :class:`~repro.isa.trace.VPCTrace`
-                or :class:`~repro.isa.columnar.ColumnarTrace`).
             workload: label for the returned stats.
             functional: move/compute real data through the word store.
-            verify: statically check operand bounds before executing
-                (cheap, O(#VPC)); a failing trace raises
+            verify: run the O(#VPC) SPV001 operand-bounds gate first; a
+                failing trace raises
                 :class:`~repro.verify.trace_verifier.TraceVerificationError`
-                instead of silently corrupting the word store.  Pass
-                False to replay a known-bad trace anyway.  The full rule
-                set (overlap, hazards, placement) is the job of
-                ``repro-streampim check``.
-            engine: ``"scalar"`` (the reference per-VPC event loop) or
-                ``"vector"`` (the columnar fast path of
-                :mod:`repro.sim.vector_exec`; identical results,
-                orders of magnitude faster on large traces).
+                instead of corrupting the word store.  The full rule set
+                is the job of ``repro-streampim check``.
+            engine: must be ``"vector"``; the per-VPC reference loop is
+                a test oracle (``tests/oracles/scalar_exec.py``).
             faults: an optional resolved fault session
                 (:class:`~repro.resilience.session.FaultSession`):
                 undetected shift faults silently corrupt destination
                 words, repair costs are charged to the ``recovery``
                 breakdown categories, and an aborting policy raises a
                 typed :class:`~repro.sim.errors.SimulationFault` at the
-                faulting trace index.  Both engines consume the same
-                pre-sampled session, so results stay bit-identical
-                under one seed.
+                faulting trace index, with every earlier VPC applied.
 
         Returns:
             RunStats with total time, time/energy breakdowns and VPC
             counters.
         """
-        if engine not in ("scalar", "vector"):
+        if engine != "vector":
             raise ValueError(
-                f"engine must be 'scalar' or 'vector', got {engine!r}"
+                f"engine must be 'vector', got {engine!r}; the scalar "
+                f"reference executor is a test oracle in tests/oracles"
             )
-        if engine == "vector":
-            from repro.isa.columnar import ColumnarTrace
-            from repro.sim.vector_exec import execute_columnar
-
-            if isinstance(trace, ColumnarTrace):
-                cols = trace
-            else:
-                cols = ColumnarTrace.from_trace(trace)
-            if verify:
-                from repro.verify.trace_verifier import (
-                    TraceVerificationError,
-                )
-
-                report = self._trace_verifier().verify_columnar(
-                    cols, subject=workload
-                )
-                if not report.ok():
-                    raise TraceVerificationError(report)
-            # Observability: checked once per run.  The engine stays
-            # untouched when disabled; when enabled it hands back the
-            # busy-interval arrays it computed anyway and the spans are
-            # batch-built here, after the run.
-            sink = [] if self.obs.enabled else None
-            stats = execute_columnar(
-                self,
-                cols,
-                workload=workload,
-                functional=functional,
-                faults=faults,
-                span_sink=sink,
-            )
-            if sink is not None:
-                from repro.obs.trace_spans import record_trace_run
-
-                starts, finishes, is_rw = sink[0]
-                record_trace_run(
-                    self.obs, self, cols, starts, finishes, is_rw, stats
-                )
-            return stats
-        if verify:
-            from repro.verify.trace_verifier import TraceVerificationError
-
-            report = self._trace_verifier().verify(trace, subject=workload)
-            if not report.ok():
-                raise TraceVerificationError(report)
-        subarrays: Dict[Tuple[int, int], Resource] = {}
-        internal_bus = Resource("internal-bus")
-        spans: List[_Span] = []
-        energy = EnergyBreakdown()
-        finish_time = 0.0
-        pim_vpcs = 0
-        move_vpcs = 0
-
-        def resource(key: Tuple[int, int]) -> Resource:
-            if key not in subarrays:
-                subarrays[key] = Resource(f"subarray-{key}")
-            return subarrays[key]
-
-        abort_at = None if faults is None else faults.abort_index
-        index = -1
-        try:
-            for index, vpc in enumerate(trace):
-                if index == abort_at:
-                    raise faults.abort_error()
-                # Derived, not accumulated: += would drift the decode
-                # clock by an ulp every few million commands and break
-                # scalar / vector equivalence.
-                decode_ready = (index + 1) * self.config.vpc_decode_ns
-                if vpc.is_compute:
-                    pim_vpcs += 1
-                    finish = self._run_compute(
-                        vpc, decode_ready, resource, spans, energy
-                    )
-                else:
-                    move_vpcs += 1
-                    finish = self._run_tran(
-                        vpc,
-                        decode_ready,
-                        resource,
-                        internal_bus,
-                        spans,
-                        energy,
-                    )
-                finish_time = max(finish_time, finish)
-                if self._functional_enabled(functional):
-                    self._apply_functional(vpc)
-                    if faults is not None:
-                        faults.corrupt_store(self.store, vpc, index)
-        except ShiftError as exc:
-            raise SimulationFault(
-                f"shift escaped the nanowire model during replay: {exc}",
-                index=index,
-            ) from exc
-
-        time = _spans_to_breakdown(spans)
-        if faults is not None:
-            time.add("recovery", faults.recovery_ns)
-            energy.add("recovery", faults.recovery_pj)
-            finish_time = finish_time + faults.recovery_ns
-        stats = RunStats(
-            platform="StPIM",
-            workload=workload,
-            time_ns=finish_time,
-            time_breakdown=time,
-            energy=energy,
-        )
-        stats.bump("pim_vpcs", pim_vpcs)
-        stats.bump("move_vpcs", move_vpcs)
-        if self.obs.enabled:
-            # Same batched recording as the vector path, fed from the
-            # span records this loop accumulated anyway — both engines
-            # therefore emit identical observation streams.
-            from repro.isa.columnar import ColumnarTrace
-            from repro.obs.trace_spans import record_trace_run
-
-            cols = (
-                trace
-                if isinstance(trace, ColumnarTrace)
-                else ColumnarTrace.from_trace(trace)
-            )
-            record_trace_run(
-                self.obs,
-                self,
-                cols,
-                np.array([s.start for s in spans], dtype=np.float64),
-                np.array([s.finish for s in spans], dtype=np.float64),
-                np.array([s.kind == "rw" for s in spans], dtype=bool),
-                stats,
-            )
-        return stats
+        return self._execute_chunks(
+            [trace], workload, functional, verify, faults, exact_apply=True
+        ).stats
 
     # ------------------------------------------------------------------
     # Streamed event mode (chunked compile/execute pipeline)
@@ -371,7 +227,7 @@ class StreamPIMDevice:
     ):
         """Execute a columnar trace delivered as an iterator of chunks.
 
-        The streamed counterpart of ``execute_trace(engine="vector")``:
+        The streamed counterpart of :meth:`execute_trace`:
         each chunk is verified through the same vectorized SPV rule
         gate (one :class:`~repro.verify.StreamingTraceVerifier` pass,
         whole-trace-identical findings) and then advances one
@@ -386,6 +242,15 @@ class StreamPIMDevice:
         cache write-through and span attribution), and per-stream
         counters.
         """
+        return self._execute_chunks(
+            chunks, workload, functional, verify, faults, exact_apply=False
+        )
+
+    def _execute_chunks(
+        self, chunks, workload, functional, verify, faults, exact_apply
+    ) -> StreamExecResult:
+        """Verify and execute ``chunks`` in order through one
+        :class:`~repro.sim.vector_exec.VectorExecState`."""
         from repro.isa.columnar import ColumnarTrace, RECORD_DTYPE
         from repro.sim.vector_exec import VectorExecState
         from repro.verify.trace_verifier import (
@@ -398,6 +263,10 @@ class StreamPIMDevice:
             if verify
             else None
         )
+        # Observability: checked once per run.  The engine stays
+        # untouched when disabled; when enabled it hands back the
+        # busy-interval arrays it computed anyway and the spans are
+        # batch-built here, after the run.
         sink = [] if self.obs.enabled else None
         state = VectorExecState(
             self,
@@ -405,6 +274,7 @@ class StreamPIMDevice:
             functional=functional,
             faults=faults,
             span_sink=sink,
+            exact_apply=exact_apply,
         )
         record_parts = []
         for cols in chunks:
@@ -417,11 +287,12 @@ class StreamPIMDevice:
             state.feed(cols)
             record_parts.append(cols.records)
         stats = state.finish()
-        records = (
-            np.concatenate(record_parts)
-            if record_parts
-            else np.empty(0, dtype=RECORD_DTYPE)
-        )
+        if len(record_parts) == 1:
+            records = record_parts[0]
+        elif record_parts:
+            records = np.concatenate(record_parts)
+        else:
+            records = np.empty(0, dtype=RECORD_DTYPE)
         trace = ColumnarTrace(records)
         if sink is not None:
             from repro.obs.trace_spans import record_trace_run
@@ -438,64 +309,6 @@ class StreamPIMDevice:
         )
 
     # ------------------------------------------------------------------
-    def _run_compute(self, vpc, ready, resource, spans, energy) -> float:
-        """Dispatch one MUL/SMUL/ADD: collect operands, run the engine."""
-        home = self.address_map.subarray_of(vpc.src1)
-        start = resource(home).earliest_start(ready)
-        # Operand collection: any operand outside the home subarray is
-        # fetched with read/write commands first (section IV-B).
-        for operand in vpc.operands[1:]:
-            location = self.address_map.subarray_of(operand)
-            if location != home:
-                copy_ns = self._copy_cost_ns(vpc.size)
-                src = resource(location)
-                begin = max(
-                    src.earliest_start(start),
-                    resource(home).earliest_start(start),
-                )
-                src.acquire(begin, copy_ns)
-                _, start = resource(home).acquire(begin, copy_ns)
-                spans.append(_Span(begin, start, "rw"))
-                self._copy_energy(vpc.size, energy)
-        profile = self.engine_model.profile(vpc)
-        begin, finish = resource(home).acquire(start, profile.time_ns)
-        spans.append(_Span(begin, finish, "pim"))
-        energy.merge(profile.energy)
-        # Result delivery to a remote destination uses read/write.
-        dest = self.address_map.subarray_of(vpc.des)
-        if dest != home:
-            result_words = 1 if vpc.opcode is VPCOpcode.MUL else vpc.size
-            copy_ns = self._copy_cost_ns(result_words)
-            begin, finish = resource(dest).acquire(finish, copy_ns)
-            spans.append(_Span(begin, finish, "rw"))
-            self._copy_energy(result_words, energy)
-        return finish
-
-    def _run_tran(
-        self, vpc, ready, resource, internal_bus, spans, energy
-    ) -> float:
-        """Dispatch one TRAN (in-subarray shift or cross-subarray copy)."""
-        src = self.address_map.subarray_of(vpc.src1)
-        dest = self.address_map.subarray_of(vpc.des)
-        if src == dest:
-            profile = self.engine_model.profile(vpc)
-            begin, finish = resource(src).acquire(ready, profile.time_ns)
-            spans.append(_Span(begin, finish, "pim"))
-            energy.merge(profile.energy)
-            return finish
-        copy_ns = self._copy_cost_ns(vpc.size)
-        begin = max(
-            internal_bus.earliest_start(ready),
-            resource(src).earliest_start(ready),
-            resource(dest).earliest_start(ready),
-        )
-        internal_bus.acquire(begin, copy_ns)
-        resource(src).acquire(begin, copy_ns)
-        _, finish = resource(dest).acquire(begin, copy_ns)
-        spans.append(_Span(begin, finish, "rw"))
-        self._copy_energy(vpc.size, energy)
-        return finish
-
     def _copy_cost_ns(self, words: int) -> float:
         """Read/write copy duration (row-streaming accesses)."""
         model = self.config.prep_model
@@ -509,14 +322,6 @@ class StreamPIMDevice:
             + reads * self.timing.read_ns
             + writes * self.timing.write_ns
         )
-
-    def _copy_energy(self, words: int, energy: EnergyBreakdown) -> None:
-        """Charge one cross-subarray copy's access energy."""
-        model = self.config.prep_model
-        reads = math.ceil(words / model.access_width_words)
-        writes = math.ceil(words / model.write_access_width_words)
-        energy.add("read", reads * self.timing.read_pj)
-        energy.add("write", writes * self.timing.write_pj)
 
     # ------------------------------------------------------------------
     def _trace_verifier(self):
@@ -535,40 +340,7 @@ class StreamPIMDevice:
         return self._bounds_verifier
 
     # ------------------------------------------------------------------
-    def _functional_enabled(self, requested: bool) -> bool:
-        return requested
-
-    def _apply_functional(self, vpc) -> None:
-        """Move/compute real data through the word store."""
-        if vpc.opcode is VPCOpcode.TRAN:
-            self.store.write(vpc.des, self.store.read(vpc.src1, vpc.size))
-            return
-        if vpc.opcode is VPCOpcode.SMUL:
-            src1 = self.store.read(vpc.src1, 1)
-        else:
-            src1 = self.store.read(vpc.src1, vpc.size)
-        src2 = self.store.read(vpc.src2, vpc.size)
-        result = self.processor.apply(vpc.opcode, src1, src2)
-        self.store.write(vpc.des, result)
-
-    # ------------------------------------------------------------------
     @property
     def pim_subarrays(self) -> int:
         return self.config.geometry.pim_subarrays
 
-
-def _spans_to_breakdown(spans: List[_Span]) -> TimeBreakdown:
-    """Sweep busy spans into exclusive/overlapped time categories.
-
-    Time covered only by "rw" spans splits into read/write; time covered
-    only by "pim" spans becomes shift+process in the pipelined proportion
-    (the engine-level split is finer, but at trace level the subarray is
-    a black box); time covered by both classes at once is overlapped.
-    """
-    if not spans:
-        return TimeBreakdown()
-    return sweep_spans(
-        np.array([s.start for s in spans]),
-        np.array([s.finish for s in spans]),
-        np.array([s.kind == "rw" for s in spans], dtype=bool),
-    )

@@ -185,8 +185,8 @@ def trace_dependencies(cols, words_per_subarray: int) -> TraceDependencies:
     """Compute the dependency columns of a columnar trace.
 
     ``cols`` is a :class:`~repro.isa.columnar.ColumnarTrace`; the return
-    value is what :func:`repro.sim.vector_exec.execute_columnar` feeds
-    its busy-until scan.
+    value is what :meth:`repro.sim.vector_exec.VectorExecState.feed`
+    feeds its busy-until scan.
     """
     if words_per_subarray < 1:
         raise ValueError(

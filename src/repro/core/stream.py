@@ -29,7 +29,7 @@ the stall/overlap economics stay measurable.
 
 Bit-identity contract: for any chunk size, the streamed run's
 ``RunStats``, word-store contents, and emitted spans equal the phased
-``compile -> materialize -> execute_trace(engine="vector")`` sequence
+``compile -> materialize -> execute_trace`` sequence
 exactly (``tests/test_stream_exec.py``).
 """
 

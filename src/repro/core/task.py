@@ -15,10 +15,10 @@ Lowering produces two artifacts:
 
 * a *round plan* — prep/compute rounds executed analytically by the
   device's scheduler (used at paper scale, millions of VPCs);
-* optionally an explicit :class:`~repro.isa.trace.VPCTrace` — one command
-  per dot product / transfer, with real placed addresses (used by the
-  event-driven mode and for Table IV counting; enumerating it is O(#VPC),
-  so it is intended for reduced problem sizes).
+* optionally an explicit :class:`~repro.isa.columnar.ColumnarTrace` —
+  one command per dot product / transfer, with real placed addresses
+  (used by the event-driven mode and for Table IV counting; enumerating
+  it is O(#VPC), so it is intended for reduced problem sizes).
 
 VPC counting follows the trace-generation convention recovered from
 Table IV: every PIM VPC is accompanied by one operand-delivery TRAN, plus
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,8 +54,7 @@ from repro.isa.columnar import (
     ColumnarTraceBuilder,
 )
 from repro.isa.encoding import NO_OPERAND_SENTINEL
-from repro.isa.trace import VPCTrace
-from repro.isa.vpc import VPC, VPCOpcode
+from repro.isa.vpc import VPC
 from repro.sim.stats import EnergyBreakdown, RunStats, TimeBreakdown
 
 
@@ -646,76 +646,33 @@ class PimTask:
             stats=stats, results=results, counts=counts, per_op_ns=[]
         )
 
-    def to_trace(self, engine: str = "columnar"):
+    def to_trace(self) -> ColumnarTrace:
         """Enumerate the full VPC stream with placed addresses.
 
         One MUL per dot product, one TRAN per operand delivery, one TRAN
         per scalar collection — the Table IV counting convention.  Cost
         is O(#VPC); intended for reduced problem sizes.
 
-        Args:
-            engine: ``"columnar"`` (alias ``"vector"``, the default)
-                computes the address streams as NumPy array expressions
-                and returns a :class:`~repro.isa.columnar.ColumnarTrace`;
-                ``"scalar"`` walks the original per-command loops and
-                returns a :class:`~repro.isa.trace.VPCTrace`.  The two
-                paths emit bit-identical command streams (the
-                differential gate in ``tools/bench_trace_exec.py
-                --compile`` and tests/test_trace_builder.py hold them to
-                byte equality), so the choice only affects build speed
-                and container type.
-
-        The placement used is cached so :meth:`materialize` can seed a
-        device's word store and :meth:`fetch_results` can read the
-        outputs back after event-mode execution.
+        The whole lowering drains as the single forced chunk of
+        :meth:`to_trace_chunks`; the returned
+        :class:`~repro.isa.columnar.ColumnarTrace` carries the
+        operation boundaries as ``op_starts``.  The placement used is
+        cached so :meth:`materialize` can seed a device's word store and
+        :meth:`fetch_results` can read the outputs back after event-mode
+        execution.
         """
-        if engine in ("columnar", "vector"):
-            return self._to_trace_columnar()
-        if engine == "scalar":
-            return self._to_trace_scalar()
-        raise ValueError(
-            f"unknown trace engine {engine!r}; choose 'columnar' or "
-            f"'scalar'"
+        chunks = list(self.to_trace_chunks(chunk_vpcs=sys.maxsize))
+        records = (
+            chunks[0].records if chunks else np.empty(0, dtype=RECORD_DTYPE)
         )
-
-    def _to_trace_scalar(self) -> VPCTrace:
-        placer = self._build_placer()
-        handles = self._place_all(placer)
-        trace = VPCTrace()
-        scratch = ScratchAllocator(placer)
-        self._trace_handles = handles
-        self._trace_plan = placer.plan
-        self._trace_scalar_slots = {}
-        for operation in self._operations:
-            self._trace_operation(operation, handles, trace, scratch)
-            scratch.recycle()
-        return trace
-
-    def _to_trace_columnar(self) -> ColumnarTrace:
-        placer = self._build_placer()
-        handles = self._place_all(placer)
-        builder = ColumnarTraceBuilder()
-        scratch = ScratchAllocator(placer)
-        self._trace_handles = handles
-        self._trace_plan = placer.plan
-        self._trace_scalar_slots = {}
-        row_cache: Dict[int, Tuple[np.ndarray, ...]] = {}
-        for operation in self._operations:
-            self._trace_operation_columnar(
-                operation, handles, builder, scratch, row_cache
-            )
-            scratch.recycle()
-            builder.mark_op_boundary()
-        trace = builder.build()
-        self._trace_op_starts = trace.op_starts
-        return trace
+        return ColumnarTrace(records, op_starts=self._trace_op_starts)
 
     def to_trace_chunks(self, chunk_vpcs: int = 4096):
         """Incremental :meth:`to_trace`: yield the trace as chunks.
 
-        Generator form of :meth:`_to_trace_columnar` for the streamed
+        The lowering itself, as a generator for the streamed
         compile/execute pipeline — each operation is lowered through the
-        same vectorized path, and finished records are drained as
+        vectorized path, and finished records are drained as
         :class:`~repro.isa.columnar.ColumnarTrace` chunks of at least
         ``chunk_vpcs`` commands (cut only at operation boundaries, so a
         chunk never splits an op group; see
@@ -866,121 +823,6 @@ class PimTask:
         stored = np.vstack(rows)
         return stored.T if handle.stored_transposed else stored
 
-    def _trace_operation(self, operation, handles, trace, scratch) -> None:
-        op = operation.op
-        if op is TaskOp.MATMUL:
-            a = handles[operation.inputs[0]]
-            b = handles[operation.inputs[1]]
-            c = handles[operation.output]
-            m, k = a.shape
-            n = b.cols
-            for j in range(n):
-                column_source = self._column_source(b, j, k, trace, scratch)
-                for i in range(m):
-                    row = a.row_slices(i)[0]
-                    column = scratch.near(row, k)
-                    trace.append(VPC.tran(column_source, column, k))
-                    trace.append(
-                        VPC.mul(row.address, column,
-                                c.element_address(i, j), k)
-                    )
-        elif op in (TaskOp.MATVEC, TaskOp.MATVEC_T,
-                    TaskOp.MATVEC_ACC, TaskOp.MATVEC_T_ACC):
-            a = handles[operation.inputs[0]]
-            x = handles[operation.inputs[1]]
-            y = handles[operation.output]
-            transposed = op in (TaskOp.MATVEC_T, TaskOp.MATVEC_T_ACC)
-            accumulate = op in (TaskOp.MATVEC_ACC, TaskOp.MATVEC_T_ACC)
-            rows, length = (
-                (a.cols, a.rows) if transposed else (a.rows, a.cols)
-            )
-            source = a.mirror if (transposed and a.mirror) else a
-            if transposed and a.mirror is None and not a.stored_transposed:
-                raise RuntimeError(
-                    f"matrix {a.name!r} needs a transposed layout for "
-                    "column access; _place_all should have mirrored it"
-                )
-            for i in range(rows):
-                if transposed and a.stored_transposed:
-                    row_piece = a.row_slices(i)[0]
-                else:
-                    row_piece = source.row_slices(i)[0]
-                operand = scratch.near(row_piece, length)
-                trace.append(VPC.tran(x.row_slices(0)[0].address,
-                                      operand, length))
-                result = scratch.near(row_piece, 1)
-                trace.append(
-                    VPC.mul(row_piece.address, operand, result, length)
-                )
-                dest = y.element_address(0, i)
-                if accumulate:
-                    # Dot collect, add delivery, the add itself, and the
-                    # add's collect back into the destination vector.
-                    collected = scratch.near(y.row_slices(0)[0], 1)
-                    trace.append(VPC.tran(result, collected, 1))
-                    old_value = scratch.near(y.row_slices(0)[0], 1)
-                    trace.append(VPC.tran(dest, old_value, 1))
-                    acc = scratch.near(y.row_slices(0)[0], 1)
-                    trace.append(VPC.add(collected, old_value, acc, 1))
-                    trace.append(VPC.tran(acc, dest, 1))
-                else:
-                    trace.append(VPC.tran(result, dest, 1))
-        elif op in (TaskOp.MAT_ADD, TaskOp.VEC_ADD):
-            a = handles[operation.inputs[0]]
-            b = handles[operation.inputs[1]]
-            c = handles[operation.output]
-            for i in range(a.rows):
-                row = a.row_slices(i)[0]
-                staged = scratch.near(row, a.cols)
-                trace.append(
-                    VPC.tran(b.row_slices(i)[0].address, staged, a.cols)
-                )
-                trace.append(
-                    VPC.add(row.address, staged,
-                            c.row_slices(i)[0].address, a.cols)
-                )
-        elif op in (TaskOp.MAT_SCALE, TaskOp.VEC_SCALE):
-            a = handles[operation.inputs[0]]
-            c = handles[operation.output]
-            for i in range(a.rows):
-                row = a.row_slices(i)[0]
-                scalar_slot = scratch.unique(row, 1)
-                self._trace_scalar_slots[scalar_slot] = operation.scalar
-                trace.append(VPC.tran(scalar_slot, scalar_slot, 1))
-                trace.append(
-                    VPC.smul(scalar_slot, row.address,
-                             c.row_slices(i)[0].address, a.cols)
-                )
-        elif op is TaskOp.DOT:
-            x = handles[operation.inputs[0]]
-            y = handles[operation.inputs[1]]
-            s = handles[operation.output]
-            row = x.row_slices(0)[0]
-            staged = scratch.near(row, x.cols)
-            trace.append(VPC.tran(y.row_slices(0)[0].address, staged, x.cols))
-            trace.append(
-                VPC.mul(row.address, staged, s.row_slices(0)[0].address,
-                        x.cols)
-            )
-        else:  # pragma: no cover - exhaustive over TaskOp
-            raise NotImplementedError(str(op))
-
-    def _column_source(self, b, j, k, trace, scratch) -> int:
-        """Address of a contiguous copy of column ``j`` of ``b``.
-
-        Transposed-stored matrices expose columns directly; otherwise
-        the column is gathered element-wise into scratch (extra size-1
-        TRANs beyond the Table IV counting convention — the layout
-        optimisation in :meth:`_place_all` avoids this for every
-        workload in the repository).
-        """
-        if b.stored_transposed:
-            return b.row_slices(j)[0].address
-        staging = scratch.near(b.row_slices(0)[0], k)
-        for r in range(k):
-            trace.append(VPC.tran(b.element_address(r, j), staging + r, 1))
-        return staging
-
     # ------------------------------------------------------------------
     # Vectorized trace generation (same streams, array expressions)
     # ------------------------------------------------------------------
@@ -1053,11 +895,12 @@ class PimTask:
     ) -> None:
         """Emit one operation's commands as bulk record blocks.
 
-        Mirrors :meth:`_trace_operation` exactly — same commands, same
-        order, same scratch-allocation sequence — but computes every
-        address stream as a NumPy expression and hands the builder
-        whole blocks, so the cost per command is amortised array work
-        instead of a Python-level loop iteration.
+        Emits exactly the per-command reference lowering's stream (a
+        test oracle, ``tests/oracles/scalar_lowering.py``) — same
+        commands, same order, same scratch-allocation sequence — but
+        computes every address stream as a NumPy expression and hands
+        the builder whole blocks, so the cost per command is amortised
+        array work instead of a Python-level loop iteration.
         """
         op = operation.op
         if op is TaskOp.MATMUL:
@@ -1332,8 +1175,9 @@ class ScratchAllocator:
 
     The batched entry points (:meth:`near_block`, :meth:`unique_block`)
     take encoded subarray keys (:meth:`encode_key`) and evolve the
-    allocator state exactly as the equivalent sequence of scalar calls
-    would — the scalar and vectorized trace engines must emit
+    allocator state exactly as the equivalent sequence of per-slot
+    :meth:`near`/:meth:`unique` calls would — the vectorized lowering
+    and the per-command reference lowering (a test oracle) must emit
     bit-identical streams.
     """
 

@@ -19,7 +19,6 @@ from repro.isa.encoding import (
 from repro.isa.columnar import (
     ColumnarTrace,
     RECORD_DTYPE,
-    read_trace_columnar,
 )
 from repro.isa.trace import (
     VPCTrace,
@@ -51,7 +50,6 @@ __all__ = [
     "VPC_ENCODED_BYTES",
     "ColumnarTrace",
     "RECORD_DTYPE",
-    "read_trace_columnar",
     "VPCTrace",
     "TraceStats",
     "TraceFormatError",

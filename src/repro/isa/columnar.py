@@ -610,22 +610,14 @@ class ColumnarTraceBuilder:
         else:
             records = np.concatenate(self._chunks)
         self._chunks = []
-        op_starts = None
-        if self._op_marked:
-            op_starts = np.array(
-                [0] + [m for m in self._op_marks if 0 < m < self._total],
-                dtype=np.int64,
-            )
-            if self._total == 0:
-                op_starts = op_starts[:0]
+        op_starts = self.op_starts_so_far() if self._op_marked else None
         return ColumnarTrace(records, op_starts=op_starts)
 
     def op_starts_so_far(self) -> np.ndarray:
         """Operation start offsets recorded by :meth:`mark_op_boundary`.
 
-        Usable on the streaming path too (where :meth:`build` is never
-        called): after the final drain this is the boundary list of the
-        concatenated trace.
+        After the final drain this is the boundary list of the
+        concatenated drained chunks.
         """
         if self._total == 0:
             return np.empty(0, dtype=np.int64)
@@ -758,11 +750,6 @@ def _validate_records(
     raise TraceFormatError(  # pragma: no cover - defensive guard
         "undecodable record", offset=offset
     )
-
-
-def read_trace_columnar(path: Union[str, Path]) -> ColumnarTrace:
-    """Read any trace file (binary or text) into columnar form."""
-    return ColumnarTrace.read(path)
 
 
 def binary_record_offset(index: int) -> int:

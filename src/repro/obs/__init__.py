@@ -14,7 +14,7 @@ package makes the simulators' runs auditable at that granularity:
 * :func:`~repro.obs.chrome_trace.write_chrome_trace` — export to Chrome
   ``trace_event`` JSON, loadable in ``chrome://tracing`` / Perfetto;
 * :func:`~repro.obs.trace_spans.record_trace_run` — the batched hook
-  both trace engines share, so scalar and vector runs emit identical
+  phased and streamed trace runs share, so both emit identical
   observation streams.
 
 Instrumentation is attached per device with

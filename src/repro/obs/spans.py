@@ -8,7 +8,7 @@ one collector and checks ``collector.enabled`` **once per run** — the
 disabled singleton :data:`NULL_COLLECTOR` makes every hook a no-op
 without per-event branching in hot loops.
 
-Span categories used by the trace engines:
+Span categories used by trace execution:
 
 * ``"rw"`` — read/write-class busy time (operand/result copies,
   cross-subarray bus transfers);
@@ -19,7 +19,7 @@ Span categories used by the trace engines:
 
 :func:`exclusive_breakdown` sweeps a span list back into the exclusive
 time categories of :class:`~repro.sim.stats.TimeBreakdown` with the same
-interval scan the engines use, so an exported trace can always be
+interval scan the executor uses, so an exported trace can always be
 reconciled against the run's reported breakdown.
 """
 
@@ -188,10 +188,10 @@ def exclusive_breakdown(spans: Sequence[Span]):
     """Sweep engine spans back into a
     :class:`~repro.sim.stats.TimeBreakdown`.
 
-    Applies the engines' exclusive-category interval scan
+    Applies the executor's exclusive-category interval scan
     (:func:`repro.sim.vector_exec.sweep_spans`) to the ``rw``/``pim``
     spans and adds the ``recovery`` spans' summed duration, mirroring
-    how both engines build ``RunStats.time_breakdown``.  Matches the
+    how execution builds ``RunStats.time_breakdown``.  Matches the
     engine-reported breakdown to float tolerance (spans store
     ``(ts, dur)``, so reconstructed interval ends can differ from the
     engine's internal finish times by an ulp).

@@ -1,10 +1,9 @@
-"""Batched span construction for the trace engines.
+"""Batched span construction for trace execution.
 
-Both trace engines record every busy interval as parallel
-``(start, finish, is_rw)`` arrays — the scalar event loop as a list of
-``_Span`` records, the vector engine as the columns it feeds
-``sweep_spans``.  Neither engine knows (or should pay for) span *names*;
-this module reconstructs the attribution afterwards, entirely from the
+The trace executor records every busy interval as parallel
+``(start, finish, is_rw)`` arrays — the columns it feeds
+``sweep_spans``.  It does not know (or pay for) span *names*; this
+module reconstructs the attribution afterwards, entirely from the
 columnar trace, because the per-command emission order is deterministic:
 
 * compute VPC — optional operand copy (``rw``), the engine execution
@@ -12,11 +11,10 @@ columnar trace, because the per-command emission order is deterministic:
 * in-subarray TRAN — one ``pim`` shift span;
 * cross-subarray TRAN — one ``rw`` bus-transfer span.
 
-Because attribution is derived from the same columns on both engines
-and the interval arrays are bit-identical (the standing parity
-invariant), the two engines emit *identical* span streams and metric
-totals — the differential tests in ``tests/test_obs.py`` assert exact
-equality.
+Because attribution is derived from the columns alone, the per-VPC
+reference loop (a test oracle), whose interval arrays are bit-identical,
+emits *identical* span streams and metric totals through this module —
+the differential tests in ``tests/test_obs.py`` assert exact equality.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ def engine_spans(
     finishes: np.ndarray,
     is_rw: np.ndarray,
 ) -> List[Span]:
-    """Name and attribute the engines' interval arrays as spans.
+    """Name and attribute the executor's interval arrays as spans.
 
     Args:
         device: the executing
@@ -159,9 +157,8 @@ def record_trace_run(
 ) -> List[Span]:
     """Emit one trace run's spans and metric totals into ``obs``.
 
-    Called identically by both engines (the scalar loop converts its
-    span records to arrays first), so the recorded observation stream
-    is engine-independent.  Returns the spans it emitted.
+    Called once per run, phased or streamed, after execution; returns
+    the spans it emitted.
     """
     spans = engine_spans(device, cols, starts, finishes, is_rw)
     obs.extend(spans)

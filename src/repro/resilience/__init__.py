@@ -10,8 +10,8 @@ campaigns over seeds (:mod:`~repro.resilience.campaign`) whose reports
 tie back to the analytic
 :class:`~repro.core.redundancy.RedundancyAnalysis`.
 
-Both trace engines accept a :class:`FaultSession` via
-``execute_trace(..., faults=session)`` and stay bit-identical under the
+Trace execution accepts a :class:`FaultSession` via
+``execute_trace(..., faults=session)`` and is bit-identical under the
 same seed; the CLI surface is ``repro-streampim faults run|campaign``.
 """
 

@@ -1,7 +1,7 @@
 """Fault-injected runs and Monte-Carlo campaigns.
 
 :func:`run_with_faults` executes one trace under one seeded fault plan
-on either engine and returns ``(RunStats, ReliabilityRunReport)``;
+and returns ``(RunStats, ReliabilityRunReport)``;
 :func:`run_campaign` sweeps many independent seeds over one workload —
 optionally on a process pool — and aggregates a
 :class:`~repro.resilience.report.CampaignReport`.
@@ -30,19 +30,6 @@ from repro.sim.errors import SimulationFault
 from repro.sim.stats import RunStats
 
 
-def _trace_columns(trace) -> Tuple[np.ndarray, np.ndarray]:
-    """(sizes, src1) per VPC, identical for scalar/columnar traces."""
-    if isinstance(trace, ColumnarTrace):
-        return (
-            trace.size.astype(np.int64),
-            trace.src1.astype(np.int64),
-        )
-    n = len(trace)
-    sizes = np.fromiter((vpc.size for vpc in trace), np.int64, count=n)
-    src1 = np.fromiter((vpc.src1 for vpc in trace), np.int64, count=n)
-    return sizes, src1
-
-
 def _seed_label(seed: Union[int, np.random.SeedSequence]) -> int:
     if isinstance(seed, np.random.SeedSequence):
         if seed.spawn_key:
@@ -59,9 +46,14 @@ def build_session(
     seed: Union[int, np.random.SeedSequence],
 ) -> FaultSession:
     """Sample a fault plan for ``trace`` and resolve it on ``device``."""
-    sizes, src1 = _trace_columns(trace)
+    if not isinstance(trace, ColumnarTrace):
+        trace = ColumnarTrace.from_trace(trace)
     plan = build_fault_plan(
-        sizes, src1, config, device.config.bus, seed
+        trace.size.astype(np.int64),
+        trace.src1.astype(np.int64),
+        config,
+        device.config.bus,
+        seed,
     )
     return FaultSession(device, plan, config)
 
@@ -72,14 +64,13 @@ def run_with_faults(
     config: Optional[FaultCampaignConfig] = None,
     seed: Union[int, np.random.SeedSequence] = 0,
     workload: str = "trace",
-    engine: str = "scalar",
     functional: bool = True,
     verify: bool = True,
 ) -> Tuple[Optional[RunStats], ReliabilityRunReport]:
     """Execute one trace under seeded fault injection.
 
     Returns ``(stats, report)``.  When the recovery policy aborts the
-    run (or a retry budget runs out), the engine's typed
+    run (or a retry budget runs out), the executor's typed
     :class:`~repro.sim.errors.SimulationFault` is caught here, ``stats``
     is None, and the report records the abort; unplanned faults still
     propagate.
@@ -92,7 +83,6 @@ def run_with_faults(
             workload=workload,
             functional=functional,
             verify=verify,
-            engine=engine,
             faults=session,
         )
     except SimulationFault:
@@ -173,7 +163,6 @@ def _campaign_worker(job) -> ReliabilityRunReport:
         config,
         master_seed,
         run_index,
-        engine,
         functional,
         use_cache,
         cache_dir,
@@ -188,7 +177,6 @@ def _campaign_worker(job) -> ReliabilityRunReport:
         config,
         seed=seed,
         workload=workload,
-        engine=engine,
         functional=functional,
     )
     return report
@@ -201,7 +189,6 @@ def run_campaign(
     runs: int = 16,
     master_seed: int = 0,
     jobs: int = 1,
-    engine: str = "scalar",
     functional: bool = True,
     use_cache: bool = True,
     cache_dir=None,
@@ -243,7 +230,6 @@ def run_campaign(
             config,
             master_seed,
             index,
-            engine,
             functional,
             use_cache,
             cache_dir,
@@ -260,7 +246,6 @@ def run_campaign(
     return CampaignReport(
         workload=workload,
         scale=scale,
-        engine=engine,
         policy=config.policy.value,
         master_seed=master_seed,
         runs=tuple(reports),

@@ -6,9 +6,8 @@ with its bits displaced.  :func:`corrupt_words` models that as a
 rotation of each word's low bit window:
 
 * the rotation is a bijection, so repeated faults keep corrupting
-  rather than saturating, and the corruption is deterministic — both
-  trace engines applying the same drift to the same words produce the
-  same bits;
+  rather than saturating, and the corruption is deterministic — the
+  same drift applied to the same words always produces the same bits;
 * only the low 31 bits rotate and the sign bit never sets, so corrupted
   words remain valid non-negative operands whose products stay inside
   int64 — downstream VPCs *propagate* the corruption instead of

@@ -1,12 +1,11 @@
 """Pre-sampled fault plans for one trace execution.
 
 All randomness of a fault-injection run is drawn *here*, once, before
-either engine executes a single VPC: per-VPC fault counts, guard-domain
+the executor runs a single VPC: per-VPC fault counts, guard-domain
 detection outcomes, net undetected drift, and the per-fault retry
-attempt counts.  Both the scalar and the vector engine then consume the
-same immutable plan, which makes their behaviour under faults identical
-by construction — the equivalence contract of
-:mod:`repro.sim.vector_exec` extends to fault campaigns for free.
+attempt counts.  Execution then consumes an immutable plan, so the
+equivalence contract of :mod:`repro.sim.vector_exec` with its per-VPC
+reference loop extends to fault campaigns for free.
 
 The sampling model mirrors :class:`~repro.core.redundancy.RedundancyAnalysis`:
 every VPC of ``size`` words performs ``ceil(size / words_per_segment) *

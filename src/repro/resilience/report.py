@@ -1,12 +1,12 @@
 """Reliability reports: one per run, one per campaign.
 
-A :class:`ReliabilityRunReport` is attached to every fault-injected run
-and deliberately carries no engine field — the scalar and vector engines
-must produce *equal* reports under one seed, and that equality is
-asserted by the differential tests.  A :class:`CampaignReport`
-aggregates the Monte-Carlo runs of ``repro-streampim faults campaign``
-and exposes the observed-vs-analytic undetected-fault comparison that
-ties the simulation back to
+A :class:`ReliabilityRunReport` is attached to every fault-injected run;
+it depends only on the pre-sampled session, so the executor and its
+per-VPC reference loop (a test oracle) produce *equal* reports under
+one seed, and the differential tests assert that equality.  A
+:class:`CampaignReport` aggregates the Monte-Carlo runs of
+``repro-streampim faults campaign`` and exposes the observed-vs-analytic
+undetected-fault comparison that ties the simulation back to
 :class:`~repro.core.redundancy.RedundancyAnalysis`.
 """
 
@@ -88,7 +88,6 @@ class CampaignReport:
 
     workload: str
     scale: float
-    engine: str
     policy: str
     master_seed: int
     runs: Tuple[ReliabilityRunReport, ...]
@@ -157,7 +156,6 @@ class CampaignReport:
         return {
             "workload": self.workload,
             "scale": self.scale,
-            "engine": self.engine,
             "policy": self.policy,
             "master_seed": self.master_seed,
             "n_runs": self.n_runs,

@@ -1,21 +1,23 @@
-"""Per-run fault session: the object the trace engines consume.
+"""Per-run fault session: the object trace execution consumes.
 
 A :class:`FaultSession` resolves a sampled :class:`~repro.resilience.plan.FaultPlan`
 against one device under one recovery policy — *before* execution
-starts, so the engines see only immutable decisions:
+starts, so execution sees only immutable decisions:
 
 * ``abort_index`` — the trace position where execution must raise a
   typed :class:`~repro.sim.errors.SimulationFault` (``abort`` policy, or
   a ``retry`` whose budget ran out), or None;
 * ``drift`` — the per-index net undetected misalignment that silently
-  corrupts destination words (applied identically by both engines via
+  corrupts destination words (applied through
+  :meth:`FaultSession.corrupt_values`, i.e.
   :func:`~repro.resilience.corruption.corrupt_words`);
 * ``recovery_ns`` / ``recovery_pj`` — the total detect-and-repair cost,
   charged into the run's ``recovery`` breakdown categories.
 
-Both engines take the session through ``execute_trace(...,
-faults=session)`` and, because every random draw happened in the plan,
-produce bit-identical stats, word stores, and reliability reports.
+Execution takes the session through ``execute_trace(...,
+faults=session)``; because every random draw happened in the plan, the
+same seed gives bit-identical stats, word stores, and reliability
+reports.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.placement import Placer
-from repro.isa.vpc import VPCOpcode
 from repro.obs.spans import NULL_COLLECTOR
 from repro.resilience.corruption import corrupt_words
 from repro.resilience.plan import (
@@ -72,7 +73,7 @@ class FaultSession:
         # retry attempt / quarantine re-copy becomes a span on the
         # "recovery" track whose running offsets mirror recovery_ns, so
         # the exported trace's recovery durations sum to exactly the
-        # total the engines charge into the breakdown.
+        # total execution charges into the breakdown.
         obs = getattr(device, "obs", NULL_COLLECTOR)
         emitting = obs.enabled
         for event in self.plan.events:
@@ -167,18 +168,8 @@ class FaultSession:
         )
 
     def corrupt_values(self, values: np.ndarray, drift: int) -> np.ndarray:
-        """Corrupt one destination slice (vector-engine hook)."""
+        """Corrupt one destination slice (the execution hook)."""
         return corrupt_words(values, drift)
-
-    def corrupt_store(self, store, vpc, index: int) -> None:
-        """Corrupt one VPC's destination words (scalar-engine hook)."""
-        drift = self.drift.get(index)
-        if not drift:
-            return
-        length = 1 if vpc.opcode is VPCOpcode.MUL else vpc.size
-        store.write(
-            vpc.des, corrupt_words(store.read(vpc.des, length), drift)
-        )
 
     # ------------------------------------------------------------------
     def report(
@@ -187,7 +178,7 @@ class FaultSession:
         seed: int,
         time_ns: Optional[float] = None,
     ) -> ReliabilityRunReport:
-        """Summarise the run; identical for both engines by design."""
+        """Summarise the run; a pure function of the session."""
         sdc_events = len(self.drift)
         mttf_ns = None
         if time_ns is not None and self.undetected > 0:

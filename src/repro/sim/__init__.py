@@ -9,7 +9,7 @@ paper's breakdown figures.
 from repro.sim.engine import Engine, Event, Resource
 from repro.sim.pipeline import PipelineModel, PipelineStage
 from repro.sim.stats import TimeBreakdown, EnergyBreakdown, RunStats
-from repro.sim.vector_exec import execute_columnar, sweep_spans
+from repro.sim.vector_exec import VectorExecState, sweep_spans
 
 __all__ = [
     "Engine",
@@ -20,6 +20,6 @@ __all__ = [
     "TimeBreakdown",
     "EnergyBreakdown",
     "RunStats",
-    "execute_columnar",
+    "VectorExecState",
     "sweep_spans",
 ]

@@ -1,4 +1,4 @@
-"""Typed runtime faults surfaced by the trace engines.
+"""Typed runtime faults surfaced by trace execution.
 
 Static problems in a trace file raise
 :class:`~repro.isa.trace.TraceFormatError` with a byte offset or line

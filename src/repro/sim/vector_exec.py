@@ -1,13 +1,14 @@
 """Vectorized event-mode trace execution.
 
-The scalar :meth:`~repro.core.device.StreamPIMDevice.execute_trace` loop
-interprets one VPC at a time: per command it decomposes addresses,
-builds a fresh cycle/energy profile, and merges dataclass breakdowns —
-tens of microseconds of Python per command, which is what limits the
-event mode to reduced problem sizes.
+A per-VPC event loop interprets one command at a time: per command it
+decomposes addresses, builds a fresh cycle/energy profile, and merges
+dataclass breakdowns — tens of microseconds of Python per command,
+which limited the event mode to reduced problem sizes.
 
-This module is the columnar fast path selected with
-``execute_trace(..., engine="vector")``.  It splits the work into
+This module is the columnar engine behind
+:meth:`~repro.core.device.StreamPIMDevice.execute_trace` and
+:meth:`~repro.core.device.StreamPIMDevice.execute_trace_stream`.  It
+splits the work into
 
 * **bulk array passes** for everything value-parallel: subarray ids of
   every operand (one integer division per column), per-command durations
@@ -21,8 +22,9 @@ This module is the columnar fast path selected with
   address-compacted buffer with NumPy slice arithmetic instead of
   per-word dictionary traffic.
 
-Equivalence contract: for every trace the vector engine produces
-*bit-identical* results to the scalar executor — the same ``RunStats``
+Equivalence contract: for every trace the engine produces
+*bit-identical* results to the per-VPC reference loop kept as a test
+oracle (``tests/oracles/scalar_exec.py``) — the same ``RunStats``
 (total time, time/energy breakdowns, counters) and the same word-store
 contents.  Every floating-point accumulation is performed in the same
 order with the same IEEE operations; the differential tests in
@@ -55,13 +57,13 @@ from repro.sim.stats import EnergyBreakdown, RunStats, TimeBreakdown
 def _ordered_sum(values: np.ndarray) -> float:
     """Strict left-to-right float sum (matches sequential accumulation).
 
-    The scalar executor accumulates breakdown components with repeated
-    Python float additions; reproducing its results exactly requires the
-    same association order, which pairwise reductions (``np.sum``) do
-    not guarantee.  ``np.cumsum`` is a running total and therefore
-    exactly that order; dropping exact zeros first is safe
-    (adding 0.0 never changes a finite accumulator) and keeps the pass
-    short.
+    The per-VPC reference loop accumulates breakdown components with
+    repeated Python float additions; reproducing its results exactly
+    requires the same association order, which pairwise reductions
+    (``np.sum``) do not guarantee.  ``np.cumsum`` is a running total
+    and therefore exactly that order; dropping exact zeros first is
+    safe (adding 0.0 never changes a finite accumulator) and keeps the
+    pass short.
     """
     compressed = values[np.nonzero(values)]
     if not len(compressed):
@@ -169,7 +171,7 @@ def _copy_costs(
 
     Delegates each unique word count to the device's scalar cost model
     (same ``math.ceil`` float divisions) so the gathered values are the
-    exact floats the scalar executor computes.
+    exact floats the per-VPC reference loop computes.
     """
     uniq, inverse = np.unique(words, return_inverse=True)
     model = device.config.prep_model
@@ -188,9 +190,9 @@ def _copy_costs(
 def check_addresses(device, cols: ColumnarTrace) -> None:
     """Fail fast on out-of-range addresses.
 
-    Matches the IndexError the scalar path's address decomposition
-    raises (same first offender: lowest trace index, then the scalar's
-    src1 -> src2 -> des order).
+    Matches the IndexError per-VPC address decomposition raises (same
+    first offender: lowest trace index, then src1 -> src2 -> des
+    order).
     """
     src1 = cols.src1
     src2 = cols.src2
@@ -217,15 +219,14 @@ def check_addresses(device, cols: ColumnarTrace) -> None:
 class VectorExecState:
     """Resumable vector execution: one trace, fed as ordered chunks.
 
-    Hoists everything :func:`execute_columnar` used to keep in local
-    variables — the per-subarray busy-until map, the bus/total clocks,
-    the span record, the breakdown accumulators, and the functional
-    word state — so a trace can be executed incrementally while later
-    chunks are still being lowered (the streamed compile/execute
-    pipeline).  The contract is bit-identity: feeding a trace as any
-    sequence of chunks and calling :meth:`finish` produces exactly the
-    ``RunStats``, word-store contents, and span triple that one
-    whole-trace :func:`execute_columnar` call produces.
+    Holds the per-subarray busy-until map, the bus/total clocks, the
+    span record, the breakdown accumulators, and the functional word
+    state, so a trace can be executed incrementally while later chunks
+    are still being lowered (the streamed compile/execute pipeline).
+    The contract is bit-identity: feeding a trace as any sequence of
+    chunks and calling :meth:`finish` produces exactly the
+    ``RunStats``, word-store contents, and span triple that feeding it
+    as one chunk (what ``execute_trace`` does) produces.
 
     The float accumulations that make that non-trivial are handled
     explicitly: energy components carry the running left-to-right sum
@@ -239,9 +240,9 @@ class VectorExecState:
     interact with the operand-range checks fall back to the exact
     per-command loop, so error behaviour (message and offending
     command) is preserved.  ``exact_apply=True`` forces the per-command
-    loop for every chunk — the phased :func:`execute_columnar` wrapper
-    uses it to stay the unchanged bit-identity reference, and it is
-    implied whenever a fault session is attached.
+    loop for every chunk — the phased ``execute_trace`` uses it to stay
+    the unchanged bit-identity reference, and it is implied whenever a
+    fault session is attached.
     """
 
     def __init__(
@@ -253,14 +254,9 @@ class VectorExecState:
         span_sink=None,
         exact_apply: bool = False,
     ) -> None:
-        if faults is not None and faults.abort_index is not None:
-            raise ValueError(
-                "abort fault sessions need the whole trace up front; "
-                "use execute_columnar"
-            )
         self.device = device
         self.workload = workload
-        self.functional = device._functional_enabled(functional)
+        self.functional = functional
         self.faults = faults
         self.span_sink = span_sink
         self.exact_apply = bool(exact_apply or faults is not None)
@@ -282,21 +278,27 @@ class VectorExecState:
         self._compute_pj = 0.0
         self._stats: "RunStats | None" = None
 
-    def feed(self, cols: ColumnarTrace, check: bool = True) -> None:
-        """Advance the execution by one chunk of the trace.
-
-        ``check=False`` skips the address-range gate for callers that
-        already ran it (the phased wrapper checks the whole trace up
-        front; the streamed pipeline verifies each chunk through the
-        SPV rules, which subsume it).
-        """
+    def feed(self, cols: ColumnarTrace) -> None:
+        """Advance the execution by one chunk of the trace."""
         if self._stats is not None:
             raise RuntimeError("execution already finished")
         n = len(cols)
         if n == 0:
             return
-        if check:
-            check_addresses(self.device, cols)
+        check_addresses(self.device, cols)
+        abort_at = None if self.faults is None else self.faults.abort_index
+        if abort_at is not None and abort_at < self.offset + n:
+            # Execution stops at the faulting VPC with every earlier one
+            # applied; reproduce that observable state exactly.
+            if self.functional:
+                _apply_functional_columnar(
+                    self.device,
+                    cols,
+                    faults=self.faults,
+                    limit=abort_at - self.offset,
+                    index_offset=self.offset,
+                )
+            raise self.faults.abort_error()
 
         device = self.device
         opcode = cols.opcode
@@ -330,7 +332,7 @@ class VectorExecState:
 
         # --------------------------------------------------------------
         # Energy: per-command contributions are fully static; lay them
-        # out in the scalar executor's event order (operand copy,
+        # out in the reference loop's event order (operand copy,
         # profile, result copy — three slots per command) and continue
         # the running left-to-right reduction across chunks.
         # --------------------------------------------------------------
@@ -516,59 +518,6 @@ class VectorExecState:
         return stats
 
 
-def execute_columnar(
-    device,
-    cols: ColumnarTrace,
-    workload: str = "trace",
-    functional: bool = True,
-    faults=None,
-    span_sink=None,
-) -> RunStats:
-    """Execute a columnar trace; equivalent to the scalar event loop.
-
-    Verification is the caller's job (``StreamPIMDevice.execute_trace``
-    runs the vectorized SPV001 gate before dispatching here).
-
-    ``faults`` is an optional resolved
-    :class:`~repro.resilience.session.FaultSession`: the session's
-    pre-sampled decisions (silent corruption indices, recovery totals,
-    abort position) are applied exactly as the scalar loop applies them,
-    so fault-injected runs stay bit-identical across engines.
-
-    ``span_sink``, when not None, receives one
-    ``(starts, finishes, is_rw)`` array triple — the exact busy
-    intervals the time sweep consumed, in emission order — so the
-    observability layer (:mod:`repro.obs`) can batch-build named spans
-    *after* the run without adding any per-event work here.
-
-    This is the phased path: one :class:`VectorExecState` fed the whole
-    trace as a single chunk, with the exact per-command functional loop
-    (never the monitored fast apply) — it stays the unchanged
-    bit-identity reference the streamed pipeline is tested against.
-    """
-    check_addresses(device, cols)
-
-    if faults is not None and faults.abort_index is not None:
-        # The scalar loop raises mid-trace with every earlier VPC
-        # already applied; reproduce that observable state exactly.
-        if device._functional_enabled(functional):
-            _apply_functional_columnar(
-                device, cols, faults=faults, limit=faults.abort_index
-            )
-        raise faults.abort_error()
-
-    state = VectorExecState(
-        device,
-        workload=workload,
-        functional=functional,
-        faults=faults,
-        span_sink=span_sink,
-        exact_apply=True,
-    )
-    state.feed(cols, check=False)
-    return state.finish()
-
-
 # ----------------------------------------------------------------------
 # Batched functional apply
 # ----------------------------------------------------------------------
@@ -597,13 +546,13 @@ def _apply_functional_columnar(
     Word addresses referenced by the trace are compacted into one dense
     int64 buffer (seeded from the device's word store), every command is
     applied with NumPy slice arithmetic, and the written ranges are
-    flushed back — producing exactly the word-store contents the scalar
-    per-word dictionary path produces.
+    flushed back — producing exactly the word-store contents a per-VPC,
+    per-word dictionary replay produces.
 
     ``faults`` corrupts destination slices at the session's undetected-
     drift indices (same rotation, same point in the apply sequence as
-    the scalar hook); ``limit`` truncates the apply at an abort index so
-    the flushed store matches the scalar loop's state when it raised.
+    the reference loop); ``limit`` truncates the apply at an abort index
+    so the flushed store holds every VPC before the abort.
     ``index_offset`` is the global trace index of ``cols[0]`` when the
     trace arrives as chunks — fault indices and diagnostics stay in
     whole-trace terms.

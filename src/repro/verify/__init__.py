@@ -5,9 +5,9 @@ Two halves, sharing one diagnostic vocabulary:
 * :mod:`repro.verify.trace_verifier` — pre-execution verification of VPC
   traces and placement plans (``SPV`` rules): operand bounds, subarray
   capacity, Table II src/des overlap, pipeline data hazards, operand
-  overwrites, and placement double-booking.  Runs in O(#VPC), so it is
-  wired in front of every event-mode ``cycle_sim`` run and exposed as
-  ``repro-streampim check``.
+  overwrites, and placement double-booking.  Runs in O(#VPC), so its
+  SPV001 bounds rule gates every ``execute_trace`` and streamed chunk,
+  and the full rule set is exposed as ``repro-streampim check``.
 * :mod:`repro.verify.lint` — AST lint over the simulator source
   (``SPL`` rules), exposed as ``repro-streampim lint`` and gating CI.
 * :mod:`repro.verify.dataflow` / :mod:`repro.verify.races` — whole-trace

@@ -46,7 +46,6 @@ from repro.rm.address import AddressMap, DeviceGeometry
 from repro.verify.diagnostics import (
     ALL_RULES,
     DATAFLOW_RULES,
-    Diagnostic,
     VerifyReport,
     make_diagnostic,
     validate_rule_ids,
@@ -375,16 +374,10 @@ class DataflowAnalyzer:
     def analyze(self, cols, subject: str = "trace") -> VerifyReport:
         """Run every enabled deep rule over ``cols``; never raises."""
         started = time.perf_counter_ns()
-        report = VerifyReport(subject=subject)
-        suppressed = 0
-
-        def emit(diagnostic: Diagnostic) -> None:
-            nonlocal suppressed
-            if len(report.diagnostics) < self.max_diagnostics:
-                report.diagnostics.append(diagnostic)
-            else:
-                suppressed += 1
-
+        report = VerifyReport(
+            subject=subject, max_diagnostics=self.max_diagnostics
+        )
+        emit = report.emit
         index = self.build_index(cols)
         if self._enabled("SPV008") and index.init_known:
             self._check_uninitialized_reads(cols, index, emit)
@@ -396,7 +389,6 @@ class DataflowAnalyzer:
             check_races(cols, self.address_map, index, emit)
         if self._enabled("SPV012"):
             self._check_redundant_copies(cols, index, emit)
-        report.suppressed = suppressed
 
         registry = self.registry
         registry.counter("dataflow.analyses").inc()

@@ -284,16 +284,68 @@ def make_diagnostic(
 
 @dataclass
 class VerifyReport:
-    """All diagnostics of one verification/lint run."""
+    """All diagnostics of one verification/lint run.
+
+    :meth:`emit` is the one bounded sink every checker writes through:
+    past ``max_diagnostics`` recorded findings it stops recording and
+    tallies the rest by rule ID, and :meth:`ok` still fails on a
+    suppressed finding of a failing severity.
+    """
 
     diagnostics: List[Diagnostic] = field(default_factory=list)
     #: What was analysed ("trace gemm", "src/repro", ...).
     subject: str = ""
-    #: Findings dropped after the verifier's recording cap was hit.
-    suppressed: int = 0
+    #: Recording cap of :meth:`emit` (None records everything).
+    max_diagnostics: Optional[int] = None
+    #: Findings :meth:`emit` dropped past the cap, per rule ID.
+    suppressed_by_rule: Dict[str, int] = field(default_factory=dict)
+
+    def emit(self, diagnostic: Diagnostic) -> None:
+        """Record one finding, or tally it once the cap is reached."""
+        if (
+            self.max_diagnostics is None
+            or len(self.diagnostics) < self.max_diagnostics
+        ):
+            self.diagnostics.append(diagnostic)
+        else:
+            rule_id = diagnostic.rule_id
+            self.suppressed_by_rule[rule_id] = (
+                self.suppressed_by_rule.get(rule_id, 0) + 1
+            )
 
     def extend(self, diagnostics: Iterable[Diagnostic]) -> None:
         self.diagnostics.extend(diagnostics)
+
+    def merge(self, other: "VerifyReport") -> None:
+        """Append another report's findings and suppressed tallies."""
+        self.extend(other.diagnostics)
+        for rule_id, count in other.suppressed_by_rule.items():
+            self.suppressed_by_rule[rule_id] = (
+                self.suppressed_by_rule.get(rule_id, 0) + count
+            )
+
+    def keep_rules(self, keep) -> None:
+        """Drop findings (recorded and suppressed) whose rule fails
+        the ``keep(rule_id)`` predicate."""
+        self.diagnostics = [d for d in self.diagnostics if keep(d.rule_id)]
+        self.suppressed_by_rule = {
+            rule_id: count
+            for rule_id, count in self.suppressed_by_rule.items()
+            if keep(rule_id)
+        }
+
+    @property
+    def suppressed(self) -> int:
+        """Findings dropped after the recording cap was hit."""
+        return sum(self.suppressed_by_rule.values())
+
+    def suppressed_count(self, severity: Severity) -> int:
+        """Suppressed findings whose rule has ``severity``."""
+        return sum(
+            count
+            for rule_id, count in self.suppressed_by_rule.items()
+            if ALL_RULES[rule_id].severity is severity
+        )
 
     @property
     def errors(self) -> List[Diagnostic]:
@@ -326,11 +378,16 @@ class VerifyReport:
     def ok(self, strict: bool = False) -> bool:
         """Whether the run passes (strict promotes warnings to errors).
 
+        Suppressed findings count too: an error dropped past the cap
+        fails the run, and so does a dropped warning under strict.
         INFO findings are hints and never fail, even under strict.
         """
-        if strict:
-            return not self.errors and not self.warnings
-        return not self.errors
+        failing = (
+            (Severity.ERROR, Severity.WARNING) if strict else (Severity.ERROR,)
+        )
+        return not any(
+            d.severity in failing for d in self.diagnostics
+        ) and not any(self.suppressed_count(s) for s in failing)
 
     def render(self, strict: bool = False) -> str:
         """Human-readable multi-line summary."""
@@ -347,6 +404,10 @@ class VerifyReport:
         if n_info:
             summary += f", {n_info} hint(s)"
         if self.suppressed:
-            summary += f" (+{self.suppressed} suppressed)"
+            tallies = ", ".join(
+                f"{rule_id} {count}"
+                for rule_id, count in sorted(self.suppressed_by_rule.items())
+            )
+            summary += f" (+{self.suppressed} suppressed: {tallies})"
         lines.append(summary)
         return "\n".join(lines)

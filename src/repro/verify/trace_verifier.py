@@ -1,18 +1,20 @@
 """Static verification of VPC traces and placement plans.
 
-The cycle simulator silently assumes invariants that nothing used to
-check: VPC operand ranges stay inside the device and inside one subarray
-(section IV-C places every vector operand in a single subarray), source
-and destination ranges of one VPC do not overlap (undefined per Table
-II), dependent compute VPCs are not issued closer together than the RM
+The trace executors assume invariants that nothing used to check: VPC
+operand ranges stay inside the device and inside one subarray (section
+IV-C places every vector operand in a single subarray), source and
+destination ranges of one VPC do not overlap (undefined per Table II),
+dependent compute VPCs are not issued closer together than the RM
 processor's pipeline window, move-VPCs never overwrite placed operand
 rows, and a placement plan never books the same subarray words twice.
 
 :class:`TraceVerifier` checks all of that in one O(#VPC) pass over a
-:class:`~repro.isa.trace.VPCTrace` (plus an optional placement plan) and
-reports typed :class:`~repro.verify.diagnostics.Diagnostic` objects —
-milliseconds instead of a simulation run, so bad workload generators and
-bad placements are caught before (or instead of) ``cycle_sim``.
+trace (plus an optional placement plan) and reports typed
+:class:`~repro.verify.diagnostics.Diagnostic` objects — milliseconds
+instead of a simulation run, so bad workload generators and bad
+placements are caught before (or instead of) execution.  The pass is
+chunked: :class:`StreamingTraceVerifier` carries the cross-chunk state,
+and a whole-trace :meth:`TraceVerifier.verify` is one chunk of it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.isa.vpc import VPC, VPCOpcode
 from repro.rm.address import AddressMap, DeviceGeometry
 from repro.verify.diagnostics import (
     TRACE_RULES,
-    Diagnostic,
+    Severity,
     VerifyReport,
     make_diagnostic,
     validate_rule_ids,
@@ -48,7 +50,11 @@ class TraceVerificationError(RuntimeError):
     def __init__(self, report: VerifyReport) -> None:
         self.report = report
         summary = "; ".join(d.render().splitlines()[0] for d in report.errors[:3])
-        extra = len(report.errors) - 3
+        extra = (
+            len(report.errors)
+            - 3
+            + report.suppressed_count(Severity.ERROR)
+        )
         if extra > 0:
             summary += f"; and {extra} more"
         super().__init__(f"trace verification failed: {summary}")
@@ -95,7 +101,7 @@ class TraceVerifier:
             pipeline depth, so distance >= 4 is hazard-free).
         rules: restrict checking to these rule IDs (None = all).
         max_diagnostics: stop recording past this many findings (the
-            count of suppressed ones is still reported).
+            rest are tallied by rule and still fail the report).
         bus: RM-bus configuration supplying the bounded per-segment
             length for SPV007 (defaults to the paper's segmented bus).
     """
@@ -138,33 +144,20 @@ class TraceVerifier:
             self._operand_starts = [s[0] for s in self._operand_spans]
 
     # ------------------------------------------------------------------
-    def _make_emit(self, report: VerifyReport, suppressed: List[int]):
-        """Bounded diagnostic sink shared by one verification pass.
-
-        ``suppressed`` is a single-element mutable counter so streamed
-        verification can keep one sink (and one ``max_diagnostics``
-        budget) across many per-chunk scans.
-        """
-
-        def emit(diagnostic: Diagnostic) -> None:
-            if len(report.diagnostics) < self.max_diagnostics:
-                report.diagnostics.append(diagnostic)
-            else:
-                suppressed[0] += 1
-
-        return emit
-
     def verify(self, trace, subject: str = "trace") -> VerifyReport:
-        """Run every enabled rule over ``trace``; never raises."""
-        report = VerifyReport(subject=subject)
-        suppressed = [0]
-        emit = self._make_emit(report, suppressed)
-        if self.plan is not None:
-            for diagnostic in self._check_plan(self.plan):
-                emit(diagnostic)
-        self._scan_vpcs(trace, emit, 0, [])
-        report.suppressed = suppressed[0]
-        return report
+        """Run every enabled rule over ``trace``; never raises.
+
+        The whole trace is one :class:`StreamingTraceVerifier` chunk,
+        so the vectorized fast path applies whenever the rule set
+        allows it.
+        """
+        from repro.isa.columnar import ColumnarTrace
+
+        if not isinstance(trace, ColumnarTrace):
+            trace = ColumnarTrace.from_trace(trace)
+        checker = StreamingTraceVerifier(self, subject=subject)
+        checker.feed(trace)
+        return checker.finish()
 
     def _scan_vpcs(
         self,
@@ -261,27 +254,6 @@ class TraceVerifier:
         return recent
 
     # ------------------------------------------------------------------
-    def verify_columnar(self, cols, subject: str = "trace") -> VerifyReport:
-        """Verify a :class:`~repro.isa.columnar.ColumnarTrace`.
-
-        When only SPV001 (operand bounds) and/or SPV007 (bounded segment
-        length) are enabled — the configurations the event-mode
-        pre-replay gate uses — the checks run as a few bulk array
-        comparisons; diagnostics are materialised only for offending
-        commands, in exactly the order (and with exactly the messages)
-        the scalar :meth:`verify` walk produces.  Any broader rule set
-        falls back to the scalar walk, which accepts a columnar trace
-        directly (it iterates VPCs).
-        """
-        if self.rules is None or not self.rules <= {"SPV001", "SPV007"}:
-            return self.verify(cols, subject=subject)
-        report = VerifyReport(subject=subject)
-        suppressed = [0]
-        emit = self._make_emit(report, suppressed)
-        self._scan_columnar_fast(cols, emit, 0)
-        report.suppressed = suppressed[0]
-        return report
-
     def _scan_columnar_fast(self, cols, emit, offset: int) -> None:
         """Vectorized SPV001/SPV007 scan over one (chunk of a) trace.
 
@@ -301,7 +273,7 @@ class TraceVerifier:
         compute = cols.is_compute
         no_rows = np.zeros(len(cols), dtype=bool)
         if "SPV001" in self.rules:
-            # Range ends in the scalar walk's order: reads then writes.
+            # Range ends in the VPC walk's order: reads then writes.
             read1_end = cols.src1 + np.where(opcode == SMUL_BYTE, 1, size)
             read2_end = cols.src2 + size  # meaningful on compute rows
             write_end = cols.des + np.where(opcode == MUL_BYTE, 1, size)
@@ -503,30 +475,29 @@ class StreamingTraceVerifier:
 
     The streamed compile/execute pipeline verifies each
     :class:`~repro.isa.columnar.ColumnarTrace` chunk before it
-    executes.  This wrapper keeps the cross-chunk state a whole-trace
-    :meth:`TraceVerifier.verify` pass would have had — one report, one
-    ``max_diagnostics`` budget, the global command index, and the
+    executes, and :meth:`TraceVerifier.verify` feeds a whole trace as
+    one chunk.  This class keeps the cross-chunk state — one report,
+    one ``max_diagnostics`` budget, the global command index, and the
     SPV004 hazard ring — so the merged findings after :meth:`finish`
-    are exactly (same diagnostics, same order, same suppressed count)
-    what one whole-trace ``verify``/``verify_columnar`` call over the
-    concatenated chunks produces.
+    are exactly (same diagnostics, same order, same suppressed
+    tallies) what one whole-trace pass over the concatenated chunks
+    produces.
 
     Plan-level diagnostics (SPV005 placement spans are per-VPC; SPV006
     double booking is plan-only) are emitted once, up front, matching
     the whole-trace pass's plan-first ordering.  When the wrapped
     verifier's rule set is within the vectorized subset
     ({SPV001, SPV007}), each chunk is scanned with the bulk array fast
-    path, so the streamed pre-execution gate costs the same few array
-    comparisons per chunk as the phased gate.
+    path; any broader rule set walks the chunk's VPCs.
     """
 
     def __init__(
         self, verifier: TraceVerifier, subject: str = "trace"
     ) -> None:
         self.verifier = verifier
-        self.report = VerifyReport(subject=subject)
-        self._suppressed = [0]
-        self._emit = verifier._make_emit(self.report, self._suppressed)
+        self.report = VerifyReport(
+            subject=subject, max_diagnostics=verifier.max_diagnostics
+        )
         self.offset = 0
         self._recent: List[
             Tuple[int, List[_Interval], List[_Interval]]
@@ -538,8 +509,7 @@ class StreamingTraceVerifier:
         }
         if verifier.plan is not None:
             for diagnostic in verifier._check_plan(verifier.plan):
-                self._emit(diagnostic)
-        self.report.suppressed = self._suppressed[0]
+                self.report.emit(diagnostic)
 
     def feed(self, cols) -> VerifyReport:
         """Verify the next chunk; returns the (running) report.
@@ -552,19 +522,19 @@ class StreamingTraceVerifier:
         if self._finished:
             raise RuntimeError("verification already finished")
         if self._fast:
-            self.verifier._scan_columnar_fast(cols, self._emit, self.offset)
+            self.verifier._scan_columnar_fast(
+                cols, self.report.emit, self.offset
+            )
         else:
             self._recent = self.verifier._scan_vpcs(
-                cols, self._emit, self.offset, self._recent
+                cols, self.report.emit, self.offset, self._recent
             )
         self.offset += len(cols)
-        self.report.suppressed = self._suppressed[0]
         return self.report
 
     def finish(self) -> VerifyReport:
         """Seal the pass and return the merged report."""
         self._finished = True
-        self.report.suppressed = self._suppressed[0]
         return self.report
 
 

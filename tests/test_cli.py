@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.device import StreamPIMDevice
 from repro.isa.trace import read_trace
+from tests.oracles import scalar_exec
 
 
 class TestParser:
@@ -93,6 +95,23 @@ class TestReplay:
         assert "replayed" in out
         assert "time breakdown" in out
 
+    @pytest.mark.parametrize("flags", [[], ["--stream"]])
+    def test_default_flags_match_scalar_oracle(
+        self, tmp_path, capsys, flags
+    ):
+        path = tmp_path / "t.trace"
+        assert main(["trace", "gemm", "--scale", "0.01", "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["replay", str(path), *flags]) == 0
+        out = capsys.readouterr().out
+        reference = scalar_exec.execute_trace(
+            StreamPIMDevice(), read_trace(path), functional=False
+        )
+        assert f"time   : {reference.time_ns / 1e3:.2f} us" in out
+        assert (
+            f"energy : {reference.energy.total_pj / 1e3:.2f} nJ" in out
+        )
+
     def test_replay_missing_file(self):
         with pytest.raises(FileNotFoundError):
             main(["replay", "/nonexistent/trace.txt"])
@@ -118,14 +137,31 @@ class TestFaults:
         assert "SDC" in out
         assert "policy   : retry" in out
 
-    def test_run_engines_print_identical_reports(self, capsys):
+    def test_run_engines_print_identical_reports(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import _compile_spec, _fault_config, _lookup_workload
+        from repro.resilience import run_with_faults
+
+        target = tmp_path / "report.json"
         argv = ["faults", "run", "gemm", "--scale", "0.01",
-                "--seed", "3", "--p-per-step", "2e-6"]
+                "--seed", "3", "--p-per-step", "2e-6", "-o", str(target)]
         assert main(argv) == 0
-        scalar_out = capsys.readouterr().out
-        assert main(argv + ["--engine", "vector"]) == 0
-        vector_out = capsys.readouterr().out
-        assert scalar_out == vector_out
+        capsys.readouterr()
+        # The same run through the per-VPC reference loop.
+        args = build_parser().parse_args(argv)
+        spec = _lookup_workload("gemm", 0.01)
+        compiled = _compile_spec(spec, args)
+        _, report = run_with_faults(
+            scalar_exec.use_scalar_engine(compiled.device),
+            compiled.trace,
+            config=_fault_config(args),
+            seed=3,
+            workload=spec.name,
+        )
+        expected = json.loads(json.dumps(report.to_dict()))
+        assert json.loads(target.read_text()) == expected
+        assert report.injected > 0
 
     def test_campaign_writes_json_report(self, tmp_path, capsys):
         import json

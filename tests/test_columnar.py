@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa import TraceFormatError
-from repro.isa.columnar import (
-    RECORD_DTYPE,
-    ColumnarTrace,
-    read_trace_columnar,
-)
+from repro.isa.columnar import RECORD_DTYPE, ColumnarTrace
 from repro.isa.encoding import (
     NO_OPERAND_SENTINEL,
     VPC_ENCODED_BYTES,
@@ -103,8 +99,8 @@ class TestRoundTripProperties:
         text = tmp_path / "t.trace"
         ColumnarTrace.from_trace(_SAMPLE).write_binary(binary)
         write_trace(_SAMPLE, text)
-        assert list(read_trace_columnar(binary)) == list(_SAMPLE)
-        assert list(read_trace_columnar(text)) == list(_SAMPLE)
+        assert list(ColumnarTrace.read(binary)) == list(_SAMPLE)
+        assert list(ColumnarTrace.read(text)) == list(_SAMPLE)
 
     def test_write_binary_accepts_stream(self):
         buffer = io.BytesIO()

@@ -7,12 +7,12 @@ from repro.core.device import (
     StreamPIMConfig,
     StreamPIMDevice,
     WordStore,
-    _spans_to_breakdown,
-    _Span,
 )
 from repro.core.scheduler import SchedulerPolicy
 from repro.isa.trace import VPCTrace
 from repro.isa.vpc import VPC
+from tests.oracles.scalar_exec import _Span
+from tests.oracles.scalar_exec import spans_to_breakdown
 
 
 class TestWordStore:
@@ -38,19 +38,19 @@ class TestWordStore:
 class TestSpansToBreakdown:
     def test_disjoint_spans(self):
         spans = [_Span(0, 10, "rw"), _Span(10, 30, "pim")]
-        b = _spans_to_breakdown(spans)
+        b = spans_to_breakdown(spans)
         assert b.read_ns + b.write_ns == pytest.approx(10.0)
         assert b.process_ns == pytest.approx(20.0)
         assert b.overlapped_ns == 0.0
 
     def test_overlap_classified(self):
         spans = [_Span(0, 10, "rw"), _Span(5, 15, "pim")]
-        b = _spans_to_breakdown(spans)
+        b = spans_to_breakdown(spans)
         assert b.overlapped_ns == pytest.approx(5.0)
         assert b.process_ns == pytest.approx(5.0)
 
     def test_empty(self):
-        assert _spans_to_breakdown([]).total_ns == 0.0
+        assert spans_to_breakdown([]).total_ns == 0.0
 
 
 class TestEventMode:

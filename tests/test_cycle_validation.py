@@ -10,12 +10,12 @@ shifts, the data/empty alternation of Fig. 12).
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bus_sim import SegmentedBusSimulator
 from repro.core.processor import RMProcessor, RMProcessorConfig
 from repro.core.rmbus import RMBus, RMBusConfig
 from repro.isa.vpc import VPCOpcode
-from repro.sim.cycle_sim import PipelineSimulator
 from repro.sim.pipeline import PipelineModel, PipelineStage
+from tests.oracles.bus_sim import SegmentedBusSimulator
+from tests.oracles.cycle_sim import PipelineSimulator
 
 
 class TestPipelineSimulator:

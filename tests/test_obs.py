@@ -32,6 +32,7 @@ from repro.resilience import (
     run_with_faults,
 )
 from repro.workloads.polybench import polybench_workload
+from tests.oracles import scalar_exec
 
 _BREAKDOWN_FIELDS = (
     "read_ns",
@@ -52,11 +53,12 @@ def _observed_run(trace, engine, config=None, functional=True):
     device = StreamPIMDevice(config) if config else StreamPIMDevice()
     collector = Collector()
     device.observe(collector)
-    if engine == "vector":
-        trace = ColumnarTrace.from_trace(trace)
-    stats = device.execute_trace(
-        trace, workload="obs", functional=functional, engine=engine
+    run = (
+        scalar_exec.execute_trace
+        if engine == "scalar"
+        else StreamPIMDevice.execute_trace
     )
+    stats = run(device, trace, workload="obs", functional=functional)
     return stats, collector
 
 
@@ -212,7 +214,6 @@ class TestEngineParity:
         plain_stats = StreamPIMDevice().execute_trace(
             ColumnarTrace.from_trace(trace),
             workload="obs",
-            engine="vector",
         )
         for field in _BREAKDOWN_FIELDS:
             assert getattr(plain_stats.time_breakdown, field) == getattr(
@@ -382,16 +383,6 @@ class TestProfileCLI:
         assert "breakdown reconciliation: OK" in out
         validate_chrome_trace(json.loads(target.read_text()))
 
-    def test_profile_scalar_engine(self, tmp_path, capsys):
-        target = tmp_path / "trace.json"
-        argv = [
-            "profile", "gemm", "--scale", "0.01",
-            "--engine", "scalar", "-o", str(target),
-        ]
-        assert main(argv) == 0
-        assert "engine scalar" in capsys.readouterr().out
-        assert target.exists()
-
     def test_replay_profile_flag(self, tmp_path, capsys):
         trace_path = tmp_path / "t.trace"
         target = tmp_path / "trace.json"
@@ -403,8 +394,6 @@ class TestProfileCLI:
             [
                 "replay",
                 str(trace_path),
-                "--engine",
-                "vector",
                 "--profile",
                 str(target),
             ]

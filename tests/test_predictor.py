@@ -8,11 +8,10 @@ kinds of correctness obligations:
   whether costs come from a full :class:`StreamPIMDevice` or the light
   :class:`AnalyticDevice`, and monotone in trace length (appending
   work never makes the predicted run faster or cheaper);
-* **accuracy** — against the cycle-level engines it must stay inside
-  the documented per-class bounds on real workloads, for the scalar
-  and vector reference engines and for the phased and streamed
-  execution paths alike (those four are bit-identical by contract, so
-  one error figure covers them — the test proves exactly that);
+* **accuracy** — against the trace executor it must stay inside the
+  documented per-class bounds on real workloads, for the phased and
+  streamed execution paths alike (bit-identical by contract, so one
+  error figure covers both);
 * **integration** — op boundaries survive the compile cache round
   trip, the sweep module's ``engine="predict"`` mode produces the
   same result shape as simulation, and the explorer re-simulates only
@@ -166,17 +165,14 @@ class TestProperties:
 class TestAccuracy:
     """Within documented bounds against every reference engine/path."""
 
-    @pytest.mark.parametrize("engine", ["vector", "scalar"])
-    def test_phased_engines(self, engine, tmp_path):
+    def test_phased_path(self, tmp_path):
         for name, scale in (("atax", 0.02), ("gemm", 0.02)):
             result = calibrate_workload(
-                name,
-                scale=scale,
-                cache_dir=tmp_path,
-                engine=engine,
+                name, scale=scale, cache_dir=tmp_path
             )
+            assert result.engine == "vector"
             assert result.ok, (
-                f"{name}@{scale} via {engine}: time "
+                f"{name}@{scale}: time "
                 f"{result.time_rel_error:+.4%} "
                 f"energy {result.energy_rel_error:+.4%}"
             )

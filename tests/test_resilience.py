@@ -3,8 +3,10 @@
 The load-bearing properties:
 
 * with fault probability zero, a fault-injected run is bit-identical to
-  a plain ``execute_trace`` on both engines (stats AND word stores);
-* under one seed, the scalar and vector engines produce equal
+  a plain ``execute_trace`` on both the product executor and the
+  per-VPC reference loop (``tests/oracles/scalar_exec.py``) — stats AND
+  word stores;
+* under one seed, the executor and the reference loop produce equal
   ``ReliabilityRunReport``s, equal stats, and equal stores;
 * the default retry policy repairs every guard-detected fault, so the
   only corruption left is the undetected (SDC) fraction;
@@ -31,6 +33,7 @@ from repro.rm.faults import FaultInjector, FaultyRacetrack, ShiftFaultConfig
 from repro.rm.nanowire import ShiftError
 from repro.sim.errors import SimulationFault, trace_byte_offset
 from repro.workloads import polybench_workload
+from tests.oracles import scalar_exec
 
 SCALE = 0.01
 
@@ -43,6 +46,14 @@ def _task(name: str = "gemm"):
     return polybench_workload(name, scale=SCALE).build_task()
 
 
+def _device(engine: str):
+    """A fresh gemm device; ``"scalar"`` routes it through the oracle."""
+    device = _task().device
+    if engine == "scalar":
+        scalar_exec.use_scalar_engine(device)
+    return device
+
+
 @pytest.fixture(scope="module")
 def gemm_trace():
     return _task().to_trace()
@@ -51,11 +62,11 @@ def gemm_trace():
 class TestZeroProbabilityIdentity:
     @pytest.mark.parametrize("engine", ["scalar", "vector"])
     def test_bit_identical_to_plain_run(self, engine, gemm_trace):
-        plain_device = _task().device
-        plain = plain_device.execute_trace(gemm_trace, engine=engine)
-        device = _task().device
+        plain_device = _device(engine)
+        plain = plain_device.execute_trace(gemm_trace)
+        device = _device(engine)
         stats, report = run_with_faults(
-            device, gemm_trace, config=ZERO, seed=7, engine=engine
+            device, gemm_trace, config=ZERO, seed=7
         )
         assert stats == plain
         assert device.store._words == plain_device.store._words
@@ -79,9 +90,9 @@ class TestEngineParity:
     def test_seeded_runs_match_across_engines(self, config, gemm_trace):
         results = {}
         for engine in ("scalar", "vector"):
-            device = _task().device
+            device = _device(engine)
             stats, report = run_with_faults(
-                device, gemm_trace, config=config, seed=42, engine=engine
+                device, gemm_trace, config=config, seed=42
             )
             results[engine] = (stats, report, device.store._words)
         s_stats, s_report, s_store = results["scalar"]
@@ -92,24 +103,29 @@ class TestEngineParity:
         assert s_report.injected > 0  # the config actually injected
 
     def test_abort_parity_and_fault_location(self, gemm_trace):
+        from repro.core.stream import iter_trace_chunks
+
         config = FaultCampaignConfig(
             faults=NOISY, policy=RecoveryPolicy.ABORT
         )
         stores = {}
         errors = {}
-        for engine in ("scalar", "vector"):
-            device = _task().device
+        for engine in ("scalar", "vector", "stream"):
+            device = _device(engine)
             session = build_session(device, gemm_trace, config, 42)
             assert session.abort_index is not None
             with pytest.raises(SimulationFault) as excinfo:
-                device.execute_trace(
-                    gemm_trace, engine=engine, faults=session
-                )
+                if engine == "stream":
+                    device.execute_trace_stream(
+                        iter_trace_chunks(gemm_trace, 64), faults=session
+                    )
+                else:
+                    device.execute_trace(gemm_trace, faults=session)
             stores[engine] = device.store._words
             errors[engine] = excinfo.value
-        assert stores["scalar"] == stores["vector"]
+        assert stores["scalar"] == stores["vector"] == stores["stream"]
         scalar_err, vector_err = errors["scalar"], errors["vector"]
-        assert str(scalar_err) == str(vector_err)
+        assert str(scalar_err) == str(vector_err) == str(errors["stream"])
         assert scalar_err.index == vector_err.index
         assert scalar_err.offset == trace_byte_offset(scalar_err.index)
         assert scalar_err.line == scalar_err.index + 1
@@ -174,10 +190,6 @@ class TestShiftErrorWrapping:
         recovery_pj = 0.0
         drift = {2: 1}
 
-        def corrupt_store(self, store, vpc, index):
-            if index == 2:
-                raise ShiftError("stub misalignment escaped")
-
         def corrupt_values(self, values, drift):
             raise ShiftError("stub misalignment escaped")
 
@@ -188,11 +200,9 @@ class TestShiftErrorWrapping:
     def test_escaping_shift_error_becomes_typed_fault(
         self, engine, gemm_trace
     ):
-        device = _task().device
+        device = _device(engine)
         with pytest.raises(SimulationFault) as excinfo:
-            device.execute_trace(
-                gemm_trace, engine=engine, faults=self._Boom()
-            )
+            device.execute_trace(gemm_trace, faults=self._Boom())
         fault = excinfo.value
         assert fault.index == 2
         assert fault.offset == trace_byte_offset(2)

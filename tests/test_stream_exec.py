@@ -4,7 +4,8 @@ The streaming contract (``src/repro/core/stream.py``) is that chunking
 is *unobservable* in the results: for any chunk size, a streamed run's
 ``RunStats``, word-store contents, and emitted spans are bit-identical
 to the phased ``to_trace -> materialize -> execute_trace`` sequence on
-both the vector engine and the scalar reference.  Hypothesis drives
+the product executor and the per-VPC reference loop
+(``tests/oracles/scalar_exec.py``).  Hypothesis drives
 random task shapes through chunk sizes spanning the degenerate cases
 (one record per chunk, a prime stride, a typical stride, and a chunk
 larger than the whole trace); a parametrized sweep covers every shipped
@@ -33,6 +34,7 @@ from repro.isa.columnar import (
     TRAN_BYTE,
 )
 from repro.obs import Collector
+from tests.oracles import scalar_exec
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -76,9 +78,12 @@ def _phased(make_task, engine):
     task = make_task(device)
     trace = task.to_trace()
     task.materialize()
-    stats = device.execute_trace(
-        trace, workload="stream", functional=True, engine=engine
+    run = (
+        scalar_exec.execute_trace
+        if engine == "scalar"
+        else StreamPIMDevice.execute_trace
     )
+    stats = run(device, trace, workload="stream", functional=True)
     return stats, dict(device.store._words), collector.spans, trace
 
 

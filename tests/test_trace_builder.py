@@ -4,9 +4,9 @@ Three contracts from the vectorized compile path:
 
 * :class:`ColumnarTraceBuilder` assembles exactly the trace the
   record-at-a-time path would (round-trips are bit-identical);
-* ``PimTask.to_trace(engine="columnar")`` emits byte-for-byte the same
-  stream as the scalar reference lowering, for every shipped workload
-  at multiple dataset scales;
+* ``PimTask.to_trace()`` emits byte-for-byte the same stream as the
+  per-command reference lowering (``tests/oracles/scalar_lowering.py``),
+  for every shipped workload at multiple dataset scales;
 * :class:`ScratchAllocator` recycles freed staging slots across
   operation boundaries (bounded scratch) and its batched entry points
   evolve the allocator state exactly like the scalar call sequence.
@@ -28,6 +28,7 @@ from repro.isa.columnar import (
     ColumnarTraceBuilder,
 )
 from repro.isa.encoding import NO_OPERAND_SENTINEL
+from tests.oracles import scalar_lowering
 from repro.isa.trace import VPCTrace
 from repro.isa.vpc import VPC, VPCOpcode
 from repro.workloads import (
@@ -223,12 +224,12 @@ def _differential_specs():
 
 
 class TestLoweringDifferential:
-    """engine="columnar" must emit the scalar lowering's exact bytes."""
+    """to_trace() must emit the scalar lowering's exact bytes."""
 
     @pytest.mark.parametrize("spec", _differential_specs())
     def test_workload_traces_bit_identical(self, spec):
-        scalar_trace = spec.build_task(seed=7).to_trace(engine="scalar")
-        columnar_trace = spec.build_task(seed=7).to_trace(engine="columnar")
+        scalar_trace = scalar_lowering.to_trace(spec.build_task(seed=7))
+        columnar_trace = spec.build_task(seed=7).to_trace()
         assert isinstance(scalar_trace, VPCTrace)
         assert isinstance(columnar_trace, ColumnarTrace)
         assert (
@@ -252,21 +253,12 @@ class TestLoweringDifferential:
             task.add_operation(TaskOp.MATMUL, "A", "B", "C")
             return task
 
-        scalar_trace = build().to_trace(engine="scalar")
-        columnar_trace = build().to_trace(engine="columnar")
+        scalar_trace = scalar_lowering.to_trace(build())
+        columnar_trace = build().to_trace()
         assert (
             ColumnarTrace.from_trace(scalar_trace).to_bytes()
             == columnar_trace.to_bytes()
         )
-
-    def test_unknown_engine_rejected(self):
-        task = PimTask(StreamPIMDevice())
-        task.add_matrix("A", np.ones((2, 2), dtype=np.int64))
-        task.add_matrix("B", np.ones((2, 2), dtype=np.int64))
-        task.add_matrix("C", shape=(2, 2))
-        task.add_operation(TaskOp.MAT_ADD, "A", "B", "C")
-        with pytest.raises(ValueError, match="unknown trace engine"):
-            task.to_trace(engine="fortran")
 
 
 class _Slice:

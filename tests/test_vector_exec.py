@@ -1,4 +1,5 @@
-"""Vector trace engine: exact scalar equivalence + supporting machinery."""
+"""Vector trace engine: exact equivalence with the per-VPC reference loop
+(``tests/oracles/scalar_exec.py``) + supporting machinery."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.sim.engine import Engine
 from repro.sim.stats import TimeBreakdown
 from repro.sim.vector_exec import sweep_spans
 from repro.verify.trace_verifier import TraceVerificationError
+from tests.oracles import scalar_exec
 
 _BREAKDOWN_FIELDS = (
     "read_ns", "write_ns", "shift_ns", "process_ns", "overlapped_ns"
@@ -24,11 +26,11 @@ def _run_both(trace, config=None, functional=True):
     scalar_device = StreamPIMDevice(config) if config else StreamPIMDevice()
     vector_device = StreamPIMDevice(config) if config else StreamPIMDevice()
     return scalar_device, vector_device, (
-        lambda: scalar_device.execute_trace(
-            trace, workload="diff", functional=functional
+        lambda: scalar_exec.execute_trace(
+            scalar_device, trace, workload="diff", functional=functional
         ),
         lambda: vector_device.execute_trace(
-            trace, workload="diff", functional=functional, engine="vector"
+            trace, workload="diff", functional=functional
         ),
     )
 
@@ -68,8 +70,8 @@ class TestDifferentialAllWorkloads:
 
         cols = ColumnarTrace.from_trace(trace)
         try:
-            scalar_stats = scalar_device.execute_trace(
-                trace, workload=spec.name
+            scalar_stats = scalar_exec.execute_trace(
+                scalar_device, trace, workload=spec.name
             )
         except ValueError as exc:
             # Some generators (power_iter) produce traces the functional
@@ -77,22 +79,21 @@ class TestDifferentialAllWorkloads:
             # reject them identically, and timing parity is then checked
             # without the functional replay.
             with pytest.raises(ValueError) as excinfo:
-                vector_device.execute_trace(
-                    cols, workload=spec.name, engine="vector"
-                )
+                vector_device.execute_trace(cols, workload=spec.name)
             assert str(excinfo.value) == str(exc)
-            scalar_stats = StreamPIMDevice(config).execute_trace(
-                trace, workload=spec.name, functional=False
+            scalar_stats = scalar_exec.execute_trace(
+                StreamPIMDevice(config),
+                trace,
+                workload=spec.name,
+                functional=False,
             )
             vector_stats = StreamPIMDevice(config).execute_trace(
-                cols, workload=spec.name, functional=False, engine="vector"
+                cols, workload=spec.name, functional=False
             )
             _assert_identical(scalar_stats, vector_stats)
             return
 
-        vector_stats = vector_device.execute_trace(
-            cols, workload=spec.name, engine="vector"
-        )
+        vector_stats = vector_device.execute_trace(cols, workload=spec.name)
         _assert_identical(scalar_stats, vector_stats)
         # Functional replay left both word stores in the same state —
         # same addresses present, same values.
@@ -107,8 +108,8 @@ class TestEngineSelection:
 
     def test_unknown_engine_rejected(self):
         device = StreamPIMDevice()
-        with pytest.raises(ValueError, match="engine"):
-            device.execute_trace(VPCTrace([]), engine="warp")
+        with pytest.raises(ValueError, match="tests/oracles"):
+            device.execute_trace(VPCTrace([]), engine="scalar")
 
     def test_empty_trace(self):
         trace = VPCTrace([])
@@ -138,11 +139,9 @@ class TestVerifyGateParity:
         vector_device = StreamPIMDevice()
         trace = self._oob_trace(scalar_device)
         with pytest.raises(TraceVerificationError) as scalar:
-            scalar_device.execute_trace(trace, workload="oob")
+            scalar_exec.execute_trace(scalar_device, trace, workload="oob")
         with pytest.raises(TraceVerificationError) as vector:
-            vector_device.execute_trace(
-                trace, workload="oob", engine="vector"
-            )
+            vector_device.execute_trace(trace, workload="oob")
         scalar_errors = [d.render() for d in scalar.value.report.errors]
         vector_errors = [d.render() for d in vector.value.report.errors]
         assert scalar_errors == vector_errors
@@ -153,16 +152,16 @@ class TestVerifyGateParity:
         vector_device = StreamPIMDevice()
         trace = self._oob_address_trace(scalar_device)
         with pytest.raises(IndexError) as scalar:
-            scalar_device.execute_trace(
-                trace, workload="oob", functional=False, verify=False
-            )
-        with pytest.raises(IndexError) as vector:
-            vector_device.execute_trace(
+            scalar_exec.execute_trace(
+                scalar_device,
                 trace,
                 workload="oob",
                 functional=False,
                 verify=False,
-                engine="vector",
+            )
+        with pytest.raises(IndexError) as vector:
+            vector_device.execute_trace(
+                trace, workload="oob", functional=False, verify=False
             )
         assert str(vector.value) == str(scalar.value)
 
@@ -172,7 +171,7 @@ class TestVerifyGateParity:
         device.execute_trace(trace, functional=False)
         first = device._bounds_verifier
         assert first is not None
-        device.execute_trace(trace, functional=False, engine="vector")
+        device.execute_trace(trace, functional=False)
         assert device._bounds_verifier is first
 
 
@@ -275,7 +274,11 @@ class TestCliIntegration:
         trace = VPCTrace([VPC.tran(0, 64, 8), VPC.add(0, 64, 128, 8)])
         write_trace_binary(trace, path)
         assert main(["replay", str(path)]) == 0
-        scalar_out = capsys.readouterr().out
-        assert main(["replay", str(path), "--engine", "vector"]) == 0
-        vector_out = capsys.readouterr().out
-        assert vector_out == scalar_out
+        out = capsys.readouterr().out
+        reference = scalar_exec.execute_trace(
+            StreamPIMDevice(), trace, functional=False
+        )
+        assert f"time   : {reference.time_ns / 1e3:.2f} us" in out
+        assert (
+            f"energy : {reference.energy.total_pj / 1e3:.2f} nJ" in out
+        )

@@ -18,8 +18,11 @@ from repro.verify import (
     Severity,
     TraceVerificationError,
     TraceVerifier,
+    VerifyReport,
+    make_diagnostic,
     verify_trace,
 )
+from tests.oracles.scalar_verify import verify as scalar_verify
 
 
 @pytest.fixture
@@ -314,10 +317,8 @@ class TestSegmentLength:
             rules=("SPV001", "SPV007"),
             bus=self._small_bus(),
         )
-        scalar = verifier.verify(trace)
-        columnar = verifier.verify_columnar(
-            ColumnarTrace.from_trace(trace)
-        )
+        scalar = scalar_verify(verifier, trace)
+        columnar = verifier.verify(ColumnarTrace.from_trace(trace))
         assert scalar.diagnostics == columnar.diagnostics
         assert scalar.suppressed == columnar.suppressed
         assert [d.rule_id for d in scalar.diagnostics] == [
@@ -339,7 +340,7 @@ class TestSegmentLength:
             bus=self._small_bus(),
             max_diagnostics=3,
         )
-        report = verifier.verify_columnar(ColumnarTrace.from_trace(trace))
+        report = verifier.verify(ColumnarTrace.from_trace(trace))
         assert len(report.diagnostics) == 3
         assert report.suppressed == 5
 
@@ -359,6 +360,27 @@ class TestVerifierMechanics:
         assert len(report.diagnostics) == 10
         assert report.suppressed == 30
         assert "suppressed" in report.render()
+
+    def test_suppressed_warning_fails_only_strict(self, geometry, amap):
+        base = amap.subarray_base(0, 0)
+        trace = VPCTrace([VPC.add(base, base + 16, base + 32, 4)] * 3)
+        verifier = TraceVerifier(geometry=geometry, max_diagnostics=1)
+        report = verifier.verify(trace)
+        assert report.suppressed_by_rule == {"SPV004": 2}
+        report.diagnostics.clear()
+        assert report.ok()
+        assert not report.ok(strict=True)
+
+    def test_keep_rules_and_merge_carry_tallies(self):
+        report = VerifyReport(max_diagnostics=1)
+        for rule_id in ("SPV004", "SPV004", "SPV001"):
+            report.emit(make_diagnostic(rule_id, "vpc #0", "finding"))
+        report.merge(VerifyReport(suppressed_by_rule={"SPV004": 2}))
+        assert report.suppressed_by_rule == {"SPV004": 3, "SPV001": 1}
+        assert "(+4 suppressed: SPV001 1, SPV004 3)" in report.render()
+        report.keep_rules(lambda rule_id: rule_id != "SPV001")
+        assert report.suppressed_by_rule == {"SPV004": 3}
+        assert report.ok()
 
     def test_bad_window_rejected(self, geometry):
         with pytest.raises(ValueError):
@@ -463,6 +485,43 @@ class TestCheckCli:
         assert "SPV001" in out
         assert "SPV003" in out
         assert "FAIL" in out
+
+    @staticmethod
+    def _flood_trace(path, pairs):
+        """``pairs`` dependent ADD pairs, then one out-of-bounds TRAN."""
+        amap = AddressMap(DeviceGeometry())
+        base = amap.subarray_base(0, 0)
+        vpcs = []
+        for _ in range(pairs):
+            vpcs.append(VPC.add(base, base + 8, base + 16, 4))
+            vpcs.append(VPC.add(base + 16, base + 24, base + 32, 4))
+        vpcs.append(VPC.tran(amap.total_words + 5, base, 4))
+        write_trace(VPCTrace(vpcs), path)
+        return path
+
+    @pytest.mark.parametrize("pairs", [10, 300])
+    def test_error_past_the_cap_fails_check(self, tmp_path, capsys, pairs):
+        from repro.cli import main
+
+        path = self._flood_trace(tmp_path / "flood.trace", pairs)
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        assert "PASS" not in out
+        # With 300 pairs the SPV001 error falls past the 500-finding cap.
+        assert ("suppressed: SPV001 1" in out) == (pairs == 300)
+
+    def test_ignored_rule_cannot_crowd_out_kept_rules(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = self._flood_trace(tmp_path / "flood.trace", 300)
+        assert main(["check", str(path), "--ignore", "SPV004"]) == 1
+        out = capsys.readouterr().out
+        assert "SPV001 error" in out
+        assert "SPV004" not in out
+        assert "suppressed" not in out
 
     def test_check_reads_binary_traces(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,7 +1,8 @@
 """Differential verification: scalar walk vs columnar fast path.
 
-Two layers of evidence that ``TraceVerifier.verify`` and
-``verify_columnar`` implement the same rule semantics:
+Two layers of evidence that ``TraceVerifier.verify`` and the whole-trace
+VPC walk it is held to (``tests/oracles/scalar_verify.py``) implement the
+same rule semantics:
 
 * every shipped workload generator, compiled and verified through both
   entry points, must yield identical diagnostics;
@@ -11,7 +12,7 @@ Two layers of evidence that ``TraceVerifier.verify`` and
 
 ``StreamingTraceVerifier`` (the per-chunk gate of the streamed
 pipeline) is held to the same standard: feeding any chunking of a
-trace must reproduce the whole-trace ``verify_columnar`` report
+trace must reproduce the whole-trace ``verify`` report
 exactly — diagnostics, indices, and the suppression count — including
 SPV004 hazards that span a chunk boundary.
 """
@@ -34,6 +35,7 @@ from repro.isa.trace import VPCTrace  # noqa: E402
 from repro.isa.vpc import VPC  # noqa: E402
 from repro.rm.address import AddressMap, DeviceGeometry  # noqa: E402
 from repro.verify import TraceVerifier  # noqa: E402
+from tests.oracles.scalar_verify import verify as scalar_verify  # noqa: E402
 
 GEOMETRY = DeviceGeometry()
 AMAP = AddressMap(GEOMETRY)
@@ -62,9 +64,9 @@ def _verify_streamed(verifier, cols, chunk, subject="trace"):
 def assert_parity(trace, **verifier_kwargs):
     """All verifier entry points must agree exactly on ``trace``."""
     verifier = TraceVerifier(geometry=GEOMETRY, **verifier_kwargs)
-    scalar = verifier.verify(trace)
+    scalar = scalar_verify(verifier, trace)
     cols = ColumnarTrace.from_trace(trace)
-    columnar = verifier.verify_columnar(cols)
+    columnar = verifier.verify(cols)
     assert scalar.diagnostics == columnar.diagnostics
     assert scalar.suppressed == columnar.suppressed
     # Any chunking of the same trace through the streaming verifier
@@ -211,18 +213,13 @@ class TestWorkloadDifferential:
     )
     def test_shipped_workloads_identical_diagnostics(self, spec):
         task = spec.build_task()
-        trace = task.to_trace()
-        cols = (
-            trace
-            if isinstance(trace, ColumnarTrace)
-            else ColumnarTrace.from_trace(trace)
-        )
+        cols = task.to_trace()
         verifier = TraceVerifier(
             geometry=task.device.config.geometry,
             plan=task.placement_plan,
         )
-        scalar = verifier.verify(cols, subject=spec.name)
-        columnar = verifier.verify_columnar(cols, subject=spec.name)
+        scalar = scalar_verify(verifier, cols, subject=spec.name)
+        columnar = verifier.verify(cols, subject=spec.name)
         assert scalar.diagnostics == columnar.diagnostics
         assert scalar.suppressed == columnar.suppressed
         assert scalar.ok(strict=True), scalar.render(strict=True)
@@ -234,17 +231,12 @@ class TestWorkloadDifferential:
         # The streamed pipeline's per-chunk SPV gate, merged, must
         # equal the whole-trace report on every shipped workload.
         task = spec.build_task()
-        trace = task.to_trace()
-        cols = (
-            trace
-            if isinstance(trace, ColumnarTrace)
-            else ColumnarTrace.from_trace(trace)
-        )
+        cols = task.to_trace()
         verifier = TraceVerifier(
             geometry=task.device.config.geometry,
             plan=task.placement_plan,
         )
-        whole = verifier.verify_columnar(cols, subject=spec.name)
+        whole = verifier.verify(cols, subject=spec.name)
         streamed = _verify_streamed(verifier, cols, 64, subject=spec.name)
         assert streamed.diagnostics == whole.diagnostics
         assert streamed.suppressed == whole.suppressed
@@ -258,17 +250,12 @@ class TestWorkloadDifferential:
         # SPV001+SPV007 alone take the vectorized per-chunk scan in
         # the streaming verifier; it must match the whole-trace result.
         task = spec.build_task()
-        trace = task.to_trace()
-        cols = (
-            trace
-            if isinstance(trace, ColumnarTrace)
-            else ColumnarTrace.from_trace(trace)
-        )
+        cols = task.to_trace()
         verifier = TraceVerifier(
             geometry=task.device.config.geometry,
             rules=("SPV001", "SPV007"),
         )
-        whole = verifier.verify_columnar(cols)
+        whole = verifier.verify(cols)
         streamed = _verify_streamed(verifier, cols, 50)
         assert streamed.diagnostics == whole.diagnostics
         assert streamed.suppressed == whole.suppressed
@@ -280,18 +267,13 @@ class TestWorkloadDifferential:
     )
     def test_vectorized_rule_subset_matches(self, spec):
         # SPV001+SPV007 alone take the pure-columnar fast path inside
-        # verify_columnar; the result must still match the scalar walk.
+        # verify; the result must still match the scalar walk.
         task = spec.build_task()
-        trace = task.to_trace()
-        cols = (
-            trace
-            if isinstance(trace, ColumnarTrace)
-            else ColumnarTrace.from_trace(trace)
-        )
+        cols = task.to_trace()
         verifier = TraceVerifier(
             geometry=task.device.config.geometry,
             rules=("SPV001", "SPV007"),
         )
-        scalar = verifier.verify(cols)
-        columnar = verifier.verify_columnar(cols)
+        scalar = scalar_verify(verifier, cols)
+        columnar = verifier.verify(cols)
         assert scalar.diagnostics == columnar.diagnostics

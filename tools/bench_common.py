@@ -1,7 +1,9 @@
 """Shared plumbing for the ``tools/bench_*.py`` harnesses.
 
-Importing this module puts ``<repo>/src`` on ``sys.path`` (every bench
-script runs from a source checkout, not an installed package), and the
+Importing this module puts ``<repo>/src`` and ``<repo>`` on
+``sys.path`` (every bench script runs from a source checkout, not an
+installed package; the repo root makes the reference implementations
+in ``tests/oracles`` importable), and the
 helpers below factor out the patterns each harness used to re-implement:
 best-of-N timing, the RunStats comparison field list, percentile
 summaries, JSON artifact writing, and the FAIL/PASS exit protocol.
@@ -16,9 +18,9 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = str(REPO_ROOT / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+for _path in (str(REPO_ROOT), str(REPO_ROOT / "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 #: (name, getter) pairs covering every numeric field of a RunStats that
 #: engine-equivalence gates compare.

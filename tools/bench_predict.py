@@ -81,7 +81,6 @@ def run_sweep_gate(args, failures):
     """Measured analytic-sweep speedup over the simulated baseline."""
     from repro.core.compile import compile_workload
     from repro.core.device import StreamPIMConfig, StreamPIMDevice
-    from repro.sim.vector_exec import execute_columnar
     from repro.workloads import find_workload
 
     base = StreamPIMConfig()
@@ -118,8 +117,11 @@ def run_sweep_gate(args, failures):
         t0 = time.perf_counter()
         device = StreamPIMDevice(base)
         compiled.task.materialize(device)
-        stats = execute_columnar(
-            device, compiled.trace, workload=spec.name, functional=True
+        stats = device.execute_trace(
+            compiled.trace,
+            workload=spec.name,
+            functional=True,
+            verify=False,
         )
         sim_s = time.perf_counter() - t0
 

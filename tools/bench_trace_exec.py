@@ -2,10 +2,10 @@
 """Perf-regression harness for the event-mode trace executors.
 
 Default mode builds one large matmul trace (2*m*n VPCs: a TRAN + MUL
-per output element), replays it through both the scalar reference
-executor and the columnar vector engine, checks the results are
-identical, and writes the measurements to a JSON file so the speedup
-trajectory is tracked across changes.
+per output element), replays it through both the per-VPC reference
+executor (``tests/oracles/scalar_exec.py``) and the columnar vector
+engine, checks the results are identical, and writes the measurements
+to a JSON file so the speedup trajectory is tracked across changes.
 
 Run directly or via ``make bench-perf``::
 
@@ -13,8 +13,9 @@ Run directly or via ``make bench-perf``::
         --vpcs 100000 --min-speedup 10 --out BENCH_trace_exec.json
 
 ``--compile`` benchmarks the *compile* phase instead
-(``make bench-compile``): scalar vs vectorized trace lowering on gemm,
-a differential gate proving both lowering engines emit bit-identical
+(``make bench-compile``): the per-command reference lowering
+(``tests/oracles/scalar_lowering.py``) vs the vectorized product
+lowering on gemm, a differential gate proving both emit bit-identical
 traces for every PolyBench kernel and both DNN workloads at two
 dataset scales each, and a cold-vs-cached compile of the Fig. 17
 workload set through the content-addressed trace cache::
@@ -66,6 +67,7 @@ import numpy as np  # noqa: E402
 from repro.core.device import StreamPIMDevice  # noqa: E402
 from repro.core.task import PimTask, TaskOp  # noqa: E402
 from repro.isa.columnar import ColumnarTrace  # noqa: E402
+from tests.oracles import scalar_exec, scalar_lowering  # noqa: E402
 
 
 def build_trace(target_vpcs: int):
@@ -110,14 +112,14 @@ def run(args: argparse.Namespace) -> int:
 
     scalar_s, scalar_stats = best_of(
         args.repeats,
-        lambda: StreamPIMDevice().execute_trace(
-            trace, workload="bench", functional=False
+        lambda: scalar_exec.execute_trace(
+            StreamPIMDevice(), trace, workload="bench", functional=False
         ),
     )
     vector_s, vector_stats = best_of(
         args.repeats,
         lambda: StreamPIMDevice().execute_trace(
-            cols, workload="bench", functional=False, engine="vector"
+            cols, workload="bench", functional=False
         ),
     )
     mismatches = stat_mismatches(scalar_stats, vector_stats)
@@ -130,22 +132,23 @@ def run(args: argparse.Namespace) -> int:
     # direct engine call that bypasses the obs plumbing entirely.  Both
     # skip verification so the delta isolates the dispatch overhead.
     from repro.obs import Collector
-    from repro.sim.vector_exec import execute_columnar
+    from repro.sim.vector_exec import VectorExecState
 
-    obs_control_s, control_stats = best_of(
-        args.repeats,
-        lambda: execute_columnar(
-            StreamPIMDevice(), cols, workload="bench", functional=False
-        ),
-    )
+    def direct_run():
+        state = VectorExecState(
+            StreamPIMDevice(),
+            workload="bench",
+            functional=False,
+            exact_apply=True,
+        )
+        state.feed(cols)
+        return state.finish()
+
+    obs_control_s, control_stats = best_of(args.repeats, direct_run)
     obs_disabled_s, disabled_stats = best_of(
         args.repeats,
         lambda: StreamPIMDevice().execute_trace(
-            cols,
-            workload="bench",
-            functional=False,
-            verify=False,
-            engine="vector",
+            cols, workload="bench", functional=False, verify=False
         ),
     )
     if stat_values(control_stats) != stat_values(disabled_stats):
@@ -159,11 +162,7 @@ def run(args: argparse.Namespace) -> int:
     # Informational: one fully instrumented run (spans + metrics).
     t0 = time.perf_counter()
     StreamPIMDevice().observe(Collector()).execute_trace(
-        cols,
-        workload="bench",
-        functional=False,
-        verify=False,
-        engine="vector",
+        cols, workload="bench", functional=False, verify=False
     )
     obs_profiled_s = time.perf_counter() - t0
 
@@ -264,7 +263,7 @@ def run_compile(args: argparse.Namespace) -> int:
     for _ in range(args.repeats):
         task = spec.build_task(seed=7)
         t0 = time.perf_counter()
-        scalar_trace = task.to_trace(engine="scalar")
+        scalar_trace = scalar_lowering.to_trace(task)
         scalar_s = min(scalar_s, time.perf_counter() - t0)
     columnar_s = math.inf
     for _ in range(args.repeats):
@@ -272,12 +271,12 @@ def run_compile(args: argparse.Namespace) -> int:
         # would time the build too) does not apply here.
         task = spec.build_task(seed=7)
         t0 = time.perf_counter()
-        columnar_trace = task.to_trace(engine="columnar")
+        columnar_trace = task.to_trace()
         columnar_s = min(columnar_s, time.perf_counter() - t0)
     if ColumnarTrace.from_trace(scalar_trace).to_bytes() != (
         columnar_trace.to_bytes()
     ):
-        failures.append("gemm lowering engines emit different bytes")
+        failures.append("gemm lowerings emit different bytes")
     compile_speedup = (
         scalar_s / columnar_s if columnar_s > 0 else float("inf")
     )
@@ -287,22 +286,22 @@ def run_compile(args: argparse.Namespace) -> int:
           f"(floor {args.min_compile_speedup}x)")
 
     # ------------------------------------------------------------------
-    # 2. Differential gate: bit-identical traces from both lowering
-    #    engines for every kernel and both DNN workloads.
+    # 2. Differential gate: bit-identical traces from both lowerings
+    #    for every kernel and both DNN workloads.
     # ------------------------------------------------------------------
     differential = {}
     for label, diff_spec in _differential_specs(args.diff_scales):
         scalar_task = diff_spec.build_task(seed=7)
         columnar_task = diff_spec.build_task(seed=7)
         identical = ColumnarTrace.from_trace(
-            scalar_task.to_trace(engine="scalar")
-        ).to_bytes() == columnar_task.to_trace(engine="columnar").to_bytes()
+            scalar_lowering.to_trace(scalar_task)
+        ).to_bytes() == columnar_task.to_trace().to_bytes()
         differential[label] = identical
         if not identical:
             failures.append(f"differential mismatch on {label}")
     matched = sum(differential.values())
     print(f"differential: {matched}/{len(differential)} workloads "
-          f"bit-identical across lowering engines")
+          f"bit-identical across lowerings")
 
     # ------------------------------------------------------------------
     # 3. Trace cache: cold compile-and-store vs cached reload of the
@@ -374,7 +373,7 @@ def _phased_cold(spec):
     trace = task.to_trace()
     task.materialize()
     stats = task.device.execute_trace(
-        trace, workload=spec.name, functional=True, engine="vector"
+        trace, workload=spec.name, functional=True
     )
     return time.perf_counter() - t0, task, trace, stats
 
@@ -499,7 +498,7 @@ def run_deep(args: argparse.Namespace) -> int:
     # small fraction of it.
     t0 = time.perf_counter()
     task.device.execute_trace(
-        trace, workload="bench", functional=True, engine="vector"
+        trace, workload="bench", functional=True
     )
     vector_s = time.perf_counter() - t0
 
