@@ -331,9 +331,9 @@ def stream_workload(
     operation boundaries) are verified and executed before the next
     operation is lowered.  Cache interplay:
 
-    * hit — the cached trace is sliced into ``chunk_vpcs`` chunks and
-      streamed through the same executor (the chunked fast-apply path
-      still applies);
+    * hit — the cached trace is cut at its operation boundaries into
+      the chunks a cold run drains and streamed through the same
+      executor (the chunked fast-apply path still applies);
     * miss — chunks are lowered live and the concatenated trace is
       written through to the cache with the same aux/provenance a
       phased compile would store.

@@ -11,8 +11,8 @@ Two execution modes are provided:
 * **event mode** (:meth:`StreamPIMDevice.execute_trace`) — execution of
   an explicit VPC stream with per-subarray blocking between read/write
   and shift/compute operation classes, through the columnar engine of
-  :mod:`repro.sim.vector_exec`.  State-accurate for data (a sparse word
-  store) and used to validate the analytic mode.
+  :mod:`repro.sim.vector_exec`.  State-accurate for data (a paged word
+  store, :class:`WordStore`) and used to validate the analytic mode.
 * **analytic mode** (:meth:`StreamPIMDevice.execute_rounds`) — closed-form
   composition of prep/compute rounds through the
   :class:`~repro.core.scheduler.Scheduler`; this is how the paper-scale
@@ -94,25 +94,102 @@ class StreamExecResult:
 
 
 class WordStore:
-    """Sparse word-addressable data store backing event-mode execution."""
+    """Paged word-addressable data store backing event-mode execution.
+
+    Words live in :attr:`PAGE_WORDS`-word int64 pages, allocated on
+    first write as rows of one growable 2-D array; a boolean mask beside
+    it records which words were written, and a sorted page-id index maps
+    an address's page to its row.  Unwritten words read 0 and ``len``
+    counts written words, explicit zeros included.  :meth:`gather` and
+    :meth:`scatter` move a whole address array at once, so their cost
+    follows the number of words moved, not the size of the store.
+    """
+
+    #: Words per page; a power of two, so an address splits into
+    #: ``(address >> _PAGE_SHIFT, address & _PAGE_MASK)``.
+    PAGE_WORDS = 512
+    _PAGE_SHIFT = 9
+    _PAGE_MASK = PAGE_WORDS - 1
 
     def __init__(self) -> None:
-        self._words: Dict[int, int] = {}
+        #: Sorted ids of the allocated pages, and the row of each.
+        self._page_ids = np.empty(0, dtype=np.int64)
+        self._page_rows = np.empty(0, dtype=np.int64)
+        #: Page rows (allocated up to ``len(self._page_ids)``; the rest
+        #: is spare capacity) and the written mask beside them.
+        self._pages = np.zeros((0, self.PAGE_WORDS), dtype=np.int64)
+        self._written = np.zeros((0, self.PAGE_WORDS), dtype=bool)
 
     def read(self, address: int, length: int) -> np.ndarray:
+        """``length`` words from ``address`` (unwritten words read 0)."""
         if length <= 0:
             raise ValueError(f"length must be positive, got {length}")
-        return np.array(
-            [self._words.get(address + i, 0) for i in range(length)],
-            dtype=np.int64,
-        )
+        return self.gather(np.arange(address, address + length))
 
     def write(self, address: int, values) -> None:
-        for i, value in enumerate(np.asarray(values).ravel()):
-            self._words[address + i] = int(value)
+        """Store ``values`` in consecutive words from ``address``."""
+        values = np.asarray(values).ravel()
+        self.scatter(np.arange(address, address + len(values)), values)
+
+    def gather(self, addresses) -> np.ndarray:
+        """Values at ``addresses`` (any shape; unwritten words read 0)."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        out = np.zeros(addresses.shape, dtype=np.int64)
+        rows = self._rows_of(addresses >> self._PAGE_SHIFT)
+        hit = rows >= 0
+        out[hit] = self._pages[rows[hit], addresses[hit] & self._PAGE_MASK]
+        return out
+
+    def scatter(self, addresses, values) -> None:
+        """Store ``values[i]`` at ``addresses[i]`` (distinct addresses)."""
+        addresses = np.asarray(addresses, dtype=np.int64).ravel()
+        values = np.asarray(values).astype(np.int64, copy=False).ravel()
+        if len(addresses) != len(values):
+            raise ValueError(
+                f"{len(addresses)} addresses but {len(values)} values"
+            )
+        pages = addresses >> self._PAGE_SHIFT
+        rows = self._rows_of(pages)
+        missing = rows < 0
+        if missing.any():
+            self._allocate(np.unique(pages[missing]))
+            rows = self._rows_of(pages)
+        offsets = addresses & self._PAGE_MASK
+        self._pages[rows, offsets] = values
+        self._written[rows, offsets] = True
+
+    def snapshot(self) -> Dict[int, int]:
+        """``{address: value}`` for every written word, zeros included."""
+        rows = self._page_rows
+        index, offsets = np.nonzero(self._written[rows])
+        addresses = (self._page_ids[index] << self._PAGE_SHIFT) + offsets
+        values = self._pages[rows[index], offsets]
+        return dict(zip(addresses.tolist(), values.tolist()))
 
     def __len__(self) -> int:
-        return len(self._words)
+        return int(np.count_nonzero(self._written[: len(self._page_ids)]))
+
+    def _rows_of(self, pages: np.ndarray) -> np.ndarray:
+        """Row of each page id; -1 where the page is not allocated."""
+        ids = self._page_ids
+        if not len(ids):
+            return np.full(pages.shape, -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(ids, pages), len(ids) - 1)
+        return np.where(ids[pos] == pages, self._page_rows[pos], -1)
+
+    def _allocate(self, new_pages: np.ndarray) -> None:
+        """Add rows for ``new_pages`` (sorted, none allocated yet)."""
+        used = len(self._page_ids)
+        need = used + len(new_pages)
+        if need > len(self._pages):
+            spare = ((0, max(need, 2 * len(self._pages), 8) - used), (0, 0))
+            self._pages = np.pad(self._pages[:used], spare)
+            self._written = np.pad(self._written[:used], spare)
+        at = np.searchsorted(self._page_ids, new_pages)
+        self._page_ids = np.insert(self._page_ids, at, new_pages)
+        self._page_rows = np.insert(
+            self._page_rows, at, np.arange(used, need, dtype=np.int64)
+        )
 
 
 class StreamPIMDevice:

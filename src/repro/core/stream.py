@@ -115,12 +115,29 @@ def iter_trace_chunks(
     Used when the trace cache already holds the full trace: there is
     nothing left to overlap with lowering, but the chunked consumer
     (and its per-chunk fast apply) still wants chunk-sized pieces.
+    With operation boundaries (``trace.op_starts``) the chunks are the
+    ones a cold streamed run drains — cut at the first boundary at
+    least ``chunk_vpcs`` records on, plus the remainder — otherwise
+    fixed ``chunk_vpcs``-record slices.
     """
     if chunk_vpcs < 1:
         raise ValueError(f"chunk_vpcs must be positive, got {chunk_vpcs}")
     records = trace.records
-    for start in range(0, len(records), chunk_vpcs):
-        yield ColumnarTrace(records[start : start + chunk_vpcs])
+    starts = trace.op_starts
+    if starts is None or not len(starts):
+        cuts = range(chunk_vpcs, len(records), chunk_vpcs)
+    else:
+        cuts = []
+        begin = 0
+        for end in starts[1:].tolist():
+            if end - begin >= chunk_vpcs:
+                cuts.append(end)
+                begin = end
+    begin = 0
+    for end in [*cuts, len(records)]:
+        if end > begin:
+            yield ColumnarTrace(records[begin:end])
+        begin = end
 
 
 def task_chunk_producer(

@@ -748,11 +748,13 @@ class PimTask:
         self._require_trace_state()
         slots = self._trace_scalar_slots
         items = list(slots.items())[start:]
-        for address, scalar_name in items:
-            value = (
-                self._scalars[scalar_name] if scalar_name is not None else 1
-            )
-            device.store.write(address, [value])
+        device.store.scatter(
+            [address for address, _ in items],
+            [
+                self._scalars[name] if name is not None else 1
+                for _, name in items
+            ],
+        )
         return len(slots)
 
     def fetch_results(self, device: Optional[StreamPIMDevice] = None):
@@ -807,20 +809,26 @@ class PimTask:
 
     @staticmethod
     def _write_matrix(device, handle, values) -> None:
-        stored = np.asarray(values).T if handle.stored_transposed else values
-        for i, row in enumerate(np.asarray(stored)):
-            piece = handle.row_slices(i)[0]
-            device.store.write(piece.address, row[: piece.length])
+        stored = np.asarray(
+            np.asarray(values).T if handle.stored_transposed else values
+        )
+        addresses, _, _, lengths = PimTask._stored_row_arrays(handle, {})
+        # Each stored row's first slice takes the row's leading words.
+        columns = np.arange(stored.shape[1])
+        inside = columns < lengths[:, None]
+        device.store.scatter(
+            (addresses[:, None] + columns)[inside], stored[inside]
+        )
         if handle.mirror is not None:
             PimTask._write_matrix(device, handle.mirror, np.asarray(values).T)
 
     @staticmethod
     def _read_matrix(device, handle) -> np.ndarray:
-        rows = []
-        for i in range(handle.stored_rows):
-            piece = handle.row_slices(i)[0]
-            rows.append(device.store.read(piece.address, piece.length))
-        stored = np.vstack(rows)
+        addresses, _, _, lengths = PimTask._stored_row_arrays(handle, {})
+        width = int(lengths[0])
+        if (lengths != width).any():
+            raise ValueError("stored rows differ in first-slice length")
+        stored = device.store.gather(addresses[:, None] + np.arange(width))
         return stored.T if handle.stored_transposed else stored
 
     # ------------------------------------------------------------------

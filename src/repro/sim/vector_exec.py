@@ -19,8 +19,8 @@ splits the work into
   the per-subarray blocking recurrence — reduced to a handful of float
   ``max``/``add`` operations per command over precomputed columns;
 * a **batched functional apply** that replays data movement on a dense,
-  address-compacted buffer with NumPy slice arithmetic instead of
-  per-word dictionary traffic.
+  address-compacted buffer with NumPy slice arithmetic, seeded by one
+  gather from the word store and flushed by one scatter per chunk.
 
 Equivalence contract: for every trace the engine produces
 *bit-identical* results to the per-VPC reference loop kept as a test
@@ -538,16 +538,81 @@ def _merge_ranges(
     return segment_starts, running_end[last]
 
 
+def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + length)`` over the pairs."""
+    firsts = np.cumsum(lengths) - lengths
+    return np.repeat(starts - firsts, lengths) + np.arange(
+        int(lengths.sum()), dtype=np.int64
+    )
+
+
+class _ChunkBuffer:
+    """A chunk's operand and result words, compacted into one buffer.
+
+    Every word range the chunk reads or writes is merged into sorted
+    disjoint segments laid end to end in the dense int64 ``buffer``,
+    seeded with one gather from the device's word store (unwritten
+    words read 0).  The apply loops index the buffer through the
+    per-command offset lists, and :meth:`flush` writes the result ranges
+    back with one scatter, so the cost follows the chunk's words, not
+    the size of the store.
+    """
+
+    def __init__(self, store, cols: ColumnarTrace) -> None:
+        opcode = cols.opcode
+        src1 = cols.src1.astype(np.int64)
+        src2 = cols.src2.astype(np.int64)
+        des = cols.des.astype(np.int64)
+        size = cols.size.astype(np.int64)
+        compute = cols.is_compute
+        src1_len = np.where(opcode == SMUL_BYTE, 1, size)
+        self.des_len = np.where(opcode == MUL_BYTE, 1, size)
+        self.compute = compute
+        self._des = des
+        starts, ends = _merge_ranges(
+            np.concatenate((src1, src2[compute], des)),
+            np.concatenate(
+                (src1 + src1_len, (src2 + size)[compute], des + self.des_len)
+            ),
+        )
+        lengths = ends - starts
+        self._segment_starts = starts
+        self._offsets = np.cumsum(lengths) - lengths
+        self.buffer = store.gather(_expand(starts, lengths))
+        self.op_list = opcode.tolist()
+        self.a_list = self._compact(src1).tolist()
+        # src2 of TRAN rows is the no-operand sentinel, outside every
+        # segment; substitute src1 so _compact() stays in range (the
+        # value is never used for TRAN rows).
+        self.b_list = self._compact(np.where(compute, src2, src1)).tolist()
+        self.d_list = self._compact(des).tolist()
+        self.size_list = size.tolist()
+
+    def _compact(self, addresses: np.ndarray) -> np.ndarray:
+        starts = self._segment_starts
+        index = np.searchsorted(starts, addresses, side="right") - 1
+        return self._offsets[index] + (addresses - starts[index])
+
+    def flush(self, store, count: int) -> None:
+        """Write the results of the first ``count`` commands back."""
+        des = self._des[:count]
+        starts, ends = _merge_ranges(des, des + self.des_len[:count])
+        lengths = ends - starts
+        store.scatter(
+            _expand(starts, lengths),
+            self.buffer[_expand(self._compact(starts), lengths)],
+        )
+
+
 def _apply_functional_columnar(
     device, cols: ColumnarTrace, faults=None, limit=None, index_offset=0
 ) -> None:
     """Replay the trace's data movement on a compacted dense buffer.
 
-    Word addresses referenced by the trace are compacted into one dense
-    int64 buffer (seeded from the device's word store), every command is
-    applied with NumPy slice arithmetic, and the written ranges are
-    flushed back — producing exactly the word-store contents a per-VPC,
-    per-word dictionary replay produces.
+    The chunk's words are compacted into a :class:`_ChunkBuffer`, every
+    command is applied with NumPy slice arithmetic, and the written
+    ranges are flushed back — producing exactly the word-store contents
+    a per-VPC, per-word replay produces.
 
     ``faults`` corrupts destination slices at the session's undetected-
     drift indices (same rotation, same point in the apply sequence as
@@ -561,54 +626,20 @@ def _apply_functional_columnar(
     count = n if limit is None else min(limit, n)
     if count == 0:
         return
-    opcode = cols.opcode
-    src1 = cols.src1.astype(np.int64)
-    src2 = cols.src2.astype(np.int64)
-    des = cols.des.astype(np.int64)
-    size = cols.size.astype(np.int64)
-    compute = cols.is_compute
-    src1_len = np.where(opcode == SMUL_BYTE, 1, size)
-    des_len = np.where(opcode == MUL_BYTE, 1, size)
-
-    range_starts = np.concatenate((src1, src2[compute], des))
-    range_ends = np.concatenate(
-        (src1 + src1_len, (src2 + size)[compute], des + des_len)
-    )
-    segment_starts, segment_ends = _merge_ranges(range_starts, range_ends)
-    lengths = segment_ends - segment_starts
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    buffer = np.zeros(int(lengths.sum()), dtype=np.int64)
-
-    def compact(addresses: np.ndarray) -> np.ndarray:
-        index = np.searchsorted(segment_starts, addresses, side="right") - 1
-        return offsets[index] + (addresses - segment_starts[index])
-
-    # Seed from the sparse store (reads of unseeded words default to 0).
-    stored = device.store._words
-    if stored:
-        keys = np.fromiter(stored.keys(), dtype=np.int64, count=len(stored))
-        values = np.fromiter(
-            stored.values(), dtype=np.int64, count=len(stored)
-        )
-        index = np.searchsorted(segment_starts, keys, side="right") - 1
-        inside = (index >= 0) & (keys < segment_ends[index])
-        buffer[compact(keys[inside])] = values[inside]
-
-    op_list = opcode.tolist()
-    a_list = compact(src1).tolist()
-    # src2 of TRAN rows is the no-operand sentinel, outside every
-    # segment; substitute src1 so compact() stays in range (the value is
-    # never used for TRAN rows).
-    b_list = compact(np.where(compute, src2, src1)).tolist()
-    d_list = compact(des).tolist()
-    size_list = size.tolist()
+    compacted = _ChunkBuffer(device.store, cols)
+    buffer = compacted.buffer
+    op_list = compacted.op_list
+    a_list = compacted.a_list
+    b_list = compacted.b_list
+    d_list = compacted.d_list
+    size_list = compacted.size_list
     apply_compute = device.processor.apply
     drift_map = faults.drift if faults is not None else None
     if not drift_map:
         drift_map = None
         des_len_list = None
     else:
-        des_len_list = des_len.tolist()
+        des_len_list = compacted.des_len.tolist()
 
     i = -1
     try:
@@ -645,26 +676,17 @@ def _apply_functional_columnar(
             index=index_offset + i,
         ) from exc
 
-    written_starts, written_ends = _merge_ranges(
-        des[:count], (des + des_len)[:count]
-    )
-    write = device.store.write
-    for start, end, base in zip(
-        written_starts.tolist(),
-        written_ends.tolist(),
-        compact(written_starts).tolist(),
-    ):
-        write(start, buffer[base : base + (end - start)])
+    compacted.flush(device.store, count)
 
 
 def _apply_functional_chunk(device, cols: ColumnarTrace) -> bool:
     """Monitored fast functional apply of one trace chunk.
 
-    Same compaction, seeding, and write-back as
-    :func:`_apply_functional_columnar`, but the per-command loop inlines
-    the processor arithmetic (``np.dot`` / ``+`` / scalar broadcast)
-    instead of calling ``RMProcessor.apply``, dropping its per-command
-    operand-range scans.  Soundness is restored by monitoring: the
+    Same :class:`_ChunkBuffer` as :func:`_apply_functional_columnar`,
+    but the per-command loop inlines the processor arithmetic
+    (``np.dot`` / ``+`` / scalar broadcast) instead of calling
+    ``RMProcessor.apply``, dropping its per-command operand-range
+    scans.  Soundness is restored by monitoring: the
     seeded buffer is checked once for negatives, and every compute
     result is mirrored into a flat monitor array checked once at the
     end.  If both checks pass, no per-command operand check could have
@@ -681,51 +703,19 @@ def _apply_functional_chunk(device, cols: ColumnarTrace) -> bool:
     n = len(cols)
     if n == 0:
         return True
-    opcode = cols.opcode
-    src1 = cols.src1.astype(np.int64)
-    src2 = cols.src2.astype(np.int64)
-    des = cols.des.astype(np.int64)
-    size = cols.size.astype(np.int64)
-    compute = cols.is_compute
-    src1_len = np.where(opcode == SMUL_BYTE, 1, size)
-    des_len = np.where(opcode == MUL_BYTE, 1, size)
-
-    range_starts = np.concatenate((src1, src2[compute], des))
-    range_ends = np.concatenate(
-        (src1 + src1_len, (src2 + size)[compute], des + des_len)
-    )
-    segment_starts, segment_ends = _merge_ranges(range_starts, range_ends)
-    lengths = segment_ends - segment_starts
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    buffer = np.zeros(int(lengths.sum()), dtype=np.int64)
-
-    def compact(addresses: np.ndarray) -> np.ndarray:
-        index = np.searchsorted(segment_starts, addresses, side="right") - 1
-        return offsets[index] + (addresses - segment_starts[index])
-
-    stored = device.store._words
-    if stored:
-        keys = np.fromiter(stored.keys(), dtype=np.int64, count=len(stored))
-        values = np.fromiter(
-            stored.values(), dtype=np.int64, count=len(stored)
-        )
-        index = np.searchsorted(segment_starts, keys, side="right") - 1
-        inside = (index >= 0) & (keys < segment_ends[index])
-        buffer[compact(keys[inside])] = values[inside]
-
+    compacted = _ChunkBuffer(device.store, cols)
+    buffer = compacted.buffer
     if bool((buffer < 0).any()):
         return False
+    op_list = compacted.op_list
+    a_list = compacted.a_list
+    b_list = compacted.b_list
+    d_list = compacted.d_list
+    size_list = compacted.size_list
 
-    op_list = opcode.tolist()
-    a_list = compact(src1).tolist()
-    # src2 of TRAN rows is the no-operand sentinel, outside every
-    # segment; substitute src1 so compact() stays in range (the value is
-    # never used for TRAN rows).
-    b_list = compact(np.where(compute, src2, src1)).tolist()
-    d_list = compact(des).tolist()
-    size_list = size.tolist()
-
-    monitor = np.empty(int(des_len[compute].sum()), dtype=np.int64)
+    monitor = np.empty(
+        int(compacted.des_len[compacted.compute].sum()), dtype=np.int64
+    )
     pos = 0
     dot = np.dot
     for i in range(n):
@@ -763,12 +753,5 @@ def _apply_functional_chunk(device, cols: ColumnarTrace) -> bool:
     if pos and bool((monitor[:pos] < 0).any()):
         return False
 
-    written_starts, written_ends = _merge_ranges(des, des + des_len)
-    write = device.store.write
-    for start, end, base in zip(
-        written_starts.tolist(),
-        written_ends.tolist(),
-        compact(written_starts).tolist(),
-    ):
-        write(start, buffer[base : base + (end - start)])
+    compacted.flush(device.store, n)
     return True

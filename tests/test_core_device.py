@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from repro.core.device import (
     StreamPIMConfig,
     StreamPIMDevice,
@@ -11,6 +13,7 @@ from repro.core.device import (
 from repro.core.scheduler import SchedulerPolicy
 from repro.isa.trace import VPCTrace
 from repro.isa.vpc import VPC
+from repro.rm.address import AddressMap, DeviceGeometry
 from tests.oracles.scalar_exec import _Span
 from tests.oracles.scalar_exec import spans_to_breakdown
 
@@ -33,6 +36,94 @@ class TestWordStore:
         store.write(0, [1, 2])
         store.write(1, [9])  # overwrite
         assert len(store) == 2
+
+    def test_written_zeros_count_and_snapshot(self):
+        store = WordStore()
+        store.write(10, [0, 5, 0])
+        assert len(store) == 3
+        assert store.snapshot() == {10: 0, 11: 5, 12: 0}
+
+    def test_scatter_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="2 addresses but 1 values"):
+            WordStore().scatter([1, 2], [7])
+
+
+#: Words on the default device (2**33); the store's address range.
+_TOTAL_WORDS = AddressMap(DeviceGeometry()).total_words
+_PAGE = WordStore.PAGE_WORDS
+
+
+def _near(base: int):
+    """Addresses within two pages of ``base``, inside the device."""
+    return st.integers(-2 * _PAGE, 2 * _PAGE).map(
+        lambda delta: min(max(base + delta, 0), _TOTAL_WORDS - 1)
+    )
+
+
+#: Addresses clustered at page boundaries, far apart, and at the top of
+#: the device's range, so ranges straddle pages and page ids span 2**24.
+_ADDRESSES = st.one_of(
+    _near(0), _near(3 * _PAGE), _near(1 << 20), _near(_TOTAL_WORDS - 1)
+)
+_VALUES = st.integers(-(2**63), 2**63 - 1) | st.just(0)
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("write"),
+            _ADDRESSES,
+            st.lists(_VALUES, min_size=1, max_size=3 * _PAGE),
+        ),
+        st.tuples(st.just("read"), _ADDRESSES, st.integers(1, 3 * _PAGE)),
+        st.tuples(
+            st.just("scatter"),
+            st.lists(
+                st.tuples(_ADDRESSES, _VALUES),
+                max_size=40,
+                unique_by=lambda pair: pair[0],
+            ),
+        ),
+        st.tuples(st.just("gather"), st.lists(_ADDRESSES, max_size=40)),
+    ),
+    max_size=25,
+)
+
+
+class TestWordStoreOracle:
+    """The paged store behaves exactly like a plain ``dict`` of words."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_STORE_OPS)
+    def test_matches_dict_oracle(self, ops):
+        store = WordStore()
+        oracle = {}
+        for op in ops:
+            if op[0] == "write":
+                _, address, values = op
+                # A range may run past the top of the device; the store
+                # (like the dict) is not bounded by geometry.
+                store.write(address, values)
+                for i, value in enumerate(values):
+                    oracle[address + i] = value
+            elif op[0] == "read":
+                _, address, length = op
+                expected = [oracle.get(address + i, 0) for i in range(length)]
+                assert store.read(address, length).tolist() == expected
+            elif op[0] == "scatter":
+                pairs = op[1]
+                store.scatter(
+                    np.array([a for a, _ in pairs], dtype=np.int64),
+                    np.array([v for _, v in pairs], dtype=np.int64),
+                )
+                oracle.update(pairs)
+            else:
+                addresses = op[1]
+                gathered = store.gather(np.array(addresses, dtype=np.int64))
+                assert gathered.dtype == np.int64
+                assert gathered.tolist() == [
+                    oracle.get(a, 0) for a in addresses
+                ]
+            assert len(store) == len(oracle)
+        assert store.snapshot() == oracle
 
 
 class TestSpansToBreakdown:

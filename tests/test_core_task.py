@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.device import StreamPIMConfig, StreamPIMDevice
+from repro.core.placement import MatrixHandle, RowSlice
 from repro.core.scheduler import SchedulerPolicy
 from repro.core.task import PimTask, TaskOp, create_pim_task
 from repro.workloads.generator import random_matrix
@@ -191,6 +192,37 @@ class TestFunctionalCorrectness:
         report = task.run(functional=False)
         assert report.results == {}
         assert report.time_ns > 0
+
+
+class TestMatrixStoreRoundTrip:
+    """Matrices go to and from the word store through their placement."""
+
+    def test_write_then_read_transposed(self):
+        device = StreamPIMDevice()
+        handle = MatrixHandle(
+            "M", 2, 3,
+            rows_placement=[
+                [RowSlice(0, 0, 100 + 10 * col, 0, 2)] for col in range(3)
+            ],
+            stored_transposed=True,
+        )
+        values = np.array([[1, 2, 3], [4, 5, 6]])
+        PimTask._write_matrix(device, handle, values)
+        assert device.store.snapshot() == {
+            100: 1, 101: 4, 110: 2, 111: 5, 120: 3, 121: 6,
+        }
+        assert np.array_equal(PimTask._read_matrix(device, handle), values)
+
+    def test_read_rejects_ragged_first_slices(self):
+        handle = MatrixHandle(
+            "M", 2, 3,
+            rows_placement=[
+                [RowSlice(0, 0, 100, 0, 3)],
+                [RowSlice(0, 0, 200, 0, 2), RowSlice(0, 1, 300, 2, 1)],
+            ],
+        )
+        with pytest.raises(ValueError, match="first-slice length"):
+            PimTask._read_matrix(StreamPIMDevice(), handle)
 
 
 class TestCountsAndTrace:

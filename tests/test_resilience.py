@@ -69,7 +69,7 @@ class TestZeroProbabilityIdentity:
             device, gemm_trace, config=ZERO, seed=7
         )
         assert stats == plain
-        assert device.store._words == plain_device.store._words
+        assert device.store.snapshot() == plain_device.store.snapshot()
         assert report.injected == 0
         assert report.undetected == 0
         assert report.recovery_ns == 0.0
@@ -94,7 +94,7 @@ class TestEngineParity:
             stats, report = run_with_faults(
                 device, gemm_trace, config=config, seed=42
             )
-            results[engine] = (stats, report, device.store._words)
+            results[engine] = (stats, report, device.store.snapshot())
         s_stats, s_report, s_store = results["scalar"]
         v_stats, v_report, v_store = results["vector"]
         assert s_report == v_report
@@ -121,7 +121,7 @@ class TestEngineParity:
                     )
                 else:
                     device.execute_trace(gemm_trace, faults=session)
-            stores[engine] = device.store._words
+            stores[engine] = device.store.snapshot()
             errors[engine] = excinfo.value
         assert stores["scalar"] == stores["vector"] == stores["stream"]
         scalar_err, vector_err = errors["scalar"], errors["vector"]

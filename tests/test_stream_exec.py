@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.cli import _check_specs
+from repro.core.compile import stream_workload
 from repro.core.device import StreamPIMDevice
 from repro.core.stream import (
     iter_trace_chunks,
@@ -33,7 +34,9 @@ from repro.isa.columnar import (
     ColumnarTraceBuilder,
     TRAN_BYTE,
 )
+from repro.isa.trace_cache import TraceCache
 from repro.obs import Collector
+from repro.workloads import polybench_workload
 from tests.oracles import scalar_exec
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -84,7 +87,7 @@ def _phased(make_task, engine):
         else StreamPIMDevice.execute_trace
     )
     stats = run(device, trace, workload="stream", functional=True)
-    return stats, dict(device.store._words), collector.spans, trace
+    return stats, device.store.snapshot(), collector.spans, trace
 
 
 def _streamed(make_task, chunk_vpcs):
@@ -99,7 +102,7 @@ def _streamed(make_task, chunk_vpcs):
         workload="stream",
         functional=True,
     )
-    return result, dict(device.store._words), collector.spans, telemetry
+    return result, device.store.snapshot(), collector.spans, telemetry
 
 
 class TestChunkBoundaryInvariance:
@@ -232,3 +235,43 @@ class TestOpBoundaryChunks:
         list(builder.drain_chunks(min_records=1))
         with pytest.raises(RuntimeError):
             builder.build()
+
+
+class TestCacheHitChunks:
+    """A cache hit streams the operation-aligned chunks a cold run drains."""
+
+    @pytest.mark.parametrize("chunk_vpcs", [64, 300])
+    @pytest.mark.parametrize("name", ["gemm", "2mm"])
+    def test_hit_replays_the_cold_chunks(self, tmp_path, name, chunk_vpcs):
+        spec = polybench_workload(name, scale=0.01)
+        runs = [
+            stream_workload(
+                spec, cache=TraceCache(tmp_path), chunk_vpcs=chunk_vpcs
+            )
+            for _ in range(2)
+        ]
+        cold, warm = runs
+        assert (cold.cache_hit, warm.cache_hit) == (False, True)
+        assert warm.telemetry.chunks == cold.telemetry.chunks > 1
+        assert warm.stats == cold.stats
+        assert warm.trace == cold.trace
+        assert (
+            warm.task.device.store.snapshot()
+            == cold.task.device.store.snapshot()
+        )
+
+        chunks = list(iter_trace_chunks(warm.trace, chunk_vpcs=chunk_vpcs))
+        cuts = np.cumsum([len(chunk) for chunk in chunks])[:-1]
+        assert set(cuts.tolist()) <= set(warm.trace.op_starts.tolist())
+        assert len(chunks) == cold.telemetry.chunks
+
+    def test_without_op_starts_slices_fixed_chunks(self):
+        trace = _build_task(
+            StreamPIMDevice(), 3, 4, 4, 4, True, True, True
+        ).to_trace()
+        bare = ColumnarTrace(trace.records)
+        assert bare.op_starts is None
+        lengths = [len(chunk) for chunk in iter_trace_chunks(bare, 10)]
+        assert lengths == [10] * (len(trace) // 10) + (
+            [len(trace) % 10] if len(trace) % 10 else []
+        )

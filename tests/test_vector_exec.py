@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from repro.cli import _check_specs, main
-from repro.core.device import StreamPIMDevice
+from repro.core.device import StreamPIMDevice, WordStore
 from repro.isa.columnar import ColumnarTrace
 from repro.isa.trace import VPCTrace, write_trace_binary
 from repro.isa.vpc import VPC
 from repro.sim.engine import Engine
 from repro.sim.stats import TimeBreakdown
-from repro.sim.vector_exec import sweep_spans
+from repro.sim.vector_exec import VectorExecState, sweep_spans
 from repro.verify.trace_verifier import TraceVerificationError
 from tests.oracles import scalar_exec
 
@@ -97,7 +97,7 @@ class TestDifferentialAllWorkloads:
         _assert_identical(scalar_stats, vector_stats)
         # Functional replay left both word stores in the same state —
         # same addresses present, same values.
-        assert vector_device.store._words == scalar_device.store._words
+        assert vector_device.store.snapshot() == scalar_device.store.snapshot()
 
 
 class TestEngineSelection:
@@ -115,6 +115,53 @@ class TestEngineSelection:
         trace = VPCTrace([])
         _, _, (run_scalar, run_vector) = _run_both(trace)
         _assert_identical(run_scalar(), run_vector())
+
+
+class _CountingStore(WordStore):
+    """A word store recording the words each gather/scatter moves."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gathered = []
+        self.scattered = []
+
+    def gather(self, addresses):
+        self.gathered.append(np.size(addresses))
+        return super().gather(addresses)
+
+    def scatter(self, addresses, values):
+        self.scattered.append(np.size(addresses))
+        super().scatter(addresses, values)
+
+
+class TestChunkApplyCost:
+    """A chunk's functional apply moves its own words, not the store's."""
+
+    # Operand and result ranges merge to [0, 8) [64, 72) [128, 136)
+    # [200, 201): 25 words; the results are [64, 72) [128, 136)
+    # [200, 201): 17 words.
+    CHUNK = VPCTrace(
+        [VPC.tran(0, 64, 8), VPC.add(0, 64, 128, 8), VPC.mul(0, 64, 200, 8)]
+    )
+
+    @pytest.mark.parametrize("seeded_words", [0, 150_000])
+    def test_one_gather_and_one_scatter_of_chunk_words(self, seeded_words):
+        device = StreamPIMDevice()
+        store = device.store = _CountingStore()
+        store.write(1 << 20, np.arange(seeded_words) % 7)
+        store.write(0, range(1, 9))
+        store.gathered.clear()
+        store.scattered.clear()
+
+        state = VectorExecState(device)
+        state.feed(ColumnarTrace.from_trace(self.CHUNK))
+
+        assert state.fallbacks == 0
+        assert store.gathered == [25]
+        assert store.scattered == [17]
+        assert store.read(128, 8).tolist() == [2 * v for v in range(1, 9)]
+        assert store.read(200, 1)[0] == sum(v * v for v in range(1, 9))
+        assert len(store) == seeded_words + 8 + 17
 
 
 class TestVerifyGateParity:

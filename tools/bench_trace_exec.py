@@ -425,7 +425,8 @@ def run_stream_bench(args: argparse.Namespace) -> int:
         identical = (
             p_stats == result.stats
             and p_trace.to_bytes() == result.trace.to_bytes()
-            and p_task.device.store._words == s_task.device.store._words
+            and p_task.device.store.snapshot()
+            == s_task.device.store.snapshot()
         )
         if not identical:
             failures.append(f"streamed run not bit-identical on {name}")
