@@ -5,20 +5,22 @@ server with a supervised multiprocess worker pool, whose *failure
 behaviour* is the contract — per-request deadlines with cooperative
 cancellation, bounded retry with backoff for transient failures,
 crash redelivery with a dead-letter bound, per-tenant token-bucket
-admission over a bounded queue, compile coalescing on the trace-cache
-content hash, deficit-round-robin fair scheduling across tenants,
-request batching onto warm workers, per-workload-class circuit
-breaking, and graceful drain on SIGTERM.  See ``docs/serving.md`` for
-the protocol and the failure semantics table.
+admission over a bounded queue, same-key grouping on the typed request
+spec (identical compiles share one result, identical runs share one
+warm-worker dispatch), deficit-round-robin fair scheduling across
+tenants, per-workload-class circuit breaking, and graceful drain on
+SIGTERM.  See ``docs/serving.md`` for the protocol and the failure
+semantics table.
 
 Layering::
 
-    protocol   wire format, typed error codes, HTTP status mapping
+    protocol   wire format, typed request spec, grouping policy,
+               typed error codes, HTTP status mapping
     retry      backoff + circuit-breaker state machines (pure)
     admission  token buckets + bounded-queue gate (pure)
     scheduling deficit-round-robin fair queue across tenants (pure)
     core       THE state machine: deadlines/retries/redelivery/
-               coalescing/batching/drain; no I/O, no clock (pure)
+               same-key grouping/drain; no I/O, no clock (pure)
     supervisor worker processes, heartbeats, kill/respawn
     server     asyncio shell executing the core's actions
     http       stdlib HTTP/REST adapter onto the same core
@@ -43,6 +45,7 @@ from repro.serve.protocol import (
     Request,
     Response,
     ServeError,
+    WorkSpec,
     http_status,
     parse_request,
     parse_response,
@@ -57,8 +60,6 @@ from repro.serve.retry import (
 from repro.serve.server import (
     ServeConfig,
     SimulationServer,
-    request_batch_key,
-    request_coalesce_key,
     run_server,
 )
 from repro.serve.supervisor import WorkerOptions, WorkerPool, execute_request
@@ -83,6 +84,7 @@ __all__ = [
     "Request",
     "Response",
     "ServeError",
+    "WorkSpec",
     "parse_request",
     "parse_response",
     "RetryPolicy",
@@ -91,8 +93,6 @@ __all__ = [
     "BreakerState",
     "ServeConfig",
     "SimulationServer",
-    "request_batch_key",
-    "request_coalesce_key",
     "run_server",
     "WorkerPool",
     "WorkerOptions",

@@ -2,14 +2,14 @@
 
 Everything that makes the service *robust* lives here — admission,
 deadlines, bounded retry with backoff, crash redelivery with a
-dead-letter bound, request coalescing, circuit breaking, drain — as a
+dead-letter bound, same-key grouping, circuit breaking, drain — as a
 single deterministic state machine with **no I/O, no clock, no
 randomness**.  The asyncio server (:mod:`repro.serve.server`)
 translates real events (socket lines, worker pipe messages, process
 exits, timer ticks) into calls on this class and executes the returned
-:class:`Action` list; property tests drive the same calls with a
-virtual clock and assert the exactly-once contract over arbitrary
-interleavings.
+:class:`Action` list; a stateful property test drives the same calls
+with a virtual clock and a fake pool and asserts the invariants below
+over arbitrary interleavings.
 
 Invariants the core maintains (and tests assert):
 
@@ -21,20 +21,25 @@ Invariants the core maintains (and tests assert):
 * a request past its deadline is never dispatched, and an in-flight
   request past ``deadline + hang_grace`` gets its worker killed and a
   ``DEADLINE_EXCEEDED`` answer;
-* a crashed worker's request is redelivered at most
-  ``max_redeliveries`` times, then answered with ``DEAD_LETTER``;
-* coalesced followers never run — they share their leader's result,
-  keep their own deadlines, and are promoted to leader if the leader
-  fails terminally;
-* queued work is served **deficit-round-robin across tenants**
-  (:mod:`repro.serve.scheduling`): while N tenants are backlogged each
+* a crashed worker's requests are redelivered at most
+  ``max_redeliveries`` times each, then answered with ``DEAD_LETTER``;
+  one unexpected death counts one breaker failure per workload class
+  it held;
+* requests submitted with equal ``group_key`` join one **group**, and a
+  group is one entry of the fair queue and one worker dispatch.  The
+  method's :data:`~repro.serve.protocol.GROUP_POLICY` decides what the
+  group shares: a ``shared`` group (``compile``) runs only its oldest
+  member and answers everyone with that result, its other members
+  never appear in a dispatch, keep their own deadlines, and the oldest
+  is promoted if the runner fails terminally; a ``per-item`` group
+  (``run``) carries up to ``max_batch`` members, each with its own
+  deadline, attempt budget and response, and may not dispatch while
+  partial until ``batch_linger_s`` after its first member arrived;
+* queued groups are served **deficit-round-robin across tenants**
+  (:mod:`repro.serve.scheduling`), and every dispatched member is
+  charged to its own tenant: while N tenants are backlogged each
   receives ~1/N of the dispatches, so one tenant's burst adds no
-  queueing delay to another tenant's admitted requests;
-* compatible queued requests (same ``batch_key``) may be **batched**
-  into one worker dispatch (up to ``max_batch``, optionally lingering
-  ``batch_linger_s`` for peers) — each batched request keeps its own
-  deadline, attempt budget and response envelope, and results are
-  demultiplexed per request id.
+  queueing delay to another tenant's admitted requests.
 """
 
 from __future__ import annotations
@@ -42,13 +47,15 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.serve.admission import AdmissionController
 from repro.serve.scheduling import DeficitRoundRobin
 from repro.serve.protocol import (
     DEBUG_METHODS,
+    GROUP_POLICY,
+    SHARED,
     WORKER_METHODS,
     ErrorCode,
     Request,
@@ -67,12 +74,13 @@ class CoreConfig:
     queue_limit: int = 64
     tenant_rate: float = 50.0
     tenant_burst: float = 100.0
-    #: Most requests one worker dispatch may carry (1 disables
-    #: batching).  Only requests sharing a ``batch_key`` are grouped;
-    #: each keeps its own deadline, attempts and response envelope.
+    #: Most requests one ``per-item`` group (one worker dispatch) may
+    #: carry (1 disables batching).  Only requests sharing a
+    #: ``group_key`` are grouped; each keeps its own deadline, attempts
+    #: and response envelope.
     max_batch: int = 1
-    #: How long a partial batch may wait for more compatible requests
-    #: before dispatching anyway (0 = never hold work back).
+    #: How long a partial ``per-item`` group waits for more members
+    #: after its first one arrived (0 = never hold work back).
     batch_linger_s: float = 0.0
     #: Deficit granted per tenant per round of the fair scheduler.
     drr_quantum: float = 1.0
@@ -194,12 +202,26 @@ class _Pending:
     request: Request
     submitted_at: float
     deadline: float
-    coalesce_key: Optional[str] = None
-    batch_key: Optional[str] = None  # compatible-work class for batching
-    leader_id: Optional[str] = None  # set on coalesced followers
+    key: Optional[Hashable] = None  # same-key grouping key
+    group: Optional["_Group"] = None  # while its group waits or is shared
     attempts: int = 0  # dispatches performed
     redeliveries: int = 0  # crash-caused re-queues
     not_before: float = 0.0  # backoff gate
+
+
+@dataclass
+class _Group:
+    """Same-key requests behind one fair-queue entry and one dispatch.
+
+    ``members`` are request ids in arrival order; a shared group's
+    runner is its first member.  A per-item group dissolves when it
+    dispatches; a shared group lives until it has no members left.
+    """
+
+    gid: str
+    key: Optional[Hashable]
+    shared: bool
+    members: List[str]
 
 
 class ServiceCore:
@@ -225,9 +247,14 @@ class ServiceCore:
         self.draining = False
 
         self._pending: Dict[str, _Pending] = {}
-        # Deficit-round-robin fair queue across tenants (replaces the
-        # old single global FIFO behind the token buckets).
+        # Deficit-round-robin fair queue across tenants; its items are
+        # group ids.
         self._queue = DeficitRoundRobin(quantum=self.config.drr_quantum)
+        # Groups not yet dispatched (lingering, or in ``_queue``), in
+        # arrival order, and the groups new same-key requests join.
+        self._waiting: Dict[str, _Group] = {}
+        self._open: Dict[Hashable, _Group] = {}
+        self._group_seq = 0
         self._delayed: List[Tuple[float, int, str]] = []  # heap
         self._delayed_seq = 0
         # Worker -> the (possibly batched) request ids it is executing.
@@ -241,8 +268,6 @@ class ServiceCore:
         # never in here, so eviction cannot cause a double response.
         self._responded: "OrderedDict[str, str]" = OrderedDict()
         self.responded_total = 0
-        self._leaders: Dict[str, str] = {}  # coalesce key -> leader id
-        self._followers: Dict[str, List[str]] = {}  # leader -> followers
         self.dead_letters = deque(maxlen=self.config.dead_letter_limit)
         self.dead_letter_total = 0
         #: Multi-request dispatches performed / requests they carried.
@@ -254,8 +279,15 @@ class ServiceCore:
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        """Accepted-but-unstarted requests (queued + in backoff)."""
-        return len(self._queue) + len(self._delayed)
+        """Accepted-but-unstarted requests (queued + in backoff).
+
+        A shared group counts once: only its runner will execute.
+        """
+        queued = sum(
+            1 if group.shared else len(group.members)
+            for group in self._waiting.values()
+        )
+        return queued + len(self._delayed)
 
     @property
     def inflight_count(self) -> int:
@@ -382,15 +414,16 @@ class ServiceCore:
         self,
         request: Request,
         now: float,
-        coalesce_key: Optional[str] = None,
-        batch_key: Optional[str] = None,
+        group_key: Optional[Hashable] = None,
     ) -> List[Action]:
-        """Accept, coalesce, or fast-reject one request.
+        """Accept, group, or fast-reject one request.
 
-        ``batch_key`` marks the request batchable: queued requests with
-        equal keys may share one worker dispatch (same workload class,
-        geometry and policy — the caller derives the key from the spec
-        cache machinery).  ``None`` always dispatches alone.
+        Requests with equal ``group_key`` share one dispatch, as the
+        method's :data:`~repro.serve.protocol.GROUP_POLICY` says (the
+        server passes the request's
+        :attr:`~repro.serve.protocol.WorkSpec.group_key`).  Equal keys
+        must mean equal work, method included, as equal specs do.
+        ``None`` always dispatches alone.
         """
         self.registry.counter("serve.requests.submitted").inc()
         if request.id in self._pending or request.id in self._responded:
@@ -455,23 +488,12 @@ class ServiceCore:
             request=request,
             submitted_at=now,
             deadline=now + deadline_s,
-            coalesce_key=coalesce_key,
-            batch_key=batch_key,
+            key=group_key,
         )
         self._pending[request.id] = pending
-
-        if coalesce_key is not None:
-            leader_id = self._leaders.get(coalesce_key)
-            if leader_id is not None and leader_id in self._pending:
-                pending.leader_id = leader_id
-                self._followers.setdefault(leader_id, []).append(
-                    request.id
-                )
-                self.registry.counter("serve.coalesced").inc()
-                return []
-            self._leaders[coalesce_key] = request.id
-
-        self._queue.push(request.tenant, request.id)
+        if self._enqueue(pending) and pending.group.shared:
+            self.registry.counter("serve.coalesced").inc()
+            return []
         self._gauges()
         return self._dispatch_ready(now)
 
@@ -549,7 +571,7 @@ class ServiceCore:
             _, _, request_id = heapq.heappop(self._delayed)
             pending = self._pending.get(request_id)
             if pending is not None:
-                self._queue.push(pending.request.tenant, request_id)
+                self._enqueue(pending)
         # Queued/followed requests past their deadline fail fast.
         for request_id in [
             rid
@@ -631,6 +653,8 @@ class ServiceCore:
                 )
             )
         self._queue.clear()
+        self._waiting.clear()
+        self._open.clear()
         self._delayed.clear()
         self._gauges()
         return actions
@@ -671,61 +695,87 @@ class ServiceCore:
         )
         self._gauges()
 
-    def _assemble_batch(
-        self, leader_id: str, pending: _Pending, now: float
-    ) -> List[str]:
-        """Pull queued peers of ``leader_id`` into one dispatch.
+    def _enqueue(self, pending: _Pending) -> bool:
+        """Queue ``pending`` for dispatch; True if it joined a group.
 
-        Peers share the leader's ``batch_key`` and are still within
-        deadline; each is charged to its own tenant's deficit by
-        :meth:`DeficitRoundRobin.take_matching`, so opportunistic
-        batching does not distort fairness.
+        A request joins the open group of its key, or opens a new one.
+        A shared group's runner back from backoff re-queues its group.
         """
-        batch = [leader_id]
-        if self.config.max_batch <= 1 or pending.batch_key is None:
-            return batch
-        key = pending.batch_key
-
-        def compatible(rid: str) -> bool:
-            peer = self._pending.get(rid)
-            return (
-                peer is not None
-                and peer.batch_key == key
-                and peer.leader_id is None
-                and peer.deadline > now
+        request_id = pending.request.id
+        group = pending.group
+        if group is None:
+            group = self._open.get(pending.key)
+            if group is not None:
+                group.members.append(request_id)
+                pending.group = group
+                if not group.shared and (
+                    len(group.members) >= self.config.max_batch
+                ):
+                    del self._open[group.key]
+                return True
+            self._group_seq += 1
+            group = pending.group = _Group(
+                gid=f"g{self._group_seq}",
+                key=pending.key,
+                shared=GROUP_POLICY.get(pending.request.method) == SHARED,
+                members=[request_id],
             )
+            if group.key is not None and (
+                group.shared or self.config.max_batch > 1
+            ):
+                self._open[group.key] = group
+        self._waiting[group.gid] = group
+        return False
 
-        taken = self._queue.take_matching(
-            compatible, self.config.max_batch - 1
+    def _ready(self, group: _Group, now: float) -> bool:
+        """May ``group`` enter the fair queue?
+
+        Only a partial per-item group younger than ``batch_linger_s``
+        (counted from its first member's arrival) waits for peers.
+        """
+        first = self._pending[group.members[0]]
+        return (
+            group.shared
+            or group.key is None
+            or self.draining
+            or len(group.members) >= self.config.max_batch
+            or now - first.submitted_at >= self.config.batch_linger_s
         )
-        batch.extend(rid for _, rid in taken)
-        return batch
 
     def _dispatch_ready(self, now: float) -> List[Action]:
-        """Pair idle workers with dispatchable queued requests.
+        """Pair idle workers with dispatchable queued groups.
 
-        Queued work is served deficit-round-robin across tenants; a
-        popped batchable request additionally pulls compatible peers
-        (same ``batch_key``) into the same dispatch, up to
-        ``max_batch``.  A partial batch younger than ``batch_linger_s``
-        is held back to wait for peers — the held requests are pushed
-        back (deficit-refunded) after the loop so fairness accounting
-        and queue order are preserved.
+        Groups are served deficit-round-robin across tenants.  A per-item
+        group dispatches every member still within its deadline and
+        dissolves; a shared group dispatches only its runner.  The pop
+        charges one member to the entry's tenant; every other member is
+        charged to its own, so grouping cannot distort fairness.
         """
         actions: List[Action] = []
-        # (tenant, request_id) pairs held back to linger this round, in
-        # the order they were removed from the queue.
-        lingering: List[Tuple[str, str]] = []
-        linger_keys: set = set()
-        while self._idle and self._queue:
+        while self._idle:
+            for group in self._waiting.values():
+                if group.gid not in self._queue and self._ready(group, now):
+                    first = self._pending[group.members[0]]
+                    self._queue.push(first.request.tenant, group.gid)
             popped = self._queue.pop()
             if popped is None:
                 break
-            tenant, request_id = popped
-            pending = self._pending.get(request_id)
-            if pending is None or request_id in self._responded:
-                continue
-            if pending.deadline <= now:
+            tenant, gid = popped
+            group = self._waiting.pop(gid)
+            if group.shared:
+                batch = group.members[:1]
+            else:
+                # Dissolve: members that retry regroup on their own.
+                if self._open.get(group.key) is group:
+                    del self._open[group.key]
+                for request_id in group.members:
+                    self._pending[request_id].group = None
+                batch = list(group.members)
+            live: List[str] = []
+            for request_id in batch:
+                if self._pending[request_id].deadline > now:
+                    live.append(request_id)
+                    continue
                 self.registry.counter("serve.deadline.expired_queued").inc()
                 actions.extend(
                     self._respond_error(
@@ -735,72 +785,36 @@ class ServiceCore:
                         now,
                     )
                 )
+            if not live:
                 continue
-            if pending.batch_key is not None and (
-                pending.batch_key in linger_keys
-            ):
-                # This key's batch is already lingering this round;
-                # joining it keeps arrival order within the batch.
-                lingering.append((tenant, request_id))
-                continue
-            batch = self._assemble_batch(request_id, pending, now)
-            if (
-                len(batch) < self.config.max_batch
-                and pending.batch_key is not None
-                and self.config.batch_linger_s > 0.0
-                and not self.draining
-                and now - pending.submitted_at < self.config.batch_linger_s
-            ):
-                # Partial batch, still young: hold it back for peers.
-                # The next tick (or submit) retries; once the oldest
-                # member has lingered long enough it dispatches as-is.
-                linger_keys.add(pending.batch_key)
-                lingering.append((tenant, request_id))
-                # ``_assemble_batch`` already removed the peers; keep
-                # them with the leader so the hold releases together.
-                lingering.extend(
-                    (self._pending[rid].request.tenant, rid)
-                    for rid in batch[1:]
-                    if rid in self._pending
-                )
-                continue
+            tenants = [self._pending[rid].request.tenant for rid in live]
+            if tenant in tenants:
+                tenants.remove(tenant)
+            for other in tenants:
+                self._queue.charge(other)
             worker_id, _ = self._idle.popitem(last=False)
-            self._inflight[worker_id] = list(batch)
-            if len(batch) == 1:
+            self._inflight[worker_id] = live
+            items: List[Dict[str, object]] = []
+            for request_id in live:
+                pending = self._pending[request_id]
                 pending.attempts += 1
-                message: Dict[str, object] = {
-                    "type": "request",
-                    "id": request_id,
-                    "method": pending.request.method,
-                    "params": dict(pending.request.params),
-                    "tenant": pending.request.tenant,
-                    "deadline_ts": pending.deadline,
-                    "attempt": pending.attempts,
-                }
-            else:
-                items: List[Dict[str, object]] = []
-                for rid in batch:
-                    peer = self._pending[rid]
-                    peer.attempts += 1
-                    items.append(
-                        {
-                            "id": rid,
-                            "method": peer.request.method,
-                            "params": dict(peer.request.params),
-                            "tenant": peer.request.tenant,
-                            "deadline_ts": peer.deadline,
-                            "attempt": peer.attempts,
-                        }
-                    )
-                message = {"type": "batch", "items": items}
+                items.append(
+                    {
+                        "id": request_id,
+                        "method": pending.request.method,
+                        "params": dict(pending.request.params),
+                        "tenant": pending.request.tenant,
+                        "deadline_ts": pending.deadline,
+                        "attempt": pending.attempts,
+                    }
+                )
+            if len(live) > 1:
                 self.batch_dispatches += 1
-                self.batched_requests += len(batch)
+                self.batched_requests += len(live)
                 self.registry.counter("serve.batch.dispatches").inc()
-            actions.append(Dispatch(worker_id, message))
-        # Restore held-back work at the heads of its tenant queues
-        # (reverse order re-establishes FIFO within each tenant).
-        for tenant, request_id in reversed(lingering):
-            self._queue.push_front(tenant, request_id)
+            actions.append(
+                Dispatch(worker_id, {"type": "batch", "items": items})
+            )
         self._gauges()
         return actions
 
@@ -809,16 +823,14 @@ class ServiceCore:
         pending = self._pending.pop(request_id, None)
         if pending is None:
             return None
-        if (
-            pending.coalesce_key is not None
-            and self._leaders.get(pending.coalesce_key) == request_id
-        ):
-            del self._leaders[pending.coalesce_key]
-        if pending.leader_id is not None:
-            siblings = self._followers.get(pending.leader_id)
-            if siblings and request_id in siblings:
-                siblings.remove(request_id)
-        self._queue.remove(request_id)
+        group = pending.group
+        if group is not None:
+            group.members.remove(request_id)
+            if not group.members:
+                self._waiting.pop(group.gid, None)
+                self._queue.remove(group.gid)
+                if self._open.get(group.key) is group:
+                    del self._open[group.key]
         return pending
 
     def _observe_latency(self, pending: _Pending, now: float, ok: bool) -> None:
@@ -832,32 +844,28 @@ class ServiceCore:
     def _respond_success(
         self, request_id: str, result: Dict[str, object], now: float
     ) -> List[Action]:
-        actions: List[Action] = []
         pending = self._finish(request_id)
-        if pending is None or request_id in self._responded:
+        if pending is None:
             self.registry.counter("serve.responses.duplicate_suppressed").inc()
-            return actions
-        self._record_outcome(request_id, "ok")
-        self._observe_latency(pending, now, ok=True)
-        actions.append(
-            Respond(
-                Response.success(request_id, result),
-                tenant=pending.request.tenant,
-            )
-        )
-        # Followers share the leader's result verbatim (plus a marker).
-        for follower_id in self._followers.pop(request_id, []):
-            follower = self._finish(follower_id)
-            if follower is None or follower_id in self._responded:
-                continue
-            self._record_outcome(follower_id, "ok")
-            self._observe_latency(follower, now, ok=True)
-            shared = dict(result)
-            shared["coalesced"] = True
+            return []
+        group = pending.group
+        # A shared group's members get the runner's result verbatim
+        # (plus a marker); per-item results belong to one request.
+        answered = [(pending, result)]
+        if group is not None and group.shared:
+            shared = dict(result, coalesced=True)
+            answered += [
+                (self._finish(member_id), shared)
+                for member_id in list(group.members)
+            ]
+        actions: List[Action] = []
+        for member, body in answered:
+            self._record_outcome(member.request.id, "ok")
+            self._observe_latency(member, now, ok=True)
             actions.append(
                 Respond(
-                    Response.success(follower_id, shared),
-                    tenant=follower.request.tenant,
+                    Response.success(member.request.id, body),
+                    tenant=member.request.tenant,
                 )
             )
         return actions
@@ -870,17 +878,29 @@ class ServiceCore:
         now: float,
         detail: Optional[Dict[str, object]] = None,
     ) -> List[Action]:
-        actions: List[Action] = []
+        group = getattr(self._pending.get(request_id), "group", None)
+        runner = (
+            group is not None
+            and group.shared
+            and group.members[0] == request_id
+        )
         pending = self._finish(request_id)
-        if pending is None or request_id in self._responded:
+        if pending is None:
             self.registry.counter("serve.responses.duplicate_suppressed").inc()
-            return actions
+            return []
         self._record_outcome(request_id, code.value)
         self._observe_latency(pending, now, ok=False)
         self.registry.counter(
             f"serve.responses.error.{code.value.lower()}"
         ).inc()
-        actions.append(
+        if runner and group.members and group.gid not in self._waiting:
+            # The runner failed terminally: promote the oldest member to
+            # runner rather than failing it by proxy (it keeps its own
+            # deadline and a fresh attempt budget).
+            self._waiting[group.gid] = group
+            self.registry.counter("serve.coalesce.promotions").inc()
+        self._gauges()
+        return [
             Respond(
                 Response.failure(
                     request_id,
@@ -894,31 +914,7 @@ class ServiceCore:
                 ),
                 tenant=pending.request.tenant,
             )
-        )
-        # The leader failed terminally: promote the oldest follower to
-        # a queued request of its own rather than failing it by proxy
-        # (it keeps its own deadline and a fresh attempt budget).
-        followers = self._followers.pop(request_id, [])
-        promoted = False
-        for follower_id in followers:
-            follower = self._pending.get(follower_id)
-            if follower is None:
-                continue
-            follower.leader_id = None
-            if not promoted:
-                promoted = True
-                if follower.coalesce_key is not None:
-                    self._leaders[follower.coalesce_key] = follower_id
-                new_leader = follower_id
-                self._queue.push(follower.request.tenant, follower_id)
-                self.registry.counter("serve.coalesce.promotions").inc()
-            else:
-                follower.leader_id = new_leader
-                self._followers.setdefault(new_leader, []).append(
-                    follower_id
-                )
-        self._gauges()
-        return actions
+        ]
 
     def _gauges(self) -> None:
         self.registry.gauge("serve.queue.depth").set(self.queue_depth)

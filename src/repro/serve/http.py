@@ -15,6 +15,10 @@ POST    ``/v1/drain``  begin graceful shutdown; returns 202
 
 Request bodies are JSON objects: ``params`` (object), plus optional
 ``id`` (string; generated when absent), ``tenant`` and ``deadline_ms``.
+The route supplies the method and the body goes through the line
+protocol's own :func:`~repro.serve.protocol.parse_request`, so both
+frontends reject the same malformed input (``INVALID_REQUEST`` → 400,
+wrong-typed ``run``/``compile`` params included).
 Responses carry the same envelope the line protocol emits; failures
 additionally map their :class:`~repro.serve.protocol.ErrorCode` to an
 HTTP status via :data:`~repro.serve.protocol.HTTP_STATUS`
@@ -23,8 +27,8 @@ HTTP status via :data:`~repro.serve.protocol.HTTP_STATUS`
 
 Because the adapter reuses :meth:`SimulationServer.submit_request`,
 every robustness property of the core — admission, fair scheduling,
-batching, exactly-once, drain — applies identically to HTTP traffic;
-an HTTP ``run`` can share a batched dispatch with line-protocol peers.
+same-key grouping, exactly-once, drain — applies identically to HTTP
+traffic; an HTTP ``run`` can share a dispatch with line-protocol peers.
 """
 
 from __future__ import annotations
@@ -40,9 +44,11 @@ from repro.serve.protocol import (
     MAX_LINE_BYTES,
     WORKER_METHODS,
     ErrorCode,
-    Request,
+    ProtocolError,
     Response,
+    ServeError,
     http_status,
+    parse_request,
 )
 
 _REASONS = {
@@ -197,7 +203,12 @@ class HttpFrontend:
     async def _submit(
         self, serve_method: str, body: bytes
     ) -> Tuple[int, Dict[str, object]]:
-        """Submit one run/compile through the shared core path."""
+        """Submit one run/compile through the shared parser and core path.
+
+        The body becomes a request object (the route names the method,
+        and an absent id is generated) validated by the same
+        :func:`~repro.serve.protocol.parse_request` as the line protocol.
+        """
         if serve_method not in WORKER_METHODS:
             raise ValueError(f"not a worker method: {serve_method!r}")
         try:
@@ -206,33 +217,17 @@ class HttpFrontend:
             return 400, {"error": {"message": f"bad JSON body: {exc}"}}
         if not isinstance(obj, dict):
             return 400, {"error": {"message": "body must be an object"}}
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            return 400, {"error": {"message": "params must be an object"}}
-        request_id = obj.get("id")
-        if request_id is None:
-            request_id = f"http-{next(self._ids)}-{id(self) & 0xFFFF:x}"
-        if not isinstance(request_id, str) or not request_id:
-            return 400, {"error": {"message": "id must be a string"}}
-        tenant = obj.get("tenant", "default")
-        if not isinstance(tenant, str) or not tenant:
-            return 400, {"error": {"message": "tenant must be a string"}}
-        deadline_ms = obj.get("deadline_ms")
-        if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0
-        ):
-            return 400, {
-                "error": {"message": "deadline_ms must be positive"}
-            }
-        request = Request(
-            id=request_id,
-            method=serve_method,
-            params=params,
-            tenant=tenant,
-            deadline_ms=(
-                float(deadline_ms) if deadline_ms is not None else None
-            ),
-        )
+        obj = dict(obj, method=serve_method)
+        if obj.get("id") is None:
+            obj["id"] = f"http-{next(self._ids)}-{id(self) & 0xFFFF:x}"
+        try:
+            request = parse_request(obj)
+        except ProtocolError as exc:
+            request_id = obj["id"] if isinstance(obj["id"], str) else ""
+            response = Response.failure(
+                request_id, ServeError(exc.code, str(exc))
+            )
+            return http_status(exc.code), response.to_dict()
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[Response]" = loop.create_future()
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -130,6 +131,24 @@ CONTROL_METHODS = frozenset({"ping", "stats", "drain"})
 DEBUG_METHODS = frozenset({"x-crash", "x-sleep", "x-fault"})
 
 
+#: Same-key grouping policy per worker method (``docs/serving.md``).
+#: Requests with equal :attr:`WorkSpec.group_key` share one dispatch;
+#: a ``shared`` group runs once and every member receives that one
+#: result, a ``per-item`` group runs every member back to back on one
+#: warm worker and answers each with its own result.
+SHARED = "shared"
+PER_ITEM = "per-item"
+GROUP_POLICY: Dict[str, str] = {"compile": SHARED, "run": PER_ITEM}
+
+#: Params each worker method reads, with their defaults.  Params a
+#: method does not read are ignored, as they always were.
+_WORK_DEFAULTS: Dict[str, Dict[str, object]] = {
+    "run": {"scale": 1.0, "platform": "StPIM"},
+    "compile": {"scale": 0.01, "seed": 7, "deep": False, "no_cache": False},
+}
+_PARAM_TYPES = {"seed": int, "platform": str, "deep": bool, "no_cache": bool}
+
+
 class ProtocolError(ValueError):
     """A request that cannot be accepted; carries its rejection code."""
 
@@ -138,15 +157,81 @@ class ProtocolError(ValueError):
         self.code = code
 
 
+def _invalid(message: str) -> ProtocolError:
+    return ProtocolError(ErrorCode.INVALID_REQUEST, message)
+
+
+@dataclass(frozen=True)
+class WorkSpec:
+    """The typed params of one ``run``/``compile`` request.
+
+    Frozen and hashable: two requests with equal specs do the same
+    work, so the spec itself is the same-key grouping key.  Fields a
+    method does not read stay at their neutral values (``seed``/
+    ``platform`` None, flags False).
+    """
+
+    method: str
+    workload: str
+    scale: float
+    seed: Optional[int] = None
+    platform: Optional[str] = None
+    deep: bool = False
+    no_cache: bool = False
+
+    @classmethod
+    def from_params(cls, method: str, params: Dict[str, object]) -> "WorkSpec":
+        """Validate ``params`` of a worker method, filling its defaults.
+
+        Raises:
+            ProtocolError: ``INVALID_REQUEST`` for a wrong-typed or
+                out-of-range param.
+        """
+        values = {
+            name: params.get(name, default)
+            for name, default in _WORK_DEFAULTS[method].items()
+        }
+        workload = params.get("workload", "")
+        if not isinstance(workload, str):
+            raise _invalid(f"workload must be a string, got {workload!r}")
+        scale = values["scale"]
+        if type(scale) not in (int, float) or not (
+            math.isfinite(scale) and scale > 0
+        ):
+            raise _invalid(
+                f"scale must be a finite number > 0, got {scale!r}"
+            )
+        values["scale"] = float(scale)
+        # Exact types: JSON booleans are not ints, and "false" is not
+        # a boolean.
+        for name, kind in _PARAM_TYPES.items():
+            if name in values and type(values[name]) is not kind:
+                raise _invalid(
+                    f"{name} must be {kind.__name__}, got {values[name]!r}"
+                )
+        return cls(method=method, workload=workload, **values)
+
+    @property
+    def group_key(self) -> Optional["WorkSpec"]:
+        """Same-key grouping key; None for a fresh compile that must run."""
+        return None if self.no_cache else self
+
+
 @dataclass(frozen=True)
 class Request:
-    """One parsed request line."""
+    """One parsed request line.
+
+    ``spec`` holds the typed params of a worker method; it is set by
+    :func:`parse_request` and derived from ``method``/``params``, so it
+    takes no part in equality.
+    """
 
     id: str
     method: str
     params: Dict[str, object] = field(default_factory=dict)
     tenant: str = "default"
     deadline_ms: Optional[float] = None
+    spec: Optional[WorkSpec] = field(default=None, compare=False, repr=False)
 
     @property
     def workload_class(self) -> str:
@@ -239,63 +324,48 @@ def decode_line(line: bytes) -> Dict[str, object]:
         ProtocolError: on oversized, undecodable or non-object lines.
     """
     if len(line) > MAX_LINE_BYTES:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST,
-            f"line exceeds {MAX_LINE_BYTES} bytes",
-        )
+        raise _invalid(f"line exceeds {MAX_LINE_BYTES} bytes")
     try:
         obj = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, f"undecodable request line: {exc}"
-        )
+        raise _invalid(f"undecodable request line: {exc}")
     if not isinstance(obj, dict):
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, "request line is not a JSON object"
-        )
+        raise _invalid("request line is not a JSON object")
     return obj
 
 
 def parse_request(obj: Dict[str, object]) -> Request:
     """Validate a decoded request object.
 
+    The params of a ``run``/``compile`` request are parsed into its
+    :class:`WorkSpec` here, so malformed params are rejected before any
+    dispatch.
+
     Raises:
-        ProtocolError: with ``INVALID_REQUEST``/``UNKNOWN_METHOD`` on
-            malformed input (the request id, when present and a string,
-            is preserved so the rejection can still be correlated).
+        ProtocolError: with ``INVALID_REQUEST`` on malformed input (the
+            request id, when present and a string, is preserved so the
+            rejection can still be correlated).
     """
     version = obj.get("v", PROTOCOL_VERSION)
     if not isinstance(version, int) or version > PROTOCOL_VERSION:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST,
-            f"unsupported protocol version {version!r}",
-        )
+        raise _invalid(f"unsupported protocol version {version!r}")
     request_id = obj.get("id")
     if not isinstance(request_id, str) or not request_id:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, "request needs a non-empty string id"
-        )
+        raise _invalid("request needs a non-empty string id")
     method = obj.get("method")
     if not isinstance(method, str) or not method:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, "request needs a method"
-        )
+        raise _invalid("request needs a method")
     params = obj.get("params", {})
     if not isinstance(params, dict):
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, "params must be an object"
-        )
+        raise _invalid("params must be an object")
     tenant = obj.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, "tenant must be a non-empty string"
-        )
+        raise _invalid("tenant must be a non-empty string")
     deadline_ms = obj.get("deadline_ms")
     if deadline_ms is not None:
         if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST,
-                f"deadline_ms must be a positive number, got {deadline_ms!r}",
+            raise _invalid(
+                f"deadline_ms must be a positive number, got {deadline_ms!r}"
             )
         deadline_ms = float(deadline_ms)
     return Request(
@@ -304,6 +374,11 @@ def parse_request(obj: Dict[str, object]) -> Request:
         params=params,
         tenant=tenant,
         deadline_ms=deadline_ms,
+        spec=(
+            WorkSpec.from_params(method, params)
+            if method in WORKER_METHODS
+            else None
+        ),
     )
 
 
@@ -311,9 +386,7 @@ def parse_response(obj: Dict[str, object]) -> Response:
     """Client-side: validate a decoded response object."""
     request_id = obj.get("id")
     if not isinstance(request_id, str):
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, "response is missing its id"
-        )
+        raise _invalid("response is missing its id")
     if obj.get("ok"):
         result = obj.get("result")
         return Response.success(
@@ -321,9 +394,7 @@ def parse_response(obj: Dict[str, object]) -> Response:
         )
     error = obj.get("error")
     if not isinstance(error, dict):
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, "failed response is missing error"
-        )
+        raise _invalid("failed response is missing error")
     try:
         code = ErrorCode(error.get("code"))
     except ValueError:

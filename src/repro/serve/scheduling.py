@@ -22,7 +22,7 @@ structure: no clock, no I/O, no randomness.  Items are opaque strings
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 
 class DeficitRoundRobin:
@@ -86,24 +86,6 @@ class DeficitRoundRobin:
         self._tenant_of[item] = tenant
         self._total += 1
 
-    def push_front(self, tenant: str, item: str) -> None:
-        """Re-enqueue ``item`` at the *head* of ``tenant``'s sub-queue.
-
-        Used for requests that were popped but then held back (e.g. a
-        lingering batch); the pop's deficit charge is refunded so the
-        round-trip is accounting-neutral.
-        """
-        if item in self._tenant_of:
-            raise ValueError(f"item {item!r} is already queued")
-        queue = self._queues.get(tenant)
-        if queue is None:
-            queue = self._queues[tenant] = deque()
-            self._deficits[tenant] = 0.0
-        queue.appendleft(item)
-        self._deficits[tenant] = self._deficits.get(tenant, 0.0) + 1.0
-        self._tenant_of[item] = tenant
-        self._total += 1
-
     # ------------------------------------------------------------------
     def pop(self) -> Optional[Tuple[str, str]]:
         """Serve the next ``(tenant, item)`` pair, DRR order.
@@ -151,39 +133,17 @@ class DeficitRoundRobin:
                 self._granted_front = None
         return True
 
-    def take_matching(
-        self, predicate: Callable[[str], bool], limit: int
-    ) -> List[Tuple[str, str]]:
-        """Remove and return up to ``limit`` queued items matching
-        ``predicate``, as ``(tenant, item)`` pairs in round order.
+    def charge(self, tenant: str) -> None:
+        """Bill ``tenant`` one request served outside :meth:`pop`.
 
-        Used by the batch planner to pull compatible requests into one
-        dispatch.  Each taken item is charged to its own tenant's
-        deficit (which may go negative — the tenant *was* served), so
-        opportunistic batching does not distort round-robin fairness.
+        A dispatched group pops one entry but may carry members of
+        other tenants; each is charged to its own tenant's deficit
+        (which may go negative — the tenant *was* served), so grouping
+        does not distort round-robin fairness.  A tenant with nothing
+        queued has no deficit to charge.
         """
-        taken: List[Tuple[str, str]] = []
-        if limit <= 0:
-            return taken
-        for tenant in list(self._queues):
-            queue = self._queues[tenant]
-            matched = [item for item in queue if predicate(item)]
-            for item in matched:
-                if len(taken) >= limit:
-                    break
-                queue.remove(item)
-                del self._tenant_of[item]
-                self._total -= 1
-                self._deficits[tenant] -= 1.0
-                taken.append((tenant, item))
-            if not queue:
-                del self._queues[tenant]
-                del self._deficits[tenant]
-                if self._granted_front == tenant:
-                    self._granted_front = None
-            if len(taken) >= limit:
-                break
-        return taken
+        if tenant in self._deficits:
+            self._deficits[tenant] -= 1.0
 
     def clear(self) -> None:
         self._queues.clear()

@@ -74,66 +74,6 @@ class ServeConfig:
             )
 
 
-def request_coalesce_key(request: Request) -> Optional[str]:
-    """Coalescing key of a request, or None when it must not coalesce.
-
-    Identical ``compile`` requests are keyed by the same content hash
-    the trace cache uses (:func:`repro.core.compile.spec_cache_key`),
-    so every concurrent compile of one (workload, scale, seed,
-    geometry, lowering) lands on a single in-flight computation.
-    Unresolvable params return None — the worker will produce the
-    typed error.
-    """
-    if request.method != "compile":
-        return None
-    try:
-        from repro.core.compile import spec_cache_key
-        from repro.workloads import find_workload
-
-        spec = find_workload(
-            str(request.params.get("workload", "")),
-            scale=float(request.params.get("scale", 0.01)),
-        )
-        key = spec_cache_key(spec, seed=int(request.params.get("seed", 7)))
-    except (KeyError, TypeError, ValueError):
-        return None
-    deep = bool(request.params.get("deep", False))
-    no_cache = bool(request.params.get("no_cache", False))
-    if no_cache:
-        # An explicit fresh compile must actually run.
-        return None
-    return f"{key}:deep={int(deep)}"
-
-
-def request_batch_key(request: Request) -> Optional[str]:
-    """Batching key of a request, or None when it must run alone.
-
-    ``run`` requests naming the same (workload, scale, geometry,
-    lowering) content hash — the :func:`spec_cache_key` the trace cache
-    uses — and the same platform are *compatible*: a warm worker can
-    execute them back to back in one dispatch, amortizing process
-    round-trips the way PIRM amortizes one racetrack access across a
-    multi-operand batch.  Unlike coalescing, every batched request
-    still executes (results are per-request), so requests that differ
-    only in deadline or tenant batch fine.
-    """
-    if request.method != "run":
-        return None
-    try:
-        from repro.core.compile import spec_cache_key
-        from repro.workloads import find_workload
-
-        spec = find_workload(
-            str(request.params.get("workload", "")),
-            scale=float(request.params.get("scale", 1.0)),
-        )
-        key = spec_cache_key(spec, seed=0)
-    except (KeyError, TypeError, ValueError):
-        return None
-    platform = str(request.params.get("platform", "StPIM"))
-    return f"run:{platform}:{key}"
-
-
 class SimulationServer:
     """Long-lived simulation service over a unix socket / localhost TCP."""
 
@@ -359,6 +299,11 @@ class SimulationServer:
     ) -> None:
         """Route + submit one parsed worker-method request.
 
+        ``request`` comes from :func:`~repro.serve.protocol.parse_request`;
+        its :class:`~repro.serve.protocol.WorkSpec` is the same-key
+        grouping key, so identical compiles share one result and
+        identical runs share one dispatch.
+
         ``sink`` receives the eventual response: a StreamWriter for the
         line protocol, or any callable taking a
         :class:`~repro.serve.protocol.Response` (the HTTP adapter
@@ -386,14 +331,9 @@ class SimulationServer:
             )
             return
         self._routes[request.id] = sink
-        self._apply(
-            self.core.submit(
-                request,
-                now,
-                coalesce_key=request_coalesce_key(request),
-                batch_key=request_batch_key(request),
-            )
-        )
+        spec = request.spec
+        group_key = spec.group_key if spec is not None else None
+        self._apply(self.core.submit(request, now, group_key=group_key))
 
     # ------------------------------------------------------------------
     def _apply(self, actions: List[object]) -> None:

@@ -32,7 +32,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.serve.protocol import ErrorCode
+from repro.serve.protocol import ErrorCode, ProtocolError, WorkSpec
 
 #: Environment override for the multiprocessing start method
 #: ("spawn" is the safe default alongside an asyncio loop).
@@ -71,36 +71,33 @@ class WorkloadLookupError(KeyError):
     """An unknown workload / platform name in request params."""
 
 
-def _find_spec(name: str, scale: float):
+def _find_workload(spec: WorkSpec):
     from repro.workloads import find_workload
 
     try:
-        return find_workload(name, scale=scale)
+        return find_workload(spec.workload, scale=spec.scale)
     except KeyError as exc:
         raise WorkloadLookupError(str(exc))
 
 
-def _do_run(params: Dict[str, object], deadline_ts: Optional[float]):
+def _do_run(spec: WorkSpec, deadline_ts: Optional[float]):
     """Analytic platform run; the serving twin of ``repro-streampim run``."""
     from repro.baselines import default_platforms
 
-    workload = str(params.get("workload", ""))
-    platform_name = str(params.get("platform", "StPIM"))
-    scale = float(params.get("scale", 1.0))
-    spec = _find_spec(workload, scale)
+    workload = _find_workload(spec)
     platforms = default_platforms()
-    if platform_name not in platforms:
+    if spec.platform not in platforms:
         raise WorkloadLookupError(
-            f"unknown platform {platform_name!r}; choose from "
+            f"unknown platform {spec.platform!r}; choose from "
             f"{sorted(platforms)}"
         )
     _check_deadline(deadline_ts)
-    stats = platforms[platform_name].run(spec)
+    stats = platforms[spec.platform].run(workload)
     _check_deadline(deadline_ts)
     return {
-        "workload": spec.name,
+        "workload": workload.name,
         "platform": stats.platform,
-        "scale": scale,
+        "scale": spec.scale,
         "time_ns": stats.time_ns,
         "energy_pj": stats.energy.total_pj,
         "time_fractions": stats.time_breakdown.fractions(),
@@ -110,7 +107,7 @@ def _do_run(params: Dict[str, object], deadline_ts: Optional[float]):
 
 
 def _do_compile(
-    params: Dict[str, object],
+    spec: WorkSpec,
     deadline_ts: Optional[float],
     options: Dict[str, object],
 ):
@@ -118,32 +115,27 @@ def _do_compile(
     from repro.core.compile import compile_workload
     from repro.isa.trace_cache import InflightTracker, TraceCache
 
-    workload = str(params.get("workload", ""))
-    scale = float(params.get("scale", 0.01))
-    seed = int(params.get("seed", 7))
-    deep = bool(params.get("deep", False))
-    use_cache = not bool(params.get("no_cache", False))
-    spec = _find_spec(workload, scale)
-    if spec.build is None:
+    workload = _find_workload(spec)
+    if workload.build is None:
         raise WorkloadLookupError(
-            f"workload {workload!r} has no task builder"
+            f"workload {spec.workload!r} has no task builder"
         )
     _check_deadline(deadline_ts)
     cache_dir = options.get("cache_dir")
-    cache = TraceCache(cache_dir) if use_cache else None
+    cache = None if spec.no_cache else TraceCache(cache_dir)
     tracker = (
         InflightTracker(cache.cache_dir) if cache is not None else None
     )
     compiled = compile_workload(
-        spec,
-        seed=seed,
+        workload,
+        seed=spec.seed,
         cache=cache,
-        use_cache=use_cache,
-        deep_verify=deep,
+        use_cache=not spec.no_cache,
+        deep_verify=spec.deep,
         inflight=tracker,
     )
     _check_deadline(deadline_ts)
-    if deep and compiled.deep_report is not None:
+    if spec.deep and compiled.deep_report is not None:
         if not compiled.deep_report.ok():
             findings = [
                 f"{d.rule_id}: {d.message}"
@@ -158,9 +150,9 @@ def _do_compile(
             }
     payload = compiled.trace.to_bytes()
     return {
-        "workload": spec.name,
-        "scale": scale,
-        "seed": seed,
+        "workload": workload.name,
+        "scale": spec.scale,
+        "seed": spec.seed,
         "pim_vpcs": int(compiled.trace.stats.pim_vpcs),
         "move_vpcs": int(compiled.trace.stats.move_vpcs),
         "commands": len(compiled.trace),
@@ -203,16 +195,20 @@ def execute_request(
     """Execute one request; always returns a ``{"ok": ...}`` envelope.
 
     Every failure is mapped to a typed code here, in the worker, so the
-    core never has to guess what an exception string meant.
+    core never has to guess what an exception string meant.  ``run`` and
+    ``compile`` params go through :meth:`WorkSpec.from_params`, the
+    same validator the server applies at parse time.
     """
     from repro.sim.errors import SimulationFault
 
     try:
         _check_deadline(deadline_ts)
         if method == "run":
-            result = _do_run(params, deadline_ts)
+            result = _do_run(WorkSpec.from_params(method, params), deadline_ts)
         elif method == "compile":
-            result = _do_compile(params, deadline_ts, options)
+            result = _do_compile(
+                WorkSpec.from_params(method, params), deadline_ts, options
+            )
         elif method in ("x-crash", "x-sleep", "x-fault"):
             if not options.get("enable_debug_methods"):
                 return {
@@ -236,6 +232,8 @@ def execute_request(
                 "detail": error.get("detail", {}),
             }
         return {"ok": True, "result": result}
+    except ProtocolError as exc:
+        return {"ok": False, "code": exc.code.value, "message": str(exc)}
     except _DeadlineExpired:
         return {
             "ok": False,
@@ -304,44 +302,24 @@ def _worker_main(
             continue
         if message.get("type") == "stop":
             break
-        if message.get("type") == "batch":
-            # A batched dispatch: execute the items back to back on the
-            # warm process and demultiplex one result message per item,
-            # so every client still receives its own typed envelope.
-            # Results stream out as they finish — an early item's
-            # client is answered before the last item even starts.
-            for item in message.get("items") or []:
-                if not isinstance(item, dict):
-                    continue
-                payload = execute_request(
-                    str(item.get("method", "")),
-                    item.get("params") or {},
-                    item.get("deadline_ts"),
-                    options,
-                )
-                send(
-                    {
-                        "type": "result",
-                        "id": item.get("id"),
-                        "payload": payload,
-                    }
-                )
+        if message.get("type") != "batch":
             continue
-        if message.get("type") != "request":
-            continue
-        payload = execute_request(
-            str(message.get("method", "")),
-            message.get("params") or {},
-            message.get("deadline_ts"),
-            options,
-        )
-        send(
-            {
-                "type": "result",
-                "id": message.get("id"),
-                "payload": payload,
-            }
-        )
+        # Every dispatch is a list of items (a lone request is a list
+        # of one): execute them back to back on the warm process and
+        # demultiplex one result message per item, so every client
+        # still receives its own typed envelope.  Results stream out as
+        # they finish — an early item's client is answered before the
+        # last item even starts.
+        for item in message.get("items") or []:
+            if not isinstance(item, dict):
+                continue
+            payload = execute_request(
+                str(item.get("method", "")),
+                item.get("params") or {},
+                item.get("deadline_ts"),
+                options,
+            )
+            send({"type": "result", "id": item.get("id"), "payload": payload})
     stop.set()
 
 

@@ -56,17 +56,16 @@ def dispatches(actions):
 
 
 def batch_ids(dispatch):
-    if dispatch.message["type"] == "batch":
-        return [item["id"] for item in dispatch.message["items"]]
-    return [dispatch.message["id"]]
+    assert dispatch.message["type"] == "batch"
+    return [item["id"] for item in dispatch.message["items"]]
 
 
 class TestBatchAssembly:
     def test_queued_peers_share_one_dispatch(self):
         core = make_core()
-        core.submit(req("r1"), 0.0, batch_key="k")
-        core.submit(req("r2"), 0.0, batch_key="k")
-        core.submit(req("r3"), 0.0, batch_key="k")
+        core.submit(req("r1"), 0.0, group_key="k")
+        core.submit(req("r2"), 0.0, group_key="k")
+        core.submit(req("r3"), 0.0, group_key="k")
         (d,) = dispatches(core.register_worker("w0", 0.1))
         assert d.message["type"] == "batch"
         assert batch_ids(d) == ["r1", "r2", "r3"]
@@ -81,7 +80,7 @@ class TestBatchAssembly:
     def test_max_batch_caps_the_group(self):
         core = make_core(max_batch=2)
         for i in range(5):
-            core.submit(req(f"r{i}"), 0.0, batch_key="k")
+            core.submit(req(f"r{i}"), 0.0, group_key="k")
         (d,) = dispatches(core.register_worker("w0", 0.1))
         assert batch_ids(d) == ["r0", "r1"]
         assert dispatches(
@@ -94,33 +93,34 @@ class TestBatchAssembly:
 
     def test_distinct_keys_never_mix(self):
         core = make_core()
-        core.submit(req("r1"), 0.0, batch_key="k1")
-        core.submit(req("r2"), 0.0, batch_key="k2")
+        core.submit(req("r1"), 0.0, group_key="k1")
+        core.submit(req("r2"), 0.0, group_key="k2")
         (d,) = dispatches(core.register_worker("w0", 0.1))
         assert batch_ids(d) == ["r1"]
 
     def test_none_key_always_dispatches_alone(self):
         core = make_core()
-        core.submit(req("r1"), 0.0, batch_key=None)
-        core.submit(req("r2"), 0.0, batch_key=None)
+        core.submit(req("r1"), 0.0, group_key=None)
+        core.submit(req("r2"), 0.0, group_key=None)
         (d,) = dispatches(core.register_worker("w0", 0.1))
-        assert d.message["type"] == "request"
         assert batch_ids(d) == ["r1"]
 
     def test_single_request_keeps_legacy_message_shape(self):
-        # Compatibility contract: a batch of one is indistinguishable
-        # from the pre-batching wire format.
+        # There is one worker message shape now: a lone request is a
+        # one-item batch, and it does not count as a batch dispatch.
         core = make_core()
         core.register_worker("w0", 0.0)
-        (d,) = dispatches(core.submit(req("r1"), 0.0, batch_key="k"))
-        assert d.message["type"] == "request"
-        assert d.message["id"] == "r1"
+        (d,) = dispatches(core.submit(req("r1"), 0.0, group_key="k"))
+        assert d.message["type"] == "batch"
+        (item,) = d.message["items"]
+        assert item["id"] == "r1" and item["attempt"] == 1
         assert core.batch_dispatches == 0
+        assert core.batched_requests == 0
 
     def test_batch_results_demux_per_request(self):
         core = make_core()
         for i in range(3):
-            core.submit(req(f"r{i}"), 0.0, batch_key="k")
+            core.submit(req(f"r{i}"), 0.0, group_key="k")
         core.register_worker("w0", 0.1)
         for i in range(3):
             actions = core.worker_result(
@@ -135,7 +135,7 @@ class TestBatchAssembly:
     def test_worker_busy_until_batch_fully_resolved(self):
         core = make_core()
         for i in range(2):
-            core.submit(req(f"r{i}"), 0.0, batch_key="k")
+            core.submit(req(f"r{i}"), 0.0, group_key="k")
         core.register_worker("w0", 0.1)
         core.worker_result("w0", "r0", {"ok": True, "result": {}}, 0.2)
         # One batch-mate still runs: new work must not be dispatched
@@ -148,10 +148,10 @@ class TestBatchLinger:
         core = make_core(max_batch=4, batch_linger_s=0.1)
         core.register_worker("w0", 0.0)
         # One batchable request with an idle worker: held for peers.
-        assert dispatches(core.submit(req("r1"), 0.0, batch_key="k")) == []
+        assert dispatches(core.submit(req("r1"), 0.0, group_key="k")) == []
         assert dispatches(core.tick(0.05)) == []
         # A peer arrives inside the window: still partial, still young.
-        assert dispatches(core.submit(req("r2"), 0.06, batch_key="k")) == []
+        assert dispatches(core.submit(req("r2"), 0.06, group_key="k")) == []
         # The oldest member ages past the linger: flush as-is.
         (d,) = dispatches(core.tick(0.11))
         assert d.message["type"] == "batch"
@@ -160,20 +160,20 @@ class TestBatchLinger:
     def test_full_batch_skips_the_linger(self):
         core = make_core(max_batch=2, batch_linger_s=5.0)
         core.register_worker("w0", 0.0)
-        core.submit(req("r1"), 0.0, batch_key="k")
-        (d,) = dispatches(core.submit(req("r2"), 0.01, batch_key="k"))
+        core.submit(req("r1"), 0.0, group_key="k")
+        (d,) = dispatches(core.submit(req("r2"), 0.01, group_key="k"))
         assert batch_ids(d) == ["r1", "r2"]
 
     def test_unbatchable_requests_never_linger(self):
         core = make_core(max_batch=4, batch_linger_s=5.0)
         core.register_worker("w0", 0.0)
-        (d,) = dispatches(core.submit(req("r1"), 0.0, batch_key=None))
-        assert d.message["id"] == "r1"
+        (d,) = dispatches(core.submit(req("r1"), 0.0, group_key=None))
+        assert batch_ids(d) == ["r1"]
 
     def test_drain_flushes_lingering_work(self):
         core = make_core(max_batch=4, batch_linger_s=60.0)
         core.register_worker("w0", 0.0)
-        core.submit(req("r1"), 0.0, batch_key="k")
+        core.submit(req("r1"), 0.0, group_key="k")
         core.begin_drain(0.1)
         (d,) = dispatches(core.tick(0.2))
         assert batch_ids(d) == ["r1"]
@@ -183,7 +183,7 @@ class TestBatchFailureSemantics:
     def test_crash_redelivers_every_batched_request(self):
         core = make_core(breaker_failure_threshold=100)
         for i in range(3):
-            core.submit(req(f"r{i}"), 0.0, batch_key="k")
+            core.submit(req(f"r{i}"), 0.0, group_key="k")
         core.register_worker("w0", 0.1)
         assert core.worker_exit("w0", 0.2, reason="crash") == []
         assert core.unresolved_count == 3
@@ -200,7 +200,7 @@ class TestBatchFailureSemantics:
         # because N requests of that class shared the dispatch.
         core = make_core(breaker_failure_threshold=2)
         for i in range(3):
-            core.submit(req(f"r{i}"), 0.0, batch_key="k")
+            core.submit(req(f"r{i}"), 0.0, group_key="k")
         core.register_worker("w0", 0.1)
         core.worker_exit("w0", 0.2, reason="crash")
         # One failure recorded (threshold 2): class still admits.
@@ -212,7 +212,7 @@ class TestBatchFailureSemantics:
     def test_dead_letters_are_per_request(self):
         core = make_core(max_redeliveries=0, breaker_failure_threshold=100)
         for i in range(2):
-            core.submit(req(f"r{i}"), 0.0, batch_key="k")
+            core.submit(req(f"r{i}"), 0.0, group_key="k")
         core.register_worker("w0", 0.1)
         actions = core.worker_exit("w0", 0.2, reason="crash")
         got = {r.id: r.error.code for r in responses(actions)}
@@ -223,8 +223,8 @@ class TestBatchFailureSemantics:
 
     def test_hang_kill_answers_overdue_keeps_batchmates(self):
         core = make_core(hang_grace_s=1.0)
-        core.submit(req("r0", deadline_ms=1000), 0.0, batch_key="k")
-        core.submit(req("r1", deadline_ms=60000), 0.0, batch_key="k")
+        core.submit(req("r0", deadline_ms=1000), 0.0, group_key="k")
+        core.submit(req("r1", deadline_ms=60000), 0.0, group_key="k")
         core.register_worker("w0", 0.1)
         actions = core.tick(2.5)  # r0 past deadline+grace
         kills = [a for a in actions if isinstance(a, KillWorker)]
@@ -274,19 +274,16 @@ class _Replay:
                     action.response.to_dict(), sort_keys=True
                 )
             elif isinstance(action, Dispatch):
-                ids = (
-                    [i["id"] for i in action.message["items"]]
-                    if action.message["type"] == "batch"
-                    else [action.message["id"]]
+                self.held.setdefault(action.worker_id, []).extend(
+                    batch_ids(action)
                 )
-                self.held.setdefault(action.worker_id, []).extend(ids)
 
     def submit(self, rid, key, tenant):
         self.run(
             self.core.submit(
                 req(rid, tenant=tenant, deadline_ms=300000.0),
                 self.now,
-                batch_key=key,
+                group_key=key,
             )
         )
 

@@ -1,15 +1,28 @@
-"""ServiceCore state-machine tests: deterministic paths + property test.
+"""ServiceCore state-machine tests: deterministic paths + one stateful
+property test.
 
 The core is pure (no I/O, no clock, no randomness — every method takes
-``now``), so these tests drive it with a virtual clock.  The closing
-hypothesis test is the serving layer's exactly-once contract: *any*
-interleaving of worker death, deadline expiry, retries, queue-full
-rejection and drain yields exactly one response per submitted request,
-each carrying a valid typed code.
+``now``), so these tests drive it with a virtual clock.  The stateful
+machine is the serving layer's contract: *any* interleaving of run
+batching, compile coalescing, worker crashes and hangs, deadline
+expiry, retries, breakers, admission rejection and drain yields exactly
+one response per submitted request with a valid typed code, dispatches
+that respect the grouping rules, and one breaker failure per workload
+class per worker death.
 """
 
-from hypothesis import given, settings
+from collections import Counter
+from dataclasses import dataclass
+
+from hypothesis import settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.serve.core import (
     CoreConfig,
@@ -19,7 +32,7 @@ from repro.serve.core import (
     ServiceCore,
 )
 from repro.serve.protocol import ErrorCode, Request
-from repro.serve.retry import RetryPolicy
+from repro.serve.retry import BreakerBoard, CircuitBreaker, RetryPolicy
 
 
 def make_core(**overrides):
@@ -56,6 +69,12 @@ def dispatches(actions):
     return [a for a in actions if isinstance(a, Dispatch)]
 
 
+def item(dispatch):
+    """The one request of a single-item dispatch."""
+    (only,) = dispatch.message["items"]
+    return only
+
+
 def kills(actions):
     return [a for a in actions if isinstance(a, KillWorker)]
 
@@ -67,8 +86,8 @@ class TestHappyPath:
         actions = core.submit(req("r1"), 0.0)
         (d,) = dispatches(actions)
         assert d.worker_id == "w0"
-        assert d.message["id"] == "r1"
-        assert d.message["attempt"] == 1
+        assert item(d)["id"] == "r1"
+        assert item(d)["attempt"] == 1
         actions = core.worker_result(
             "w0", "r1", {"ok": True, "result": {"time_ns": 5.0}}, 0.1
         )
@@ -82,7 +101,7 @@ class TestHappyPath:
         assert dispatches(core.submit(req("r1"), 0.0)) == []
         assert core.queue_depth == 1
         (d,) = dispatches(core.register_worker("w0", 0.1))
-        assert d.message["id"] == "r1"
+        assert item(d)["id"] == "r1"
 
     def test_typed_worker_failure_passes_through(self):
         core = make_core()
@@ -171,8 +190,8 @@ class TestCrashRedelivery:
         core.register_worker("w1", 0.11)
         assert dispatches(core.tick(0.12)) == []
         (d,) = dispatches(core.tick(0.2))
-        assert d.message["id"] == "r1"
-        assert d.message["attempt"] == 2
+        assert item(d)["id"] == "r1"
+        assert item(d)["attempt"] == 2
 
     def test_dead_letter_after_max_redeliveries(self):
         core = make_core(max_redeliveries=1)
@@ -200,7 +219,7 @@ class TestCrashRedelivery:
         fail = {"ok": False, "code": "CACHE_IO", "message": "disk"}
         assert responses(core.worker_result("w0", "r1", fail, 0.1)) == []
         (d,) = dispatches(core.tick(0.2))
-        assert d.message["attempt"] == 2
+        assert item(d)["attempt"] == 2
         (r,) = responses(core.worker_result("w0", "r1", fail, 0.3))
         assert r.error.code is ErrorCode.CACHE_IO
         assert r.error.attempts == 2
@@ -255,8 +274,9 @@ class TestCoalescing:
     def test_followers_share_leader_result(self):
         core = make_core()
         core.register_worker("w0", 0.0)
-        core.submit(req("r1"), 0.0, coalesce_key="k")
-        assert core.submit(req("r2"), 0.1, coalesce_key="k") == []
+        core.submit(req("r1", method="compile"), 0.0, group_key="k")
+        follower = req("r2", method="compile")
+        assert core.submit(follower, 0.1, group_key="k") == []
         assert core.inflight_count == 1  # the follower never runs
         actions = core.worker_result(
             "w0", "r1", {"ok": True, "result": {"sha": "abc"}}, 0.2
@@ -268,22 +288,22 @@ class TestCoalescing:
 
     def test_distinct_keys_do_not_coalesce(self):
         core = make_core()
-        core.submit(req("r1"), 0.0, coalesce_key="k1")
-        core.submit(req("r2"), 0.0, coalesce_key="k2")
+        core.submit(req("r1", method="compile"), 0.0, group_key="k1")
+        core.submit(req("r2", method="compile"), 0.0, group_key="k2")
         assert core.queue_depth == 2
 
     def test_follower_promoted_on_leader_terminal_failure(self):
         core = make_core(max_redeliveries=0)
         core.register_worker("w0", 0.0)
-        core.submit(req("r1"), 0.0, coalesce_key="k")
-        core.submit(req("r2"), 0.1, coalesce_key="k")
+        core.submit(req("r1", method="compile"), 0.0, group_key="k")
+        core.submit(req("r2", method="compile"), 0.1, group_key="k")
         actions = core.worker_exit("w0", 0.2)  # leader dead-letters
         (r,) = responses(actions)
         assert r.id == "r1" and r.error.code is ErrorCode.DEAD_LETTER
         # The follower is not failed by proxy: it was re-queued and
         # runs on its own as soon as a worker appears.
         (d,) = dispatches(core.register_worker("w1", 0.3))
-        assert d.message["id"] == "r2"
+        assert item(d)["id"] == "r2"
         (r,) = responses(
             core.worker_result("w1", "r2", {"ok": True, "result": {}}, 0.5)
         )
@@ -319,56 +339,88 @@ class TestDrain:
 
 
 # ----------------------------------------------------------------------
-# Satellite: exactly-once under arbitrary interleavings
+# One stateful machine over the core and a fake pool
 # ----------------------------------------------------------------------
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("submit"),
-            st.sampled_from([0.2, 1.0, 5.0]),  # deadline_s
-            st.sampled_from([None, "k1", "k2"]),  # coalesce key
-        ),
-        st.tuples(st.just("complete_ok")),
-        st.tuples(st.just("complete_fault")),
-        st.tuples(st.just("complete_cacheio")),
-        st.tuples(st.just("crash")),
-        st.tuples(st.just("advance"), st.sampled_from([0.05, 0.5, 3.0])),
-        st.tuples(st.just("drain")),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
 _VALID_CODES = {"ok"} | {code.value for code in ErrorCode}
+_PAYLOADS = {
+    "ok": {"ok": True, "result": {"x": 1.5}},
+    "fault": {"ok": False, "code": "SIMULATION_FAULT", "message": "fault"},
+    "cache_io": {"ok": False, "code": "CACHE_IO", "message": "disk"},
+}
 
 
-class _Harness:
-    """Drives a ServiceCore with a virtual clock and fake workers.
+@dataclass
+class _CountingBreaker(CircuitBreaker):
+    recorded: int = 0
 
-    The harness is the property test's model of the I/O layer: it
-    executes Dispatch/KillWorker/Respond actions, simulates worker
-    exits and respawns, and records every response delivered.
+    def record_failure(self, now):
+        self.recorded += 1
+        super().record_failure(now)
+
+
+class _CountingBoard(BreakerBoard):
+    """Counts every breaker failure, whatever state the breaker is in."""
+
+    def breaker(self, workload_class):
+        if workload_class not in self.breakers:
+            self.breakers[workload_class] = _CountingBreaker(
+                failure_threshold=self.failure_threshold,
+                cooldown_s=self.cooldown_s,
+            )
+        return self.breakers[workload_class]
+
+    def recorded(self):
+        return Counter(
+            {name: b.recorded for name, b in self.breakers.items()}
+        )
+
+
+class ServiceCoreMachine(RuleBasedStateMachine):
+    """Drives a ServiceCore with a virtual clock and a fake worker pool.
+
+    The machine is the model of the I/O layer: it executes Dispatch,
+    KillWorker and Respond actions, runs each dispatched item in order
+    on its fake worker, and respawns dead workers.  Run and compile
+    requests with a few keys mix same-key grouping (batching and
+    coalescing) with crashes, hangs, deadlines, breakers and drain.
     """
 
-    def __init__(self, workers=2):
+    GRACE = 0.5
+
+    @initialize(max_batch=st.sampled_from([1, 2, 4]))
+    def start(self, max_batch):
         self.core = make_core(
-            queue_limit=4,
+            queue_limit=6,
+            max_batch=max_batch,
+            batch_linger_s=0.05,
             max_redeliveries=1,
-            hang_grace_s=0.5,
+            hang_grace_s=self.GRACE,
             retry=RetryPolicy(max_attempts=2, base_delay_s=0.05, jitter=0.0),
-            breaker_failure_threshold=2,
+            breaker_failure_threshold=3,
             breaker_cooldown_s=2.0,
         )
+        self.core.breakers = _CountingBoard(
+            failure_threshold=3, cooldown_s=2.0
+        )
+        self.max_batch = max_batch
         self.now = 0.0
-        self.seq = 0
-        self.wseq = workers
-        self.busy = {}  # worker id -> request id
+        self.spawned = 0
         self.live = set()
-        self.submitted = set()
-        self.delivered = {}  # request id -> count
-        for i in range(workers):
-            self.live.add(f"w{i}")
-            self.run(self.core.register_worker(f"w{i}", self.now))
+        self.held = {}  # worker id -> dispatched items not yet finished
+        self.submitted = {}  # request id -> (method, group key)
+        self.delivered = Counter()
+        for _ in range(2):
+            self.run(self._spawn())
+
+    # -- the fake I/O layer ---------------------------------------------
+    def _spawn(self):
+        wid = f"w{self.spawned}"
+        self.spawned += 1
+        self.live.add(wid)
+        return self.core.register_worker(wid, self.now)
+
+    def _unresolved(self, rid):
+        return self.core.outcome(rid) is None
 
     def run(self, actions):
         queue = list(actions)
@@ -376,99 +428,181 @@ class _Harness:
             action = queue.pop(0)
             if isinstance(action, Respond):
                 rid = action.response.id
-                self.delivered[rid] = self.delivered.get(rid, 0) + 1
-                code = (
-                    "ok"
-                    if action.response.ok
-                    else action.response.error.code.value
-                )
+                assert rid in self.submitted
+                assert self.delivered[rid] == 0, f"{rid} answered twice"
+                self.delivered[rid] += 1
+                response = action.response
+                code = "ok" if response.ok else response.error.code.value
                 assert code in _VALID_CODES
             elif isinstance(action, Dispatch):
-                assert action.worker_id in self.live
-                assert action.worker_id not in self.busy
-                self.busy[action.worker_id] = action.message["id"]
+                self._check_dispatch(action)
+                self.held[action.worker_id] = list(action.message["items"])
             elif isinstance(action, KillWorker):
-                # The worker process is terminated; its exit event
-                # arrives and a replacement spawns.
-                self.busy.pop(action.worker_id, None)
                 self.live.discard(action.worker_id)
+                self.held.pop(action.worker_id, None)
                 queue.extend(
                     self.core.worker_exit(
                         action.worker_id, self.now, reason="killed"
                     )
                 )
-                queue.extend(self._respawn())
+                queue.extend(self._spawn())
 
-    def _respawn(self):
-        wid = f"w{self.wseq}"
-        self.wseq += 1
-        self.live.add(wid)
-        return self.core.register_worker(wid, self.now)
-
-    def apply(self, op):
-        kind = op[0]
-        if kind == "submit":
-            self.seq += 1
-            rid = f"r{self.seq}"
-            self.submitted.add(rid)
-            request = req(rid, deadline_ms=op[1] * 1000.0)
-            self.run(self.core.submit(request, self.now, coalesce_key=op[2]))
-        elif kind in ("complete_ok", "complete_fault", "complete_cacheio"):
-            if not self.busy:
-                return
-            wid = sorted(self.busy)[0]
-            rid = self.busy.pop(wid)
-            payload = {
-                "complete_ok": {"ok": True, "result": {"x": 1.5}},
-                "complete_fault": {
-                    "ok": False,
-                    "code": "SIMULATION_FAULT",
-                    "message": "fault",
-                },
-                "complete_cacheio": {
-                    "ok": False,
-                    "code": "CACHE_IO",
-                    "message": "disk",
-                },
-            }[kind]
-            self.run(self.core.worker_result(wid, rid, payload, self.now))
-        elif kind == "crash":
-            if not self.live:
-                return
-            wid = sorted(self.live)[0]
-            self.live.discard(wid)
-            self.busy.pop(wid, None)
-            self.run(
-                self.core.worker_exit(wid, self.now, reason="crash")
+    def _check_dispatch(self, action):
+        assert action.worker_id in self.live
+        assert not self.held.get(action.worker_id)
+        assert action.message["type"] == "batch"
+        ids = [item["id"] for item in action.message["items"]]
+        assert 1 <= len(ids) <= self.max_batch
+        (method, key), = {self.submitted[rid] for rid in ids}
+        if key is None or method == "compile":
+            assert len(ids) == 1
+        if method == "compile" and key is not None:
+            # Shared-result followers never run: no other member of
+            # the group is in flight.
+            assert not any(
+                self.submitted[item["id"]] == (method, key)
+                for item in self._inflight()
             )
-            self.run(self._respawn())
-        elif kind == "advance":
-            self.now += op[1]
-            self.run(self.core.tick(self.now))
-        elif kind == "drain":
-            self.core.begin_drain(self.now)
 
-    def finish(self):
+    def _busy(self):
+        return sorted(wid for wid, items in self.held.items() if items)
+
+    def _inflight(self):
+        """Dispatched items not yet answered, across all workers."""
+        return [
+            item
+            for items in self.held.values()
+            for item in items
+            if self._unresolved(item["id"])
+        ]
+
+    # -- rules ------------------------------------------------------------
+    @rule(
+        method=st.sampled_from(["run", "compile"]),
+        key=st.sampled_from([None, "atax", "gemm"]),
+        tenants=st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=3),
+        deadline_s=st.sampled_from([0.2, 1.0, 5.0]),
+    )
+    def submit(self, method, key, tenants, deadline_s):
+        """A burst of same-work requests, one per listed tenant."""
+        # A real key (a WorkSpec) names the method too.
+        group_key = (method, key) if key is not None else None
+        for tenant in tenants:
+            rid = f"r{len(self.submitted)}"
+            self.submitted[rid] = (method, group_key)
+            request = req(
+                rid,
+                method=method,
+                params={"workload": key or "atax"},
+                tenant=tenant,
+                deadline_ms=deadline_s * 1000.0,
+            )
+            self.run(self.core.submit(request, self.now, group_key=group_key))
+
+    @precondition(lambda self: self._busy())
+    @rule(outcome=st.sampled_from(sorted(_PAYLOADS)))
+    def complete(self, outcome):
+        wid = self._busy()[0]
+        item = self.held[wid].pop(0)
+        self.run(
+            self.core.worker_result(
+                wid, item["id"], _PAYLOADS[outcome], self.now
+            )
+        )
+
+    @rule(busy=st.booleans())
+    def crash(self, busy):
+        wid = ((busy and self._busy()) or sorted(self.live))[0]
+        classes = {
+            req(item["id"], item["method"], item["params"]).workload_class
+            for item in self.held.get(wid, [])
+            if self._unresolved(item["id"])
+        }
+        before = self.core.breakers.recorded()
+        self.live.discard(wid)
+        self.held.pop(wid, None)
+        self.run(self.core.worker_exit(wid, self.now, reason="crash"))
+        # One breaker failure per workload class the dead worker held.
+        after = self.core.breakers.recorded()
+        assert after - before == Counter(dict.fromkeys(classes, 1))
+        self.run(self._spawn())
+
+    @precondition(lambda self: self._inflight())
+    @rule()
+    def hang(self):
+        # The worker ignores cooperative cancellation: time runs past
+        # the earliest in-flight deadline plus the hang grace.
+        overdue = min(item["deadline_ts"] for item in self._inflight())
+        self.now = max(self.now, overdue + self.GRACE + 0.01)
+        before = sum(self.core.breakers.recorded().values())
+        actions = self.core.tick(self.now)
+        hang_kills = sum(isinstance(a, KillWorker) for a in actions)
+        assert hang_kills >= 1
+        self.run(actions)
+        # A hang kill is one failure; the doomed worker's exit is none.
+        after = sum(self.core.breakers.recorded().values())
+        assert after - before == hang_kills
+
+    @rule(dt=st.sampled_from([0.02, 0.1, 0.5, 3.0]))
+    def advance(self, dt):
+        nothing_running = not self._inflight()
+        self.now += dt
+        self.run(self.core.tick(self.now))
+        if dt >= 0.5 and nothing_running:
+            # Every backoff and linger has matured, and no hang kill
+            # can have started a new backoff.
+            self._check_work_conserving()
+
+    def _check_work_conserving(self):
+        # With a worker idle, every unresolved request runs or follows
+        # a running compile of its group: nothing is stranded.
+        if all(self.held.get(wid) for wid in self.live):
+            return
+        inflight = self._inflight()
+        running = {item["id"] for item in inflight}
+        groups = {self.submitted[item["id"]] for item in inflight}
+        for rid, (method, key) in self.submitted.items():
+            if self._unresolved(rid) and rid not in running:
+                assert method == "compile" and (method, key) in groups, rid
+
+    @rule()
+    def drain(self):
         self.core.begin_drain(self.now)
+
+    # -- invariants -------------------------------------------------------
+    @invariant()
+    def responded_ledger_matches_deliveries(self):
+        # No pending id is in the responded ledger, and every answered
+        # id is: the ledger and the deliveries agree request by request.
+        for rid in self.submitted:
+            assert (self.delivered[rid] == 1) == (
+                self.core.outcome(rid) is not None
+            )
+        assert self.core.unresolved_count == sum(
+            1 for rid in self.submitted if self.delivered[rid] == 0
+        )
+
+    def teardown(self):
+        # Drain: finish what the workers hold, let time pass, then
+        # abort the rest; nothing may be lost.
+        self.core.begin_drain(self.now)
+        for _ in range(100):
+            if self.core.is_quiescent():
+                break
+            if self._busy():
+                self.complete("ok")
+            else:
+                self.advance(0.5)
         self.now += 0.1
         self.run(self.core.abort_remaining(self.now))
+        assert self.core.is_quiescent()
+        assert all(self.delivered[rid] == 1 for rid in self.submitted)
 
 
-@settings(max_examples=60, deadline=None)
-@given(ops=_OPS)
-def test_exactly_once_under_arbitrary_interleavings(ops):
-    harness = _Harness()
-    for op in ops:
-        harness.apply(op)
-    harness.finish()
-    assert harness.core.is_quiescent()
-    # Every submitted request was answered exactly once with a valid
-    # typed outcome — no losses, no duplicates, regardless of how
-    # deaths, deadlines, retries and drain interleaved.
-    assert set(harness.delivered) == harness.submitted
-    assert all(count == 1 for count in harness.delivered.values())
-    for rid in harness.submitted:
-        assert harness.core.outcome(rid) in _VALID_CODES
+TestServiceCoreMachine = ServiceCoreMachine.TestCase
+TestServiceCoreMachine.settings = settings(
+    max_examples=300, stateful_step_count=40, deadline=None
+)
 
 
 class TestLedgerBounds:

@@ -142,6 +142,7 @@ class TestRouting:
             b'{"id": 9}',
             b'{"tenant": ""}',
             b'{"deadline_ms": -5}',
+            b'{"params": {"scale": "abc"}}',
         ],
     )
     def test_malformed_bodies_are_400(self, body):

@@ -90,6 +90,20 @@ class TestProtocolValidation:
             {"id": "r", "method": "run", "deadline_ms": 0},
             {"id": "r", "method": "run", "deadline_ms": "soon"},
             {"id": "r", "method": "run", "v": 99},
+            {"id": "r", "method": "run", "params": {"scale": "abc"}},
+            {"id": "r", "method": "run", "params": {"scale": 0}},
+            {"id": "r", "method": "run", "params": {"scale": -1.0}},
+            {"id": "r", "method": "run", "params": {"scale": float("inf")}},
+            {"id": "r", "method": "run", "params": {"scale": float("nan")}},
+            {"id": "r", "method": "run", "params": {"scale": True}},
+            {"id": "r", "method": "compile", "params": {"seed": "7"}},
+            {"id": "r", "method": "compile", "params": {"seed": 7.5}},
+            {"id": "r", "method": "compile", "params": {"seed": True}},
+            {"id": "r", "method": "compile", "params": {"deep": "false"}},
+            {"id": "r", "method": "compile", "params": {"no_cache": 1}},
+            {"id": "r", "method": "run", "params": {"platform": 5}},
+            {"id": "r", "method": "run", "params": {"workload": 3}},
+            {"id": "r", "method": "compile", "params": {"workload": None}},
         ],
     )
     def test_malformed_requests_rejected(self, obj):

@@ -1,8 +1,8 @@
 """Deficit-round-robin fair queue tests.
 
 The scheduler is a pure data structure, so everything here is
-deterministic: round order, deficit accounting across push-front
-refunds and batch pulls, and the headline fairness property — a 10:1
+deterministic: round order, deficit accounting for group members
+charged outside ``pop``, and the headline fairness property — a 10:1
 offered-load mix between two tenants is *served* ~1:1 while both are
 backlogged (Jain index ~1.0), where the old global FIFO served it 10:1
 (Jain ~0.6).
@@ -137,43 +137,27 @@ class TestBookkeeping:
 
 
 class TestDeficitAccounting:
-    def test_push_front_round_trips_are_neutral(self):
-        # pop + push_front (the linger hold-back path) must not let a
-        # tenant double-dip its quantum when it is popped again.
-        drr = DeficitRoundRobin()
-        fill(drr, "a", 2)
-        fill(drr, "b", 2)
-        tenant, item = drr.pop()
-        assert (tenant, item) == ("a", "a0")
-        drr.push_front(tenant, item)
-        assert drain(drr) == [
-            ("a", "a0"),
-            ("b", "b0"),
-            ("a", "a1"),
-            ("b", "b1"),
-        ]
-
-    def test_take_matching_charges_the_served_tenant(self):
-        # Pulling b's items into a batch counts as serving b: on the
-        # next rounds b owes deficit and a catches up.
+    def test_charge_bills_the_served_tenant(self):
+        # A group dispatch carrying two of b's requests outside pop()
+        # counts as serving b twice: on the next rounds b owes deficit
+        # and a catches up.
         drr = DeficitRoundRobin()
         fill(drr, "a", 2)
         fill(drr, "b", 3)
-        taken = drr.take_matching(lambda item: item.startswith("b"), 2)
-        assert taken == [("b", "b0"), ("b", "b1")]
+        drr.charge("b")
+        drr.charge("b")
         order = drain(drr)
-        # b was just served twice, so a's queued work goes first.
         assert order[0] == ("a", "a0")
         assert order[1] == ("a", "a1")
-        assert order[2] == ("b", "b2")
+        assert order[2] == ("b", "b0")
 
-    def test_take_matching_respects_limit_and_predicate(self):
+    def test_charge_without_a_queue_is_a_no_op(self):
+        # A tenant with nothing queued has no deficit to carry.
         drr = DeficitRoundRobin()
-        fill(drr, "a", 4)
-        taken = drr.take_matching(lambda item: item in {"a1", "a3"}, 1)
-        assert taken == [("a", "a1")]
-        assert "a3" in drr
-        assert drr.take_matching(lambda item: False, 5) == []
+        drr.charge("ghost")
+        fill(drr, "ghost", 1)
+        fill(drr, "a", 1)
+        assert drain(drr) == [("ghost", "ghost0"), ("a", "a0")]
 
 
 class TestFairness:

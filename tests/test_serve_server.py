@@ -1,10 +1,10 @@
-"""Serving-layer integration tests: worker execution, coalesce keys,
+"""Serving-layer integration tests: worker execution, grouping keys,
 and a real end-to-end service over a unix socket.
 
 The heavy chaos pass (forced worker kills, slow injection, p99 gate)
 lives in ``tools/bench_serve.py`` / ``make serve-smoke``; here we keep
 one small but *real* server round trip plus in-process coverage of the
-worker-side typed-envelope mapping and the compile coalescing key.
+worker-side typed-envelope mapping and the same-key grouping key.
 """
 
 import asyncio
@@ -19,10 +19,17 @@ import time
 import pytest
 
 from repro.baselines import default_platforms
-from repro.core.compile import compile_workload, spec_cache_key
+from repro.core.compile import compile_workload
 from repro.serve.client import ServeClient
-from repro.serve.protocol import ErrorCode, Request, encode_message
-from repro.serve.server import request_coalesce_key
+from repro.serve.protocol import (
+    GROUP_POLICY,
+    PER_ITEM,
+    SHARED,
+    ErrorCode,
+    ProtocolError,
+    encode_message,
+    parse_request,
+)
 from repro.serve.supervisor import WorkerHandle, WorkerPool, execute_request
 from repro.workloads import find_workload
 
@@ -96,37 +103,52 @@ class TestExecuteRequest:
 
 
 class TestCoalesceKey:
+    """The typed spec is the same-key grouping key (compile coalescing
+    shares one result; run grouping shares one dispatch)."""
+
     def _compile_req(self, rid="r", **params):
         merged = {"workload": "atax", "scale": 0.01, "seed": 7}
         merged.update(params)
-        return Request(id=rid, method="compile", params=merged)
+        return parse_request(
+            {"id": rid, "method": "compile", "params": merged}
+        )
 
     def test_only_compile_coalesces(self):
-        assert request_coalesce_key(
-            Request(id="r", method="run", params={"workload": "atax"})
-        ) is None
+        assert GROUP_POLICY == {"compile": SHARED, "run": PER_ITEM}
+        run = parse_request(
+            {"id": "r", "method": "run", "params": {"workload": "atax"}}
+        )
+        assert run.spec.group_key != self._compile_req().spec.group_key
 
     def test_identical_compiles_share_a_key(self):
-        a = request_coalesce_key(self._compile_req("r1"))
-        b = request_coalesce_key(self._compile_req("r2"))
-        assert a is not None and a == b
-        # Keyed by the trace cache's content hash.
-        assert spec_cache_key(find_workload("atax", scale=0.01), seed=7) in a
+        a = self._compile_req("r1").spec.group_key
+        b = self._compile_req("r2").spec.group_key
+        assert a is not None and a == b and hash(a) == hash(b)
+        # Omitted params take the compile defaults.
+        bare = parse_request(
+            {"id": "r3", "method": "compile", "params": {"workload": "atax"}}
+        )
+        assert bare.spec.group_key == a
 
     @pytest.mark.parametrize(
         "variant",
         [{"seed": 8}, {"scale": 0.02}, {"workload": "bicg"}, {"deep": True}],
     )
     def test_different_work_gets_different_keys(self, variant):
-        assert request_coalesce_key(
-            self._compile_req(**variant)
-        ) != request_coalesce_key(self._compile_req())
+        assert (
+            self._compile_req(**variant).spec.group_key
+            != self._compile_req().spec.group_key
+        )
 
     def test_no_cache_never_coalesces(self):
-        assert request_coalesce_key(self._compile_req(no_cache=True)) is None
+        assert self._compile_req(no_cache=True).spec.group_key is None
 
     def test_unresolvable_params_never_coalesce(self):
-        assert request_coalesce_key(self._compile_req(workload="nope")) is None
+        # Malformed params never reach a key: they are rejected at
+        # parse time, before any dispatch.
+        with pytest.raises(ProtocolError) as excinfo:
+            self._compile_req(scale="abc")
+        assert excinfo.value.code is ErrorCode.INVALID_REQUEST
 
 
 @pytest.fixture(scope="class")
