@@ -33,8 +33,10 @@ Invariants the core maintains (and tests assert):
   never appear in a dispatch, keep their own deadlines, and the oldest
   is promoted if the runner fails terminally; a ``per-item`` group
   (``run``) carries up to ``max_batch`` members, each with its own
-  deadline, attempt budget and response, and may not dispatch while
-  partial until ``batch_linger_s`` after its first member arrived;
+  deadline, attempt budget and response (the worker executes their
+  common spec once), and may not dispatch while partial until
+  ``batch_linger_s`` after its first member arrived, the wake-up
+  :meth:`ServiceCore.next_wake` reports;
 * queued groups are served **deficit-round-robin across tenants**
   (:mod:`repro.serve.scheduling`), and every dispatched member is
   charged to its own tenant: while N tenants are backlogged each
@@ -45,7 +47,7 @@ Invariants the core maintains (and tests assert):
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -77,7 +79,7 @@ class CoreConfig:
     #: Most requests one ``per-item`` group (one worker dispatch) may
     #: carry (1 disables batching).  Only requests sharing a
     #: ``group_key`` are grouped; each keeps its own deadline, attempts
-    #: and response envelope.
+    #: and response envelope, and the worker runs their spec once.
     max_batch: int = 1
     #: How long a partial ``per-item`` group waits for more members
     #: after its first one arrived (0 = never hold work back).
@@ -328,7 +330,7 @@ class ServiceCore:
             "dead_letters": self.dead_letter_total,
             "admission": self.admission.snapshot(now),
             "breakers": self.breakers.snapshot(now),
-            "scheduler": self._queue.snapshot(),
+            "scheduler": self._scheduler_snapshot(),
             "batch": {
                 "max_batch": self.config.max_batch,
                 "linger_s": self.config.batch_linger_s,
@@ -336,6 +338,23 @@ class ServiceCore:
                 "batched_requests": self.batched_requests,
             },
         }
+
+    def _scheduler_snapshot(self) -> Dict[str, object]:
+        """The fair queue's entries (groups) and the requests behind them.
+
+        ``depth``/``tenants`` count queue entries; ``requests`` and
+        ``tenant_requests`` count their members, each under its own
+        tenant (the tenant its dispatch is charged to).
+        """
+        snapshot = self._queue.snapshot()
+        tenants = Counter(
+            self._pending[request_id].request.tenant
+            for gid in self._queue.items()
+            for request_id in self._waiting[gid].members
+        )
+        snapshot["requests"] = sum(tenants.values())
+        snapshot["tenant_requests"] = dict(sorted(tenants.items()))
+        return snapshot
 
     # ------------------------------------------------------------------
     # Worker roster
@@ -625,6 +644,24 @@ class ServiceCore:
         actions.extend(self._dispatch_ready(now))
         return actions
 
+    def next_wake(self, now: float) -> Optional[float]:
+        """The earliest time a :meth:`tick` could dispatch work it holds.
+
+        That is the first linger expiry of a partial per-item group or
+        the first matured backoff, whichever comes first; None when
+        neither is pending.  Full, shared and keyless groups, and every
+        group of a draining core, are ready now and set no wake-up;
+        they wait only for a worker, whose result or exit is an event
+        of its own.  Deadlines and hang kills are left to the server's
+        periodic tick.
+        """
+        wakes = [self._delayed[0][0]] if self._delayed else []
+        for group in self._waiting.values():
+            until = self._linger_until(group)
+            if until is not None and until > now:
+                wakes.append(until)
+        return min(wakes, default=None)
+
     # ------------------------------------------------------------------
     # Drain
     # ------------------------------------------------------------------
@@ -727,20 +764,27 @@ class ServiceCore:
         self._waiting[group.gid] = group
         return False
 
-    def _ready(self, group: _Group, now: float) -> bool:
-        """May ``group`` enter the fair queue?
+    def _linger_until(self, group: _Group) -> Optional[float]:
+        """When a partial per-item ``group`` may stop waiting for peers.
 
-        Only a partial per-item group younger than ``batch_linger_s``
-        (counted from its first member's arrival) waits for peers.
+        ``batch_linger_s`` after its first member arrived; None for a
+        group that is ready without waiting (shared, keyless, full, or
+        the core is draining).
         """
-        first = self._pending[group.members[0]]
-        return (
+        if (
             group.shared
             or group.key is None
             or self.draining
             or len(group.members) >= self.config.max_batch
-            or now - first.submitted_at >= self.config.batch_linger_s
-        )
+        ):
+            return None
+        first = self._pending[group.members[0]]
+        return first.submitted_at + self.config.batch_linger_s
+
+    def _ready(self, group: _Group, now: float) -> bool:
+        """May ``group`` enter the fair queue?"""
+        until = self._linger_until(group)
+        return until is None or now >= until
 
     def _dispatch_ready(self, now: float) -> List[Action]:
         """Pair idle workers with dispatchable queued groups.
@@ -850,7 +894,8 @@ class ServiceCore:
             return []
         group = pending.group
         # A shared group's members get the runner's result verbatim
-        # (plus a marker); per-item results belong to one request.
+        # (plus a marker); a per-item member's result arrives in its
+        # own worker message, even when the worker ran the spec once.
         answered = [(pending, result)]
         if group is not None and group.shared:
             shared = dict(result, coalesced=True)

@@ -133,9 +133,10 @@ DEBUG_METHODS = frozenset({"x-crash", "x-sleep", "x-fault"})
 
 #: Same-key grouping policy per worker method (``docs/serving.md``).
 #: Requests with equal :attr:`WorkSpec.group_key` share one dispatch;
-#: a ``shared`` group runs once and every member receives that one
-#: result, a ``per-item`` group runs every member back to back on one
-#: warm worker and answers each with its own result.
+#: a ``shared`` group dispatches only its oldest member and every member
+#: receives that one result, a ``per-item`` group dispatches every
+#: member, each with its own deadline, attempts and envelope, and the
+#: worker runs the deterministic spec once for all of them.
 SHARED = "shared"
 PER_ITEM = "per-item"
 GROUP_POLICY: Dict[str, str] = {"compile": SHARED, "run": PER_ITEM}

@@ -1,8 +1,12 @@
 """The asyncio shell around the service core and the worker pool.
 
-One event loop owns everything: socket accept/readers, the periodic
-tick that drains worker-pool events and advances the core's clock, and
-the drain sequence.  All decisions live in
+One event loop owns everything: socket accept/readers, the tick loop
+that drains worker-pool events and advances the core's clock, and the
+drain sequence.  The tick loop is event-driven: it runs when a worker
+pipe turns readable, when the core's next linger expiry or retry
+backoff (:meth:`~repro.serve.core.ServiceCore.next_wake`) is due, and
+at least every ``tick_interval_s`` for heartbeats, liveness and
+deadlines.  All decisions live in
 :class:`~repro.serve.core.ServiceCore`; this module only moves bytes
 and executes the actions the core returns, so the failure semantics
 exercised by the property tests are exactly what runs in production.
@@ -60,6 +64,8 @@ class ServeConfig:
     http_host: str = "127.0.0.1"
     workers: int = 2
     core: CoreConfig = field(default_factory=CoreConfig)
+    #: Longest the event loop sleeps without a worker-pipe or timer
+    #: event: bounds heartbeat/liveness checks and deadline expiry.
     tick_interval_s: float = 0.02
     drain_timeout_s: float = 10.0
     heartbeat_interval_s: float = 0.2
@@ -100,6 +106,12 @@ class SimulationServer:
         self._tick_task: Optional[asyncio.Task] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._stopped = asyncio.Event()
+        # Set by worker pipe readiness, a submit that needs an earlier
+        # wake-up, and drain; the tick loop runs once per wake.
+        self._wake = asyncio.Event()
+        self._wake_at = float("inf")  # when the tick loop next runs
+        self._quiescent = asyncio.Event()  # drained: nothing pending
+        self._watched: Dict[str, int] = {}  # worker id -> pipe fd
         # Request id -> response sink: a StreamWriter (line protocol)
         # or a plain callable taking the Response (HTTP adapter).
         self._routes: Dict[str, object] = {}
@@ -174,21 +186,52 @@ class SimulationServer:
 
     # ------------------------------------------------------------------
     async def _tick_loop(self) -> None:
-        while not self._stopped.is_set():
-            try:
-                self._tick_once(time.time())
-            except Exception:
-                # The tick is the service's heartbeat: if it dies the
-                # server accepts connections but never dispatches or
-                # expires anything.  Log and keep ticking — the pool
-                # treats any worker whose pipe misbehaves as crashed,
-                # so a single bad event cannot wedge the loop.
-                self.registry.counter("serve.tick.errors").inc()
-                logger.exception("serve tick failed; continuing")
-            await asyncio.sleep(self.config.tick_interval_s)
+        loop = asyncio.get_running_loop()
+        try:
+            while not self._stopped.is_set():
+                # Clear before polling: readiness that arrives while
+                # the tick runs wakes the next wait at once.
+                self._wake.clear()
+                wake = None
+                try:
+                    self._tick_once(time.time())
+                    wake = self.core.next_wake(time.time())
+                except Exception:
+                    # The tick is the service's heartbeat: if it dies
+                    # the server accepts connections but never
+                    # dispatches or expires anything.  Log and keep
+                    # ticking — the pool treats any worker whose pipe
+                    # misbehaves as crashed, so a single bad event
+                    # cannot wedge the loop.
+                    self.registry.counter("serve.tick.errors").inc()
+                    logger.exception("serve tick failed; continuing")
+                if self.core.draining and self.core.is_quiescent():
+                    self._quiescent.set()
+                # Sleep until a worker pipe turns readable, a submit or
+                # drain asks for a tick, the core's next linger expiry
+                # or backoff, or at most one tick interval.
+                now = time.time()
+                self._wake_at = now + self.config.tick_interval_s
+                if wake is not None:
+                    self._wake_at = min(self._wake_at, wake)
+                timer = loop.call_later(
+                    max(0.0, self._wake_at - now), self._wake.set
+                )
+                try:
+                    await self._wake.wait()
+                finally:
+                    timer.cancel()
+        finally:
+            for fd in self._watched.values():
+                loop.remove_reader(fd)
+            self._watched.clear()
 
     def _tick_once(self, now: float) -> None:
-        for event in self.pool.poll(now):
+        try:
+            events = self.pool.poll(now)
+        finally:
+            self._watch_workers()
+        for event in events:
             kind = event[0]
             if kind == "ready":
                 self._apply(self.core.register_worker(event[1], now))
@@ -204,6 +247,28 @@ class SimulationServer:
                     )
                 )
         self._apply(self.core.tick(now))
+
+    def _watch_workers(self) -> None:
+        """Wake the tick loop when any live worker's pipe is readable.
+
+        Re-synced after every poll: replaced workers stop being watched
+        (the pool closes their pipes on its next poll) and their
+        replacements are watched from spawn, so the first result of a
+        new worker needs no tick either.
+        """
+        loop = asyncio.get_running_loop()
+        live = {
+            worker_id: handle.conn.fileno()
+            for worker_id, handle in self.pool.workers.items()
+        }
+        for worker_id, fd in list(self._watched.items()):
+            if live.get(worker_id) != fd:
+                loop.remove_reader(fd)
+                del self._watched[worker_id]
+        for worker_id, fd in live.items():
+            if worker_id not in self._watched:
+                loop.add_reader(fd, self._wake.set)
+                self._watched[worker_id] = fd
 
     # ------------------------------------------------------------------
     async def _handle_connection(
@@ -334,6 +399,11 @@ class SimulationServer:
         spec = request.spec
         group_key = spec.group_key if spec is not None else None
         self._apply(self.core.submit(request, now, group_key=group_key))
+        wake = self.core.next_wake(now)
+        if wake is not None and wake < self._wake_at:
+            # A new partial group's linger ends before the tick loop's
+            # planned wake-up: wake it now so it plans again.
+            self._wake.set()
 
     # ------------------------------------------------------------------
     def _apply(self, actions: List[object]) -> None:
@@ -404,9 +474,16 @@ class SimulationServer:
             # Stop accepting HTTP connections; requests already routed
             # keep their sinks and are answered by the drain sweep.
             await self._http.stop_listening()
+        # Draining makes lingering groups ready: tick now, and finish
+        # on the tick that resolves the last pending request.
         deadline = now + self.config.drain_timeout_s
-        while not self.core.is_quiescent() and time.time() < deadline:
-            await asyncio.sleep(self.config.tick_interval_s)
+        self._wake.set()
+        if self.core.is_quiescent():
+            self._quiescent.set()
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(
+                self._quiescent.wait(), max(0.0, deadline - time.time())
+            )
         self._apply(self.core.abort_remaining(time.time()))
         for writer in list(self._writers):
             with contextlib.suppress(ConnectionResetError):

@@ -30,7 +30,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.serve.protocol import ErrorCode, ProtocolError, WorkSpec
 
@@ -186,6 +186,49 @@ def _do_debug(
     raise WorkloadLookupError(f"unknown debug method {method!r}")
 
 
+def _deadline_envelope() -> Dict[str, object]:
+    return {
+        "ok": False,
+        "code": ErrorCode.DEADLINE_EXCEEDED.value,
+        "message": "deadline passed; execution cancelled cooperatively",
+    }
+
+
+def execute_batch(
+    items: Iterable[object], options: Dict[str, object]
+) -> Iterator[Tuple[object, Dict[str, object]]]:
+    """Execute one dispatch's items in order, yielding ``(id, envelope)``.
+
+    A dispatch is one group's members (a lone request is a list of
+    one).  ``run`` is deterministic, so a ``run`` whose spec equals
+    an earlier item's *successful* run is not executed again: it is
+    answered with that envelope, unless its own deadline has passed
+    (``DEADLINE_EXCEEDED``).  A failed run is never reused; the next
+    member with its spec executes on its own.
+    """
+    runs: Dict[WorkSpec, Dict[str, object]] = {}
+    for item in items:
+        if not isinstance(item, dict):
+            continue
+        method = str(item.get("method", ""))
+        params = item.get("params") or {}
+        deadline_ts = item.get("deadline_ts")
+        spec = None
+        if method == "run":
+            try:
+                spec = WorkSpec.from_params(method, params)
+            except ProtocolError:
+                pass  # execute_request answers INVALID_REQUEST
+        payload = runs.get(spec) if spec is not None else None
+        if payload is None:
+            payload = execute_request(method, params, deadline_ts, options)
+            if spec is not None and payload.get("ok"):
+                runs[spec] = payload
+        elif deadline_ts is not None and time.time() >= deadline_ts:
+            payload = _deadline_envelope()
+        yield item.get("id"), payload
+
+
 def execute_request(
     method: str,
     params: Dict[str, object],
@@ -235,12 +278,7 @@ def execute_request(
     except ProtocolError as exc:
         return {"ok": False, "code": exc.code.value, "message": str(exc)}
     except _DeadlineExpired:
-        return {
-            "ok": False,
-            "code": ErrorCode.DEADLINE_EXCEEDED.value,
-            "message": "deadline passed; execution cancelled "
-            "cooperatively",
-        }
+        return _deadline_envelope()
     except WorkloadLookupError as exc:
         return {
             "ok": False,
@@ -305,21 +343,14 @@ def _worker_main(
         if message.get("type") != "batch":
             continue
         # Every dispatch is a list of items (a lone request is a list
-        # of one): execute them back to back on the warm process and
-        # demultiplex one result message per item, so every client
-        # still receives its own typed envelope.  Results stream out as
-        # they finish — an early item's client is answered before the
-        # last item even starts.
-        for item in message.get("items") or []:
-            if not isinstance(item, dict):
-                continue
-            payload = execute_request(
-                str(item.get("method", "")),
-                item.get("params") or {},
-                item.get("deadline_ts"),
-                options,
-            )
-            send({"type": "result", "id": item.get("id"), "payload": payload})
+        # of one): execute them on the warm process and demultiplex one
+        # result message per item, so every client still receives its
+        # own typed envelope.  Results stream out as they finish — an
+        # early item's client is answered before the last item starts.
+        for request_id, payload in execute_batch(
+            message.get("items") or [], options
+        ):
+            send({"type": "result", "id": request_id, "payload": payload})
     stop.set()
 
 
@@ -362,9 +393,10 @@ PoolEvent = Tuple
 class WorkerPool:
     """Spawns, monitors, kills and replaces worker processes.
 
-    Consumers call :meth:`poll` periodically; it drains worker pipes
-    and turns process lifecycle into events for the service core.  The
-    pool always restores itself to ``size`` live workers.
+    Consumers call :meth:`poll` when a worker pipe is readable and at
+    least periodically (liveness and heartbeats); it drains worker
+    pipes and turns process lifecycle into events for the service core.
+    The pool always restores itself to ``size`` live workers.
     """
 
     size: int = 2
@@ -519,10 +551,10 @@ class WorkerPool:
         handle = self.workers.pop(worker_id, None)
         if handle is None:
             return []
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        # The pipe closes on the next poll, not now: a caller watching
+        # worker pipes for readiness (the asyncio server) first stops
+        # watching this one, so its descriptor number cannot be reused
+        # by a new pipe while it is still registered.
         self._graveyard.append(handle)
         self.restarts += 1
         replacement = self._spawn(now)
@@ -535,6 +567,10 @@ class WorkerPool:
         """join(0) replaced workers; never blocks the event loop."""
         survivors: List[WorkerHandle] = []
         for handle in self._graveyard:
+            try:
+                handle.conn.close()  # idempotent
+            except OSError:  # pragma: no cover
+                pass
             if not handle.start_done.is_set():
                 survivors.append(handle)  # cannot join mid-start
                 continue
@@ -576,6 +612,10 @@ class WorkerPool:
                 pass
         self.workers.clear()
         for handle in self._graveyard:
+            try:
+                handle.conn.close()
+            except OSError:  # pragma: no cover
+                pass
             if handle.start_done.is_set() and handle.start_error is None:
                 if handle.process.is_alive():
                     handle.process.kill()

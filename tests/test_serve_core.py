@@ -11,6 +11,7 @@ that respect the grouping rules, and one breaker failure per workload
 class per worker death.
 """
 
+import copy
 from collections import Counter
 from dataclasses import dataclass
 
@@ -338,6 +339,61 @@ class TestDrain:
         assert core.is_quiescent()
 
 
+class TestNextWake:
+    """``next_wake`` names the one timer the server must wake for: a
+    partial per-item group's linger expiry or a retry's backoff."""
+
+    def test_nothing_pending(self):
+        core = make_core(max_batch=2, batch_linger_s=0.05)
+        assert core.next_wake(0.0) is None
+        core.register_worker("w0", 0.0)
+        core.submit(req("r1"), 0.0)  # keyless: dispatched at once
+        assert core.next_wake(0.0) is None
+
+    def test_partial_group_wakes_at_linger_expiry(self):
+        core = make_core(max_batch=2, batch_linger_s=0.05)
+        core.register_worker("w0", 1.0)
+        assert dispatches(core.submit(req("r1"), 1.0, group_key="k")) == []
+        core.submit(
+            req("r2", params={"workload": "gemm"}), 1.02, group_key="g"
+        )
+        # The first member's arrival plus the linger, earliest group first.
+        assert core.next_wake(1.02) == 1.0 + 0.05
+        (d,) = dispatches(core.tick(core.next_wake(1.02)))
+        assert item(d)["id"] == "r1"
+        assert core.next_wake(1.05) == 1.02 + 0.05
+
+    def test_backoff_wakes_at_not_before(self):
+        core = make_core(max_batch=2, batch_linger_s=0.05)
+        core.register_worker("w0", 0.0)
+        core.submit(req("r1"), 0.0)
+        fail = {"ok": False, "code": "CACHE_IO", "message": "disk"}
+        assert responses(core.worker_result("w0", "r1", fail, 0.1)) == []
+        not_before = 0.1 + core.retry.delay(1, key="r1")
+        assert core.next_wake(0.1) == not_before
+        (d,) = dispatches(core.tick(not_before))
+        assert item(d)["id"] == "r1" and item(d)["attempt"] == 2
+        assert core.next_wake(not_before) is None
+
+    def test_ready_groups_set_no_wake(self):
+        core = make_core(max_batch=2, batch_linger_s=0.05)  # no workers
+        core.submit(req("r1"), 0.0, group_key="full")
+        core.submit(req("r2"), 0.0, group_key="full")
+        core.submit(req("c1", method="compile"), 0.0, group_key="shared")
+        core.submit(req("r3"), 0.0)  # keyless
+        assert core.unresolved_count == 4
+        assert core.next_wake(0.0) is None
+
+    def test_draining_core_sets_no_linger_wake(self):
+        core = make_core(max_batch=2, batch_linger_s=0.05)
+        core.submit(req("r1"), 0.0, group_key="k")
+        assert core.next_wake(0.0) == 0.05
+        core.begin_drain(0.01)
+        assert core.next_wake(0.01) is None
+        (d,) = dispatches(core.register_worker("w0", 0.01))
+        assert item(d)["id"] == "r1"
+
+
 # ----------------------------------------------------------------------
 # One stateful machine over the core and a fake pool
 # ----------------------------------------------------------------------
@@ -581,6 +637,29 @@ class ServiceCoreMachine(RuleBasedStateMachine):
         assert self.core.unresolved_count == sum(
             1 for rid in self.submitted if self.delivered[rid] == 0
         )
+
+    @invariant()
+    def next_wake_releases_what_waits_on_it(self):
+        # Ticking at next_wake() frees everything waiting on that timer:
+        # a lingering group dispatches unless no worker is idle, and a
+        # backoff re-enters the queue.  Checked on a copy, so the run
+        # itself is not perturbed.
+        wake = self.core.next_wake(self.now)
+        if wake is None:
+            return
+        assert wake > self.now
+        core = copy.deepcopy(self.core)
+        lingering = [
+            gid
+            for gid, group in core._waiting.items()
+            if core._linger_until(group) == wake
+        ]
+        backoffs = [entry for entry in core._delayed if entry[0] == wake]
+        assert lingering or backoffs
+        core.tick(wake)
+        if core._idle:
+            assert not set(lingering) & set(core._waiting)
+        assert not set(backoffs) & set(core._delayed)
 
     def teardown(self):
         # Drain: finish what the workers hold, let time pass, then

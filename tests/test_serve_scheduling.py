@@ -5,11 +5,14 @@ deterministic: round order, deficit accounting for group members
 charged outside ``pop``, and the headline fairness property — a 10:1
 offered-load mix between two tenants is *served* ~1:1 while both are
 backlogged (Jain index ~1.0), where the old global FIFO served it 10:1
-(Jain ~0.6).
+(Jain ~0.6).  Two core-level tests check that ``stats`` reports the
+requests behind the queued groups beside the entry counts.
 """
 
 import pytest
 
+from repro.serve.core import CoreConfig, ServiceCore
+from repro.serve.protocol import Request
 from repro.serve.scheduling import DeficitRoundRobin
 
 
@@ -128,6 +131,38 @@ class TestBookkeeping:
         snapshot = drr.snapshot()
         assert snapshot["depth"] == 3
         assert snapshot["tenants"] == {"a": 2, "b": 1}
+
+    def test_core_snapshot_counts_requests_beside_entries(self):
+        # The core queues whole groups, so queue entries and requests
+        # differ; each member counts under its own tenant, the tenant
+        # its dispatch is charged to.
+        core = ServiceCore(
+            CoreConfig(
+                tenant_rate=1000.0, tenant_burst=1000.0, max_batch=4
+            )
+        )
+
+        def run(rid, tenant):
+            return Request(
+                id=rid, method="run", params={"workload": "atax"},
+                tenant=tenant,
+            )
+
+        core.submit(run("r0", "a"), 0.0)  # keyless: its own entry
+        for rid, tenant in (("r1", "a"), ("r2", "b"), ("r3", "b")):
+            core.submit(run(rid, tenant), 0.0, group_key="k")
+        core.register_worker("w0", 0.1)  # queues both entries, runs r0
+        scheduler = core.snapshot(0.1)["scheduler"]
+        assert scheduler["depth"] == 1
+        assert scheduler["tenants"] == {"a": 1}
+        assert scheduler["requests"] == 3
+        assert scheduler["tenant_requests"] == {"a": 1, "b": 2}
+        assert core.snapshot(0.1)["queue_depth"] == 3
+
+    def test_core_snapshot_with_an_empty_queue(self):
+        scheduler = ServiceCore().snapshot(0.0)["scheduler"]
+        assert scheduler["depth"] == 0 and scheduler["requests"] == 0
+        assert scheduler["tenant_requests"] == {}
 
     def test_clear(self):
         drr = DeficitRoundRobin()

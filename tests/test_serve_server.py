@@ -14,6 +14,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -30,7 +31,12 @@ from repro.serve.protocol import (
     encode_message,
     parse_request,
 )
-from repro.serve.supervisor import WorkerHandle, WorkerPool, execute_request
+from repro.serve.supervisor import (
+    WorkerHandle,
+    WorkerPool,
+    execute_batch,
+    execute_request,
+)
 from repro.workloads import find_workload
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -100,6 +106,107 @@ class TestExecuteRequest:
         sha = hashlib.sha256(local.trace.to_bytes()).hexdigest()
         assert cold["result"]["trace_sha256"] == sha
         assert warm["result"]["trace_sha256"] == sha
+
+
+class TestExecuteBatch:
+    """A dispatch's same-spec ``run`` items execute once; every member
+    still gets its own envelope, its own deadline check, and a failed
+    execution is never handed to the next member."""
+
+    PARAMS = {"workload": "atax", "platform": "StPIM", "scale": 0.01}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.serve import supervisor
+
+        calls = []
+        real = supervisor._do_run
+
+        def counting(spec, deadline_ts):
+            calls.append(spec)
+            return real(spec, deadline_ts)
+
+        monkeypatch.setattr(supervisor, "_do_run", counting)
+        return calls
+
+    def batch(self, *items):
+        return list(
+            execute_batch(
+                [
+                    {"id": rid, "method": "run", "params": params,
+                     "deadline_ts": deadline_ts}
+                    for rid, params, deadline_ts in items
+                ],
+                {},
+            )
+        )
+
+    def test_same_spec_runs_execute_once(self, calls):
+        other = dict(self.PARAMS, platform="StPIM-e")
+        results = self.batch(
+            ("r1", self.PARAMS, None),
+            # Params the spec ignores do not change the work.
+            ("r2", dict(self.PARAMS, note="ignored"), None),
+            ("r3", other, None),
+            ("r4", self.PARAMS, None),
+        )
+        assert [rid for rid, _ in results] == ["r1", "r2", "r3", "r4"]
+        assert len(calls) == 2
+        one_shot = run_request("run", self.PARAMS)
+        assert one_shot["ok"]
+        for rid, payload in results:
+            expected = one_shot if rid != "r3" else run_request("run", other)
+            assert payload == expected, rid
+
+    def test_shared_run_rechecks_each_members_deadline(self, calls):
+        results = dict(
+            self.batch(
+                ("r1", self.PARAMS, None),
+                ("r2", self.PARAMS, time.time() - 1.0),
+                ("r3", self.PARAMS, time.time() + 60.0),
+            )
+        )
+        assert len(calls) == 1
+        assert results["r1"]["ok"] and results["r3"] == results["r1"]
+        assert results["r2"]["code"] == ErrorCode.DEADLINE_EXCEEDED.value
+
+    def test_failed_run_is_not_reused(self, calls, monkeypatch):
+        from repro.serve import supervisor
+
+        counting = supervisor._do_run
+
+        def flaky(spec, deadline_ts):
+            if not calls:
+                calls.append(spec)
+                raise OSError("disk hiccup")
+            return counting(spec, deadline_ts)
+
+        monkeypatch.setattr(supervisor, "_do_run", flaky)
+        results = dict(
+            self.batch(
+                ("r1", self.PARAMS, None),
+                ("r2", self.PARAMS, None),
+                ("r3", self.PARAMS, None),
+            )
+        )
+        assert results["r1"]["code"] == ErrorCode.CACHE_IO.value
+        assert results["r2"]["ok"] and results["r3"] == results["r2"]
+        assert len(calls) == 2  # the failure, then one shared run
+
+    def test_other_methods_each_execute_and_junk_is_skipped(self):
+        sleep = {"ms": 1.0}
+        results = list(
+            execute_batch(
+                [
+                    {"id": rid, "method": "x-sleep", "params": sleep}
+                    for rid in ("a", "b")
+                ]
+                + ["not an item"],
+                {"enable_debug_methods": True},
+            )
+        )
+        assert [rid for rid, _ in results] == ["a", "b"]
+        assert all(payload["ok"] for _, payload in results)
 
 
 class TestCoalesceKey:
@@ -381,6 +488,124 @@ class TestTickLoopResilience:
 
         assert asyncio.run(run())
         assert server.registry.counter("serve.tick.errors").value >= 2
+
+
+class _ThreadedServer:
+    """An in-process SimulationServer on its own thread and event loop.
+
+    One worker and a 1 s tick: with a single worker, nothing but its
+    own pipe (and the core's timers) can wake the loop before the tick,
+    so anything answered well inside a second was delivered on an
+    event, not by the periodic tick.
+    """
+
+    TICK_S = 1.0
+
+    def __init__(self, root, **core):
+        from repro.serve.core import CoreConfig
+        from repro.serve.server import ServeConfig
+
+        self.socket_path = str(root / "s.sock")
+        self.config = ServeConfig(
+            socket_path=self.socket_path,
+            workers=1,
+            tick_interval_s=self.TICK_S,
+            cache_dir=str(root / "cache"),
+            core=CoreConfig(**core),
+        )
+        self.server = None
+        self.error = None
+        self._started = threading.Event()
+        self._thread = threading.Thread(
+            target=asyncio.run, args=(self._main(),), daemon=True
+        )
+
+    async def _main(self):
+        from repro.serve.server import SimulationServer
+
+        try:
+            self.server = SimulationServer(self.config)
+            await self.server.start()
+        except BaseException as exc:  # surfaced by __enter__
+            self.error = exc
+            raise
+        finally:
+            self._started.set()
+        await self.server.serve_forever()
+
+    def __enter__(self):
+        self._thread.start()
+        assert self._started.wait(30.0) and self.error is None
+        # Boot the worker (spawn + imports) outside any timing.
+        warm = self.call("run", {"workload": "atax", "scale": 0.01})
+        assert warm.ok, warm.error
+        return self
+
+    def __exit__(self, *exc_info):
+        with ServeClient(socket_path=self.socket_path, timeout_s=30.0) as c:
+            c.drain()
+        self._thread.join(30.0)
+        assert not self._thread.is_alive()
+
+    def call(self, method, params, timeout_s=60.0):
+        with ServeClient(
+            socket_path=self.socket_path, timeout_s=timeout_s
+        ) as client:
+            return client.call(method, params)
+
+    def timed_calls(self, method, params, count=5):
+        """Seconds taken by ``count`` sequential calls, all of which
+        succeed.  Were every answer held until the next tick, each call
+        would wait for a tick of its own: about (count - 1) ticks."""
+        start = time.monotonic()
+        for _ in range(count):
+            response = self.call(method, params)
+            assert response.ok, response.error
+        return time.monotonic() - start
+
+
+class TestEventDrivenDelivery:
+    """Results and linger expiries are handled on their own events; the
+    tick interval is only the liveness ceiling."""
+
+    RUN = {"workload": "atax", "platform": "StPIM", "scale": 0.01}
+
+    def test_result_needs_no_tick(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("evt")
+        with _ThreadedServer(root) as served:
+            assert served.timed_calls("run", self.RUN) < served.TICK_S
+
+    def test_lone_partial_group_dispatches_at_linger_expiry(
+        self, tmp_path_factory
+    ):
+        root = tmp_path_factory.mktemp("evt")
+        with _ThreadedServer(
+            root, max_batch=2, batch_linger_s=0.05
+        ) as served:
+            # Each call is a partial group of one: it waits out the
+            # 50 ms linger and no longer.
+            assert served.timed_calls("run", self.RUN) < served.TICK_S
+            assert served.server.core.batch_dispatches == 0
+
+    def test_replacement_worker_is_watched(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("evt")
+        with _ThreadedServer(
+            root, enable_debug_methods=True, max_redeliveries=0
+        ) as served:
+            before = set(served.server.pool.workers)
+            start = time.monotonic()
+            crash = served.call("x-crash", {})
+            # The dead pipe's EOF wakes the loop, not the tick.
+            assert time.monotonic() - start < served.TICK_S
+            assert crash.error.code is ErrorCode.DEAD_LETTER
+            # Boot the replacement, then time its results.
+            assert served.call("x-sleep", {"ms": 1.0}).ok
+            after = set(served.server.pool.workers)
+            assert after and not after & before
+            assert served.timed_calls("x-sleep", {"ms": 1.0}) < (
+                served.TICK_S
+            )
+            assert served.timed_calls("run", self.RUN) < served.TICK_S
 
 
 class TestWorkerPoolTornPipe:
