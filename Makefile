@@ -2,19 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint check check-deep faults-smoke profile-smoke serve-smoke serve-throughput bench bench-perf bench-compile bench-deep bench-stream bench-predict figures docs examples clean
-
-# Extra flags for bench-perf, e.g. BENCH_FLAGS="--vpcs 20000 --min-speedup 5"
-BENCH_FLAGS ?=
-# Extra flags for bench-compile, e.g.
-# COMPILE_BENCH_FLAGS="--compile-scale 0.05 --min-cache-speedup 1.0"
-COMPILE_BENCH_FLAGS ?= --min-compile-speedup 5 --min-cache-speedup 20
-# Extra flags for bench-stream, e.g.
-# STREAM_BENCH_FLAGS="--stream-scale 0.05 --min-stream-speedup 1.0"
-STREAM_BENCH_FLAGS ?= --min-stream-speedup 1.15
-# Extra flags for bench-predict, e.g.
-# PREDICT_BENCH_FLAGS="--timing-points 8 --min-speedup 50"
-PREDICT_BENCH_FLAGS ?=
+.PHONY: install test lint check check-deep faults-smoke profile-smoke gates bench figures docs examples clean
 
 install:
 	pip install -e .
@@ -38,51 +26,16 @@ faults-smoke:
 
 profile-smoke:
 	$(PYTHON) -m repro.cli profile gemm --scale 0.05 -o trace.json
-	$(PYTHON) tools/bench_trace_exec.py --vpcs 100000 \
-		--min-speedup 1.0 --max-obs-overhead 5
 
-# Resilience gate for the serving layer (docs/serving.md): baseline
-# load plus a chaos pass with 2 forced worker kills and slow-request
-# injection; asserts exactly-once responses, deadline adherence,
-# bit-identity with one-shot runs, and a clean drain.
-serve-smoke:
-	$(PYTHON) tools/bench_serve.py --chaos --requests 60 --threads 6 \
-		--crashes 2 --slow-fraction 0.08 $(SERVE_BENCH_FLAGS)
-
-# Batching + fairness gate (docs/serving.md): batched throughput must
-# reach 1.5x the unbatched baseline at equal workers with bit-identical
-# per-request results, and a 10:1 two-tenant mix must be served with a
-# Jain index >= 0.9 while both tenants are backlogged.
-serve-throughput:
-	$(PYTHON) tools/bench_serve.py --sustained --requests 90 --workers 2 \
-		$(SERVE_BENCH_FLAGS)
+# Timed performance and resilience gates (tests/test_gates.py): engine
+# and lowering speedups over the oracles, trace cache, streaming, deep
+# analysis budget, analytic sweep, and the serving chaos, batching and
+# fairness gates.
+gates:
+	$(PYTHON) -m pytest -m slow -q tests/
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-bench-perf:
-	$(PYTHON) tools/bench_trace_exec.py $(BENCH_FLAGS)
-
-bench-compile:
-	$(PYTHON) tools/bench_trace_exec.py --compile $(COMPILE_BENCH_FLAGS)
-
-# Cold end-to-end (lowering + functional vector execution) phased vs
-# streamed on the fig17 set; streamed must win by the floor and stay
-# bit-identical.
-bench-stream:
-	$(PYTHON) tools/bench_trace_exec.py --stream $(STREAM_BENCH_FLAGS)
-
-# Deep analysis of ~93k-VPC gemm must stay well under one functional
-# vector-engine execution (and under an absolute wall-clock budget).
-bench-deep:
-	$(PYTHON) tools/bench_trace_exec.py --deep $(DEEP_BENCH_FLAGS)
-
-# Closed-form predictor gates (docs/modeling.md): the full workload
-# calibration must stay inside the per-class time bounds (3%/8%/10%)
-# and a 32-point analytic timing sweep must beat re-simulating every
-# point by >= 100x.
-bench-predict:
-	$(PYTHON) tools/bench_predict.py $(PREDICT_BENCH_FLAGS)
 
 figures:
 	$(PYTHON) examples/paper_figures.py

@@ -2,7 +2,7 @@
 and a real end-to-end service over a unix socket.
 
 The heavy chaos pass (forced worker kills, slow injection, p99 gate)
-lives in ``tools/bench_serve.py`` / ``make serve-smoke``; here we keep
+lives in ``tests/test_gates.py`` (``make gates``); here we keep
 one small but *real* server round trip plus in-process coverage of the
 worker-side typed-envelope mapping and the same-key grouping key.
 """
@@ -258,14 +258,15 @@ class TestCoalesceKey:
         assert excinfo.value.code is ErrorCode.INVALID_REQUEST
 
 
-@pytest.fixture(scope="class")
-def live_server(tmp_path_factory):
-    """One real service (2 workers) on a unix socket for the class."""
-    root = tmp_path_factory.mktemp("serve")
-    socket_path = str(root / "serve.sock")
+def start_server(socket_path, cache_dir, *flags, workers=2):
+    """Start ``repro-streampim serve`` on a unix socket.
+
+    Returns the server process once it answers a ping; ``flags`` are
+    extra ``serve`` options.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
-    env["REPRO_STREAMPIM_CACHE_DIR"] = str(root / "cache")
+    env["REPRO_STREAMPIM_CACHE_DIR"] = str(cache_dir)
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -275,9 +276,10 @@ def live_server(tmp_path_factory):
             "--socket",
             socket_path,
             "--workers",
-            "2",
+            str(workers),
             "--cache-dir",
-            str(root / "cache"),
+            str(cache_dir),
+            *flags,
         ],
         env=env,
         stdout=subprocess.DEVNULL,
@@ -288,7 +290,7 @@ def live_server(tmp_path_factory):
         try:
             with ServeClient(socket_path=socket_path, timeout_s=2.0) as c:
                 if c.ping().ok:
-                    break
+                    return proc
         except Exception:
             if proc.poll() is not None:
                 raise RuntimeError("server died during startup")
@@ -296,6 +298,14 @@ def live_server(tmp_path_factory):
                 proc.kill()
                 raise RuntimeError("server did not come up in 30s")
             time.sleep(0.1)
+
+
+@pytest.fixture(scope="class")
+def live_server(tmp_path_factory):
+    """One real service (2 workers) on a unix socket for the class."""
+    root = tmp_path_factory.mktemp("serve")
+    socket_path = str(root / "serve.sock")
+    proc = start_server(socket_path, root / "cache")
     yield socket_path, proc
     if proc.poll() is None:
         proc.terminate()
