@@ -89,7 +89,8 @@ class StreamExecResult:
     trace: "object"
     #: Number of non-empty chunks fed to the execution state.
     chunks: int
-    #: Chunks the monitored fast functional apply replayed exactly.
+    #: Chunks the batched functional apply replayed through the exact
+    #: loop because a seed or result was negative.
     fallbacks: int
 
 
@@ -134,10 +135,13 @@ class WordStore:
     def gather(self, addresses) -> np.ndarray:
         """Values at ``addresses`` (any shape; unwritten words read 0)."""
         addresses = np.asarray(addresses, dtype=np.int64)
-        out = np.zeros(addresses.shape, dtype=np.int64)
         rows = self._rows_of(addresses >> self._PAGE_SHIFT)
+        words = (rows << self._PAGE_SHIFT) | (addresses & self._PAGE_MASK)
         hit = rows >= 0
-        out[hit] = self._pages[rows[hit], addresses[hit] & self._PAGE_MASK]
+        if hit.all():
+            return self._pages.reshape(-1)[words]
+        out = np.zeros(addresses.shape, dtype=np.int64)
+        out[hit] = self._pages.reshape(-1)[words[hit]]
         return out
 
     def scatter(self, addresses, values) -> None:
@@ -154,9 +158,11 @@ class WordStore:
         if missing.any():
             self._allocate(np.unique(pages[missing]))
             rows = self._rows_of(pages)
-        offsets = addresses & self._PAGE_MASK
-        self._pages[rows, offsets] = values
-        self._written[rows, offsets] = True
+        words = (rows << self._PAGE_SHIFT) | (addresses & self._PAGE_MASK)
+        # The page arrays are always C-contiguous (np.zeros / np.pad), so
+        # reshape(-1) is a view and these writes land in the store.
+        self._pages.reshape(-1)[words] = values
+        self._written.reshape(-1)[words] = True
 
     def snapshot(self) -> Dict[int, int]:
         """``{address: value}`` for every written word, zeros included."""
@@ -170,12 +176,26 @@ class WordStore:
         return int(np.count_nonzero(self._written[: len(self._page_ids)]))
 
     def _rows_of(self, pages: np.ndarray) -> np.ndarray:
-        """Row of each page id; -1 where the page is not allocated."""
+        """Row of each page id; -1 where the page is not allocated.
+
+        Callers pass addresses in runs that share a page (expanded
+        word ranges), so each run's page is looked up once and its row
+        repeated over the run.
+        """
         ids = self._page_ids
-        if not len(ids):
+        flat = pages.ravel()
+        if not len(ids) or not len(flat):
             return np.full(pages.shape, -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(ids, pages), len(ids) - 1)
-        return np.where(ids[pos] == pages, self._page_rows[pos], -1)
+        head = np.empty(len(flat), dtype=bool)
+        head[0] = True
+        np.not_equal(flat[1:], flat[:-1], out=head[1:])
+        first = np.flatnonzero(head)
+        run_pages = flat[first]
+        pos = np.minimum(np.searchsorted(ids, run_pages), len(ids) - 1)
+        rows = np.where(ids[pos] == run_pages, self._page_rows[pos], -1)
+        return np.repeat(rows, np.diff(np.append(first, len(flat)))).reshape(
+            pages.shape
+        )
 
     def _allocate(self, new_pages: np.ndarray) -> None:
         """Add rows for ``new_pages`` (sorted, none allocated yet)."""

@@ -23,7 +23,7 @@ next operation exactly while the engine is between chunks.  (A threaded
 producer was measured and rejected — both sides are GIL-bound Python
 loops, so handing chunks across a queue *added* ~40% wall time.)  The
 streamed speedup instead comes from removing the phase barrier and from
-the chunked consumer's monitored fast functional apply; the telemetry
+the chunked consumer's dataflow-batched functional apply; the telemetry
 still separates produce (lowering) from consume (execution) time so
 the stall/overlap economics stay measurable.
 
@@ -114,7 +114,7 @@ def iter_trace_chunks(
 
     Used when the trace cache already holds the full trace: there is
     nothing left to overlap with lowering, but the chunked consumer
-    (and its per-chunk fast apply) still wants chunk-sized pieces.
+    (and its per-chunk batched apply) still wants chunk-sized pieces.
     With operation boundaries (``trace.op_starts``) the chunks are the
     ones a cold streamed run drains — cut at the first boundary at
     least ``chunk_vpcs`` records on, plus the remainder — otherwise

@@ -3,9 +3,10 @@
 A thin, dependency-free socket client: connect to the server's unix
 socket (or localhost TCP port), send newline-delimited JSON requests,
 and read correlated responses.  Used by the ``repro-streampim client``
-subcommand and by ``tools/bench_serve.py`` (one client per load
-thread — connections are cheap and the protocol is per-line, so no
-client-side multiplexing is needed).
+subcommand and by ``perfbench/serve_load.py`` for its control calls
+(readiness and stats).  Connections are cheap and the protocol is
+per-line, so no client-side multiplexing is needed: open one client
+per thread.
 """
 
 from __future__ import annotations

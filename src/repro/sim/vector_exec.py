@@ -18,9 +18,12 @@ splits the work into
 * a **minimal busy-until scan** for the one genuinely sequential part —
   the per-subarray blocking recurrence — reduced to a handful of float
   ``max``/``add`` operations per command over precomputed columns;
-* a **batched functional apply** that replays data movement on a dense,
-  address-compacted buffer with NumPy slice arithmetic, seeded by one
-  gather from the word store and flushed by one scatter per chunk.
+* a **dataflow-batched functional apply**: one sort of a chunk's word
+  ranges finds each read's producer, TRANs become renames, every
+  compute result gets its own slot, and each ``(RAW level, opcode,
+  size)`` group runs as one gather and one ``einsum``/``+``/``*`` —
+  seeded by one gather from the word store and flushed by one scatter
+  per chunk.
 
 Equivalence contract: for every trace the engine produces
 *bit-identical* results to the per-VPC reference loop kept as a test
@@ -39,6 +42,8 @@ import math
 from typing import Dict, List, Tuple
 
 import numpy as np
+
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.isa.columnar import (
     ADD_BYTE,
@@ -235,14 +240,16 @@ class VectorExecState:
     (:func:`sweep_spans`, which globally sorts span edges) runs once in
     :meth:`finish` over the accumulated spans.
 
-    Functional state advances per chunk through a monitored fast apply
-    (:func:`_apply_functional_chunk`); chunks whose values could
-    interact with the operand-range checks fall back to the exact
-    per-command loop, so error behaviour (message and offending
-    command) is preserved.  ``exact_apply=True`` forces the per-command
-    loop for every chunk — the phased ``execute_trace`` uses it to stay
-    the unchanged bit-identity reference, and it is implied whenever a
-    fault session is attached.
+    Functional state advances per chunk through the dataflow-batched
+    apply (:func:`_apply_functional_chunk`), which hands a chunk whose
+    ranges overlap without being equal to the exact per-command loop
+    (:func:`_apply_functional_columnar`).  A chunk holding a negative
+    seed or result falls back to that loop from the unchanged store,
+    so error behaviour (message and offending command) is preserved.
+    ``exact_apply=True`` forces the per-command loop for every chunk —
+    the phased ``execute_trace`` uses it to stay the unchanged
+    bit-identity reference, and it is implied whenever a fault session
+    is attached.
     """
 
     def __init__(
@@ -264,7 +271,8 @@ class VectorExecState:
         self.offset = 0
         self.pim_vpcs = 0
         self.chunks_fed = 0
-        #: Chunks the monitored fast apply handed to the exact loop.
+        #: Chunks the batched apply replayed through the exact loop
+        #: because a seed or result was negative.
         self.fallbacks = 0
         self._busy: Dict[int, float] = {}
         self._bus_busy = 0.0
@@ -460,7 +468,7 @@ class VectorExecState:
 
         if self.functional:
             if self.exact_apply or not _apply_functional_chunk(
-                device, cols
+                device, cols, index_offset=self.offset
             ):
                 if not self.exact_apply:
                     self.fallbacks += 1
@@ -552,7 +560,7 @@ class _ChunkBuffer:
     Every word range the chunk reads or writes is merged into sorted
     disjoint segments laid end to end in the dense int64 ``buffer``,
     seeded with one gather from the device's word store (unwritten
-    words read 0).  The apply loops index the buffer through the
+    words read 0).  The exact loop indexes the buffer through the
     per-command offset lists, and :meth:`flush` writes the result ranges
     back with one scatter, so the cost follows the chunk's words, not
     the size of the store.
@@ -567,7 +575,6 @@ class _ChunkBuffer:
         compute = cols.is_compute
         src1_len = np.where(opcode == SMUL_BYTE, 1, size)
         self.des_len = np.where(opcode == MUL_BYTE, 1, size)
-        self.compute = compute
         self._des = des
         starts, ends = _merge_ranges(
             np.concatenate((src1, src2[compute], des)),
@@ -679,79 +686,204 @@ def _apply_functional_columnar(
     compacted.flush(device.store, count)
 
 
-def _apply_functional_chunk(device, cols: ColumnarTrace) -> bool:
-    """Monitored fast functional apply of one trace chunk.
+#: Operand words one batched apply step gathers per side: bounds the
+#: temporaries of a large (level, opcode, size) group.
+_BATCH_WORDS = 1 << 16
 
-    Same :class:`_ChunkBuffer` as :func:`_apply_functional_columnar`,
-    but the per-command loop inlines the processor arithmetic
-    (``np.dot`` / ``+`` / scalar broadcast) instead of calling
-    ``RMProcessor.apply``, dropping its per-command operand-range
-    scans.  Soundness is restored by monitoring: the
-    seeded buffer is checked once for negatives, and every compute
-    result is mirrored into a flat monitor array checked once at the
-    end.  If both checks pass, no per-command operand check could have
-    fired — every value a command read was a non-negative seed or a
-    non-negative earlier result, and int64 arithmetic is exact — so the
-    buffer is bit-identical to the exact loop's and is flushed back.
 
-    Returns False *without touching the store* when a negative value
-    appears (seed or wrapped result): the caller replays the chunk
-    through the exact per-command loop, which reproduces the canonical
-    behaviour — including the exact ``ValueError`` at the exact first
-    offending command if one of its operands really is negative.
+def _apply_functional_chunk(
+    device, cols: ColumnarTrace, index_offset: int = 0
+) -> bool:
+    """Dataflow-batched functional apply of one trace chunk.
+
+    Every word range the chunk reads or writes is one row of a single
+    sort keyed on (start address, command, read before write).  When
+    ranges that overlap are always equal (the chunk is *interval-exact*),
+    each range is a variable and the sort yields, per read, the command
+    that last wrote it, and per range, its final writer.  Values then
+    live in a version buffer: the chunk's ranges as gathered from the
+    store, then one private slot per compute result, so a staging word
+    reused row to row carries no WAR or WAW hazard.  A TRAN is a
+    rename: a read of its output resolves to what the TRAN itself read,
+    and no TRAN is executed.  Compute commands run by RAW depth, each
+    ``(level, opcode, size)`` group as one gather of operand windows and
+    one row-wise ``einsum`` (MUL), ``+`` (ADD) or broadcast ``*``
+    (SMUL); one scatter of the final writers' values updates the store.
+
+    The arithmetic skips ``RMProcessor.apply``'s operand-range checks.
+    Soundness is restored by monitoring: the gathered ranges and every
+    compute result are checked once for negatives.  If both checks
+    pass, no per-command operand check could have fired — every value a
+    command read was a non-negative seed or a non-negative earlier
+    result, and int64 arithmetic wraps identically in any order — so
+    the store ends bit-identical to the exact loop's.
+
+    A chunk that is not interval-exact, or holds an empty range, is
+    applied by the exact loop :func:`_apply_functional_columnar` here.  Returns False *without
+    touching the store* when a negative value appears (seed or result):
+    the caller replays the chunk through the exact loop, which
+    reproduces the canonical ``ValueError`` at the first offending
+    command if one of its operands really is negative.
     """
     n = len(cols)
     if n == 0:
         return True
-    compacted = _ChunkBuffer(device.store, cols)
-    buffer = compacted.buffer
-    if bool((buffer < 0).any()):
-        return False
-    op_list = compacted.op_list
-    a_list = compacted.a_list
-    b_list = compacted.b_list
-    d_list = compacted.d_list
-    size_list = compacted.size_list
+    opcode = cols.opcode
+    size = cols.size
+    compute = cols.is_compute
 
-    monitor = np.empty(
-        int(compacted.des_len[compacted.compute].sum()), dtype=np.int64
+    # Range rows 3i (src1), 3i+1 (src2, compute only) and 3i+2 (des):
+    # row order is command order with reads first, so a stable sort on
+    # the start address is the (start, command, read-before-write) key.
+    starts = np.stack((cols.src1, cols.src2, cols.des), axis=1).ravel()
+    lengths = np.stack(
+        (
+            np.where(opcode == SMUL_BYTE, 1, size),
+            size,
+            np.where(opcode == MUL_BYTE, 1, size),
+        ),
+        axis=1,
+    ).ravel()
+    present = np.ones(3 * n, dtype=bool)
+    present[1::3] = compute
+    row = np.flatnonzero(present)
+    row = row[np.argsort(starts[row], kind="stable")]
+    start = starts[row]
+    length = lengths[row]
+    del starts, lengths, present
+    same = start[1:] == start[:-1]
+    clash = np.where(
+        same, length[1:] != length[:-1], start[:-1] + length[:-1] > start[1:]
     )
-    pos = 0
-    dot = np.dot
-    for i in range(n):
-        code = op_list[i]
-        words = size_list[i]
-        a = a_list[i]
-        d = d_list[i]
-        if code == TRAN_BYTE:
-            if a != d:
-                chunk = buffer[a : a + words]
-                if abs(a - d) < words:
-                    chunk = chunk.copy()
-                buffer[d : d + words] = chunk
-        elif code == MUL_BYTE:
-            result = dot(
-                buffer[a : a + words],
-                buffer[b_list[i] : b_list[i] + words],
-            )
-            buffer[d] = result
-            monitor[pos] = result
-            pos += 1
-        elif code == ADD_BYTE:
-            result = (
-                buffer[a : a + words]
-                + buffer[b_list[i] : b_list[i] + words]
-            )
-            buffer[d : d + words] = result
-            monitor[pos : pos + words] = result
-            pos += words
-        else:  # SMUL
-            result = buffer[a] * buffer[b_list[i] : b_list[i] + words]
-            buffer[d : d + words] = result
-            monitor[pos : pos + words] = result
-            pos += words
-    if pos and bool((monitor[:pos] < 0).any()):
-        return False
+    if clash.any() or not length.all():
+        _apply_functional_columnar(device, cols, index_offset=index_offset)
+        return True
 
-    compacted.flush(device.store, n)
+    # Groups of equal ranges; each read's producer is the last write
+    # sorted before it in its group (a command's reads sort before its
+    # own write, so a producer is always an earlier command).
+    m = len(row)
+    first = np.flatnonzero(np.concatenate(([True], ~same)))
+    counts = np.diff(np.append(first, m))
+    group_first = np.repeat(first, counts)
+    group_len = length[first]
+    seed_at = np.cumsum(group_len) - group_len
+    is_write = row % 3 == 2
+    position = np.arange(m)
+    last_write = np.maximum.accumulate(np.where(is_write, position, -1))
+    produced = last_write >= group_first
+    producer = row[last_write] // 3
+    compute_index = np.full(n, -1, dtype=np.int64)
+    c = np.flatnonzero(compute)
+    compute_index[c] = np.arange(len(c))
+    # A version >= 0 names a compute result; -1 - k names seed word k.
+    version = np.where(
+        produced,
+        compute_index[producer],
+        -1 - np.repeat(seed_at, counts),
+    )
+    sorted_at = np.empty(3 * n, dtype=np.int64)
+    sorted_at[row] = position
+    # Reads of a TRAN's output point at the TRAN's own read; pointer
+    # jumping resolves every TRAN chain to a seed or compute result.
+    ref = np.where(
+        produced & ~is_write & ~compute[producer],
+        sorted_at[3 * producer],
+        -1,
+    )
+    pending = np.flatnonzero(ref >= 0)
+    while len(pending):
+        target = ref[pending]
+        version[pending] = version[target]
+        ref[pending] = ref[target]
+        pending = pending[ref[pending] >= 0]
+
+    last = np.append(first[1:], m) - 1
+    final = last_write[last]
+    written = final >= first
+    writer = row[final[written]] // 3
+    out_version = np.where(
+        compute[writer], compute_index[writer], version[sorted_at[3 * writer]]
+    )
+    out_start = start[first[written]]
+    out_len = group_len[written]
+    src_a = version[sorted_at[3 * c]]
+    src_b = version[sorted_at[3 * c + 1]]
+    seed_addresses = _expand(start[first], group_len)
+    del row, start, length, same, clash, group_first, last_write, produced
+    del producer, version, sorted_at, ref, position, is_write
+
+    seeds = device.store.gather(seed_addresses)
+    if bool((seeds < 0).any()):
+        return False
+    seed_len = len(seeds)
+    n_compute = len(c)
+    if not n_compute:
+        values = seeds
+        out_offset = -1 - out_version
+    else:
+        # RAW depth by fixed-point iteration: level 0 reads only seeds.
+        dep_a = np.where(src_a >= 0, src_a, n_compute)
+        dep_b = np.where(src_b >= 0, src_b, n_compute)
+        depth = np.zeros(n_compute + 1, dtype=np.int64)
+        depth[n_compute] = -1
+        while True:
+            level = np.maximum(depth[dep_a], depth[dep_b]) + 1
+            if np.array_equal(level, depth[:n_compute]):
+                break
+            depth[:n_compute] = level
+        del dep_a, dep_b, depth
+
+        c_op = opcode[c]
+        c_size = size[c]
+        order = np.lexsort((c_size, c_op, level))
+        c_op = c_op[order]
+        c_size = c_size[order]
+        slot_len = np.where(c_op == MUL_BYTE, 1, c_size)
+        slot_at = seed_len + np.cumsum(slot_len) - slot_len
+        slot_of = np.empty(n_compute, dtype=np.int64)
+        slot_of[order] = slot_at
+
+        def offset_of(v: np.ndarray) -> np.ndarray:
+            return np.where(v >= 0, slot_of[np.maximum(v, 0)], -1 - v)
+
+        a_at = offset_of(src_a)[order]
+        b_at = offset_of(src_b)[order]
+        out_offset = offset_of(out_version)
+        level = level[order]
+        cut = np.flatnonzero(
+            (level[1:] != level[:-1])
+            | (c_op[1:] != c_op[:-1])
+            | (c_size[1:] != c_size[:-1])
+        ) + 1
+        bounds = np.concatenate(([0], cut, [n_compute])).tolist()
+        del order, slot_of, level, cut, src_a, src_b
+
+        values = np.empty(seed_len + int(slot_len.sum()), dtype=np.int64)
+        values[:seed_len] = seeds
+        del seeds
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            code = int(c_op[lo])
+            words = int(c_size[lo])
+            window = sliding_window_view(values, words)
+            step = max(1, _BATCH_WORDS // words)
+            for b0 in range(lo, hi, step):
+                b1 = min(b0 + step, hi)
+                right = window[b_at[b0:b1]]
+                if code == MUL_BYTE:
+                    result = np.einsum(
+                        "ij,ij->i", window[a_at[b0:b1]], right
+                    )
+                elif code == ADD_BYTE:
+                    result = window[a_at[b0:b1]] + right
+                else:  # SMUL
+                    result = values[a_at[b0:b1], None] * right
+                at = int(slot_at[b0])
+                values[at : at + result.size] = result.ravel()
+        if bool((values[seed_len:] < 0).any()):
+            return False
+
+    device.store.scatter(
+        _expand(out_start, out_len), values[_expand(out_offset, out_len)]
+    )
     return True

@@ -3,6 +3,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import _check_specs, main
 from repro.core.device import StreamPIMDevice, WordStore
@@ -11,6 +12,7 @@ from repro.isa.trace import VPCTrace, write_trace_binary
 from repro.isa.vpc import VPC
 from repro.sim.engine import Engine
 from repro.sim.stats import TimeBreakdown
+from repro.sim import vector_exec
 from repro.sim.vector_exec import VectorExecState, sweep_spans
 from repro.verify.trace_verifier import TraceVerificationError
 from tests.oracles import scalar_exec
@@ -162,6 +164,240 @@ class TestChunkApplyCost:
         assert store.read(128, 8).tolist() == [2 * v for v in range(1, 9)]
         assert store.read(200, 1)[0] == sum(v * v for v in range(1, 9))
         assert len(store) == seeded_words + 8 + 17
+
+
+#: Word layout of the hazard traces: eight 8-word vector slots, then
+#: sixteen scalar slots.  Vectors are ``k <= 8`` words, so two vector
+#: ranges overlap only when a step aims them at each other on purpose.
+_VECTOR_SLOTS = 8
+_SCALAR_BASE = 256
+_SCALAR_SLOTS = 16
+
+
+@st.composite
+def _hazard_traces(draw):
+    """Seed words, a short trace and its chunk cuts.
+
+    The trace is built from the batched apply's hazards: staging slots
+    reused row to row, TRAN chains, compute chains several RAW levels
+    deep, overlapping and self TRANs, ADD/SMUL into their own operand,
+    a vector written a word at a time then read whole, and seeds large
+    enough that results wrap negative at a later RAW level.
+    """
+    k = draw(st.integers(1, 4))
+    low, high = draw(
+        st.sampled_from([(0, 50), (1 << 19, 1 << 20), (1 << 39, 1 << 40)])
+    )
+    vector = st.integers(0, _VECTOR_SLOTS - 1).map(lambda j: 8 * j)
+    scalar = st.integers(0, _SCALAR_SLOTS - 1).map(
+        lambda j: _SCALAR_BASE + j
+    )
+    vpcs = []
+    for step in draw(
+        st.lists(
+            st.sampled_from(
+                [
+                    "op",
+                    "staging",
+                    "chain",
+                    "deep",
+                    "overlap",
+                    "own",
+                    "bytewise",
+                ]
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    ):
+        if step == "op":
+            a, b, d = draw(vector), draw(vector), draw(vector)
+            vpcs.append(
+                draw(
+                    st.sampled_from(
+                        [
+                            VPC.tran(a, d, k),
+                            VPC.tran(draw(scalar), draw(scalar), 1),
+                            VPC.mul(a, b, draw(scalar), k),
+                            VPC.add(a, b, d, k),
+                            VPC.smul(draw(scalar), b, d, k),
+                        ]
+                    )
+                )
+            )
+        elif step == "staging":
+            stage, x = draw(vector), draw(vector)
+            for _ in range(draw(st.integers(1, 3))):
+                vpcs.append(VPC.tran(draw(vector), stage, k))
+                vpcs.append(VPC.mul(stage, x, draw(scalar), k))
+        elif step == "chain":
+            a, b, c, x = (draw(vector) for _ in range(4))
+            vpcs += [
+                VPC.tran(a, b, k),
+                VPC.tran(b, c, k),
+                VPC.mul(c, x, draw(scalar), k),
+            ]
+        elif step == "deep":
+            v = draw(vector)
+            for _ in range(draw(st.integers(2, 4))):
+                d, x = draw(vector), draw(vector)
+                vpcs.append(
+                    draw(
+                        st.sampled_from(
+                            [
+                                VPC.add(v, x, d, k),
+                                VPC.smul(draw(scalar), v, d, k),
+                            ]
+                        )
+                    )
+                )
+                v = d
+        elif step == "overlap":
+            a = draw(vector)
+            vpcs.append(VPC.tran(a, a + draw(st.integers(0, k - 1)), k))
+        elif step == "own":
+            a, b = draw(vector), draw(vector)
+            vpcs.append(
+                draw(
+                    st.sampled_from(
+                        [VPC.add(a, b, a, k), VPC.smul(draw(scalar), a, a, k)]
+                    )
+                )
+            )
+        else:  # bytewise
+            v, x = draw(vector), draw(vector)
+            for j in range(k):
+                vpcs.append(VPC.tran(draw(scalar), v + j, 1))
+            vpcs.append(VPC.mul(v, x, draw(scalar), k))
+    words = 8 * _VECTOR_SLOTS
+    seeds = draw(
+        st.lists(
+            st.integers(low, high),
+            min_size=words + _SCALAR_SLOTS,
+            max_size=words + _SCALAR_SLOTS,
+        )
+    )
+    cuts = draw(
+        st.lists(st.integers(1, max(1, len(vpcs) - 1)), max_size=4)
+    )
+    return seeds, vpcs, sorted(set(cuts))
+
+
+def _seeded_device(seeds):
+    device = StreamPIMDevice()
+    words = 8 * _VECTOR_SLOTS
+    device.store.write(0, seeds[:words])
+    device.store.write(_SCALAR_BASE, seeds[words:])
+    return device
+
+
+def _feed_chunks(device, cols, cuts):
+    state = VectorExecState(device, workload="diff")
+    for lo, hi in zip([0, *cuts], [*cuts, len(cols)]):
+        state.feed(ColumnarTrace(cols.records[lo:hi]))
+    return state, state.finish()
+
+
+class _ExactLoopSpy:
+    """Counts the chunks handed to the exact per-command loop."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self._inner = vector_exec._apply_functional_columnar
+        monkeypatch.setattr(
+            vector_exec, "_apply_functional_columnar", self
+        )
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self._inner(*args, **kwargs)
+
+
+class TestBatchedApply:
+    """The dataflow-batched apply equals the scalar oracle exactly."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_hazard_traces())
+    def test_random_hazard_traces_match_oracle(self, case):
+        seeds, vpcs, cuts = case
+        trace = VPCTrace(vpcs)
+        scalar_device = _seeded_device(seeds)
+        vector_device = _seeded_device(seeds)
+        cols = ColumnarTrace.from_trace(trace)
+        try:
+            expected = scalar_exec.execute_trace(
+                scalar_device, trace, workload="diff", verify=False
+            )
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                _feed_chunks(vector_device, cols, cuts)
+            assert str(excinfo.value) == str(exc)
+            return
+        _, stats = _feed_chunks(vector_device, cols, cuts)
+        _assert_identical(expected, stats)
+        assert vector_device.store.snapshot() == scalar_device.store.snapshot()
+
+    # s0 = x.x = 2**62 (level 0), s1 = s0 + s0 wraps to -2**63 (level
+    # 1), and the ADD reading s1 is the exact loop's offending command.
+    NEGATIVE_AT_LEVEL_1 = VPCTrace(
+        [
+            VPC.mul(0, 0, 256, 1),
+            VPC.add(256, 256, 257, 1),
+            VPC.add(257, 0, 258, 1),
+        ]
+    )
+
+    def test_negative_result_leaves_store_to_exact_loop(self):
+        device = StreamPIMDevice()
+        device.store.write(0, [1 << 31])
+        before = device.store.snapshot()
+        cols = ColumnarTrace.from_trace(self.NEGATIVE_AT_LEVEL_1)
+
+        assert vector_exec._apply_functional_chunk(device, cols) is False
+        assert device.store.snapshot() == before
+
+        oracle = StreamPIMDevice()
+        oracle.store.write(0, [1 << 31])
+        with pytest.raises(ValueError) as expected:
+            scalar_exec.execute_trace(oracle, self.NEGATIVE_AT_LEVEL_1)
+        state = VectorExecState(device)
+        with pytest.raises(ValueError) as raised:
+            state.feed(cols)
+        assert str(raised.value) == str(expected.value)
+        assert state.fallbacks == 1
+
+    # A vector written one word at a time, then read whole: [0, 1) and
+    # [1, 2) overlap [0, 2) without being equal to it.
+    NOT_INTERVAL_EXACT = VPCTrace(
+        [
+            VPC.tran(256, 0, 1),
+            VPC.tran(257, 1, 1),
+            VPC.mul(0, 8, 300, 2),
+        ]
+    )
+
+    def test_chunk_not_interval_exact_runs_exact_loop(self, monkeypatch):
+        seeds = list(range(3, 3 + 8 * _VECTOR_SLOTS + _SCALAR_SLOTS))
+        oracle = _seeded_device(seeds)
+        scalar_exec.execute_trace(oracle, self.NOT_INTERVAL_EXACT)
+        device = _seeded_device(seeds)
+        spy = _ExactLoopSpy(monkeypatch)
+
+        state = VectorExecState(device)
+        state.feed(ColumnarTrace.from_trace(self.NOT_INTERVAL_EXACT))
+
+        assert spy.calls == 1
+        assert state.fallbacks == 0
+        assert device.store.snapshot() == oracle.store.snapshot()
+
+    def test_interval_exact_chunk_skips_exact_loop(self, monkeypatch):
+        spy = _ExactLoopSpy(monkeypatch)
+        device = StreamPIMDevice()
+        device.store.write(0, range(1, 9))
+        state = VectorExecState(device)
+        state.feed(ColumnarTrace.from_trace(TestChunkApplyCost.CHUNK))
+        assert spy.calls == 0
+        assert state.fallbacks == 0
 
 
 class TestVerifyGateParity:
