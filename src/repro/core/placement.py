@@ -17,16 +17,31 @@ The placer also implements the two supporting rules of section IV-C:
 * *disjoint operand/result sets* (used by ``unblock``) — operands and
   results are placed in non-overlapping subarray sets so read/write data
   preparation never targets a subarray that is computing.
+
+Placement is array-native.  The :class:`Placer` keeps one int64 cursor
+per pool subarray and places a matrix as runs of equal-length pieces
+(:meth:`Placer._place_run`): an unsliced matrix is one run of
+``stored_rows`` pieces, a sliced row one run per slice.  Each run is
+solved in closed form over the cursor array instead of one subarray
+scan per piece.  A :class:`MatrixHandle` stores the result once, as an
+``(n, 5)`` int64 slice table (:data:`SLICE_FIELDS` columns) plus a
+``row_ptr`` index per stored row; :meth:`MatrixHandle.row_slices`
+builds one row's :class:`RowSlice` objects on demand.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.rm.address import AddressMap, DeviceGeometry
+
+#: Columns of :attr:`MatrixHandle.slices`, in plan-JSON order.
+SLICE_FIELDS = ("bank", "subarray", "address", "offset", "length")
+BANK, SUBARRAY, ADDRESS, OFFSET, LENGTH = range(len(SLICE_FIELDS))
 
 
 class PlacementPolicy(enum.Enum):
@@ -58,27 +73,8 @@ class RowSlice:
     def subarray_key(self) -> Tuple[int, int]:
         return (self.bank, self.subarray)
 
-    def to_list(self) -> List[int]:
-        """Compact JSON form: ``[bank, subarray, address, offset,
-        length]``."""
-        return [
-            self.bank, self.subarray, self.address,
-            self.offset, self.length,
-        ]
 
-    @classmethod
-    def from_list(cls, fields: Sequence[int]) -> "RowSlice":
-        bank, subarray, address, offset, length = fields
-        return cls(
-            bank=int(bank),
-            subarray=int(subarray),
-            address=int(address),
-            offset=int(offset),
-            length=int(length),
-        )
-
-
-@dataclass
+@dataclass(eq=False)
 class MatrixHandle:
     """A placed matrix: logical shape plus the location of every stored
     row slice.
@@ -90,15 +86,30 @@ class MatrixHandle:
     :meth:`row_slices` then indexes *stored* rows.  A ``mirror`` is an
     additional transposed replica for matrices that need both row and
     column access (transposed matrix-vector products).
+
+    ``slices`` is an ``(n, 5)`` int64 table, one row per slice in
+    stored-row order, with the :data:`SLICE_FIELDS` columns; stored row
+    ``r`` owns ``slices[row_ptr[r]:row_ptr[r + 1]]``.  ``row_ptr``
+    defaults to one slice per stored row.
     """
 
     name: str
     rows: int
     cols: int
-    rows_placement: List[List[RowSlice]] = field(default_factory=list)
+    slices: np.ndarray
+    row_ptr: Optional[np.ndarray] = None
     result_set: bool = False
     stored_transposed: bool = False
     mirror: Optional["MatrixHandle"] = None
+
+    def __post_init__(self) -> None:
+        self.slices = np.asarray(self.slices, dtype=np.int64).reshape(
+            -1, len(SLICE_FIELDS)
+        )
+        if self.row_ptr is None:
+            self.row_ptr = np.arange(len(self.slices) + 1, dtype=np.int64)
+        else:
+            self.row_ptr = np.asarray(self.row_ptr, dtype=np.int64)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -108,13 +119,29 @@ class MatrixHandle:
     def stored_rows(self) -> int:
         return self.cols if self.stored_transposed else self.rows
 
-    @property
-    def stored_cols(self) -> int:
-        return self.rows if self.stored_transposed else self.cols
+    def slices_per_row(self) -> int:
+        """Most slices any stored row occupies (section IV-C slicing).
+
+        A vector longer than a subarray's capacity is split across
+        consecutive subarrays; each dot product over it becomes one
+        partial dot per slice plus a partial-sum reduction.
+        """
+        return int(np.diff(self.row_ptr).max(initial=1))
 
     @property
     def sliced(self) -> bool:
-        return any(len(slices) > 1 for slices in self.rows_placement)
+        return self.slices_per_row() > 1
+
+    def first_slices(self) -> np.ndarray:
+        """``(stored rows, 5)`` table of every stored row's first
+        slice."""
+        return self.slices[self.row_ptr[:-1]]
+
+    def subarray_count(self) -> int:
+        """Distinct (bank, subarray) pairs this matrix occupies."""
+        # Same packing as ScratchAllocator.encode_key.
+        keys = (self.slices[:, BANK] << 32) | self.slices[:, SUBARRAY]
+        return len(np.unique(keys))
 
     def row_slices(self, row: int) -> List[RowSlice]:
         """Slices of *stored* row ``row`` (a logical column when the
@@ -123,43 +150,23 @@ class MatrixHandle:
             raise IndexError(
                 f"stored row {row} out of range [0, {self.stored_rows})"
             )
-        return self.rows_placement[row]
-
-    def element_address(self, row: int, col: int) -> int:
-        """Linear address of logical element (row, col).
-
-        Assumes the element's stored row is unsliced at that offset
-        (always true at the reduced scales trace generation targets).
-        """
-        if self.stored_transposed:
-            stored_row, offset = col, row
-        else:
-            stored_row, offset = row, col
-        piece = self.row_slices(stored_row)[0]
-        if not piece.offset <= offset < piece.offset + piece.length:
-            raise IndexError(
-                f"element ({row}, {col}) falls outside the first slice "
-                f"of stored row {stored_row}"
-            )
-        return piece.address + (offset - piece.offset)
-
-    def subarrays_used(self) -> List[Tuple[int, int]]:
-        """Distinct (bank, subarray) pairs this matrix occupies."""
-        seen: Dict[Tuple[int, int], None] = {}
-        for slices in self.rows_placement:
-            for piece in slices:
-                seen.setdefault(piece.subarray_key, None)
-        return list(seen)
+        start, stop = self.row_ptr[row], self.row_ptr[row + 1]
+        return [RowSlice(*piece) for piece in self.slices[start:stop].tolist()]
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form (the trace cache stores plans)."""
-        out: Dict[str, object] = {
+        """JSON-serialisable form (the trace cache stores plans).
+
+        ``rows_placement`` lists each stored row's slices as
+        ``[bank, subarray, address, offset, length]``.
+        """
+        listed = self.slices.tolist()
+        bounds = self.row_ptr.tolist()
+        return {
             "name": self.name,
             "rows": self.rows,
             "cols": self.cols,
             "rows_placement": [
-                [piece.to_list() for piece in slices]
-                for slices in self.rows_placement
+                listed[start:stop] for start, stop in zip(bounds, bounds[1:])
             ],
             "result_set": self.result_set,
             "stored_transposed": self.stored_transposed,
@@ -167,19 +174,43 @@ class MatrixHandle:
                 None if self.mirror is None else self.mirror.to_dict()
             ),
         }
-        return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "MatrixHandle":
+        """Inverse of :meth:`to_dict`.
+
+        Raises:
+            ValueError: if a slice does not have the five
+                :data:`SLICE_FIELDS`.
+        """
+        placement = data["rows_placement"]
+        try:
+            # (stored rows, slices per row, fields) in one array.
+            table = np.array(placement, dtype=np.int64)
+            depth = 3
+            per_row = table.shape[1] if table.ndim == depth else 0
+            row_ptr = np.arange(len(table) + 1) * per_row
+        except ValueError:  # stored rows with different slice counts
+            table = np.array(
+                [piece for row in placement for piece in row],
+                dtype=np.int64,
+            )
+            depth = 2
+            row_ptr = np.cumsum([0] + [len(row) for row in placement])
+        if table.size and (
+            table.ndim != depth or table.shape[-1] != len(SLICE_FIELDS)
+        ):
+            raise ValueError(
+                f"matrix {data['name']!r}: slices must be "
+                f"[{', '.join(SLICE_FIELDS)}] lists"
+            )
         mirror = data.get("mirror")
         return cls(
             name=str(data["name"]),
             rows=int(data["rows"]),
             cols=int(data["cols"]),
-            rows_placement=[
-                [RowSlice.from_list(piece) for piece in slices]
-                for slices in data["rows_placement"]
-            ],
+            slices=table,
+            row_ptr=row_ptr,
             result_set=bool(data["result_set"]),
             stored_transposed=bool(data["stored_transposed"]),
             mirror=None if mirror is None else cls.from_dict(mirror),
@@ -223,6 +254,11 @@ class PlacementPlan:
 class Placer:
     """Allocates matrix rows onto PIM subarrays.
 
+    The pool is every PIM subarray in (bank, subarray) order; pool
+    index ``g`` is ``bank * subarrays_per_bank + subarray`` and its
+    first word is ``g * words_per_subarray``.  ``_cursors[g]`` counts
+    the words allocated in subarray ``g``.
+
     Args:
         geometry: device geometry (supplies the PIM subarray pool and the
             per-subarray capacity).
@@ -251,41 +287,47 @@ class Placer:
             )
         self.result_set_fraction = result_set_fraction
         self.address_map = AddressMap(self.geometry)
-        pool = [
-            (bank, sub)
-            for bank in range(self.geometry.pim_banks)
-            for sub in range(self.geometry.bank.subarrays)
-        ]
-        if not pool:
+        per_bank = self.geometry.bank.subarrays
+        size = self.geometry.pim_banks * per_bank
+        if size == 0:
             raise ValueError("geometry has no PIM subarrays")
-        if disjoint_result_sets and len(pool) >= 2:
-            split = max(1, int(len(pool) * (1.0 - result_set_fraction)))
-            split = min(split, len(pool) - 1)
-            self._operand_pool = pool[:split]
-            self._result_pool = pool[split:]
+        if disjoint_result_sets and size >= 2:
+            split = max(1, int(size * (1.0 - result_set_fraction)))
+            split = min(split, size - 1)
+            self._pools = {"operand": (0, split), "result": (split, size)}
         else:
-            self._operand_pool = pool
-            self._result_pool = pool
-        self._cursors: Dict[Tuple[int, int], int] = {}
+            self._pools = {"operand": (0, size), "result": (0, size)}
+        self._bank, self._subarray = np.divmod(
+            np.arange(size, dtype=np.int64), per_bank
+        )
+        self._capacity = self.geometry.subarray_capacity_words
+        self._cursors = np.zeros(size, dtype=np.int64)
         self._rr_next = {"operand": 0, "result": 0}
         self.plan = PlacementPlan(policy=self.policy)
 
     # ------------------------------------------------------------------
+    def _pool_keys(self, kind: str) -> Tuple[Tuple[int, int], ...]:
+        lo, hi = self._pools[kind]
+        return tuple(
+            zip(self._bank[lo:hi].tolist(), self._subarray[lo:hi].tolist())
+        )
+
     @property
     def operand_pool(self) -> Sequence[Tuple[int, int]]:
-        return tuple(self._operand_pool)
+        return self._pool_keys("operand")
 
     @property
     def result_pool(self) -> Sequence[Tuple[int, int]]:
-        return tuple(self._result_pool)
+        return self._pool_keys("result")
 
     @property
     def subarray_capacity_words(self) -> int:
-        return self.geometry.subarray_capacity_words
+        return self._capacity
 
-    def parallelism(self, rows: int) -> int:
-        """Processors a distribute-placed matrix of ``rows`` rows uses."""
-        return min(rows, len(self._operand_pool))
+    def _pool_kind(self, result: bool) -> str:
+        if result and self.disjoint_result_sets:
+            return "result"
+        return "operand"
 
     def remap_target(
         self,
@@ -302,19 +344,22 @@ class Placer:
         Raises:
             MemoryError: when every subarray in the pool is quarantined.
         """
-        pool = (
-            self._result_pool
-            if (result and self.disjoint_result_sets)
-            else self._operand_pool
-        )
-        banned = set(quarantined)
-        healthy = [key for key in pool if key not in banned]
-        if not healthy:
+        lo, hi = self._pools[self._pool_kind(result)]
+        healthy = np.ones(hi - lo, dtype=bool)
+        per_bank = self.geometry.bank.subarrays
+        for bank, sub in quarantined:
+            index = bank * per_bank + sub - lo
+            if 0 <= sub < per_bank and 0 <= index < hi - lo:
+                healthy[index] = False
+        if not healthy.any():
             raise MemoryError(
                 "every PIM subarray in the pool is quarantined; "
                 "cannot remap"
             )
-        return min(healthy, key=lambda key: (self._cursors.get(key, 0), key))
+        candidates = lo + np.flatnonzero(healthy)
+        # argmin keeps the first of equal cursors: the lowest key.
+        pick = candidates[np.argmin(self._cursors[candidates])]
+        return (int(self._bank[pick]), int(self._subarray[pick]))
 
     # ------------------------------------------------------------------
     def place_matrix(
@@ -327,6 +372,10 @@ class Placer:
         mirror: bool = False,
     ) -> MatrixHandle:
         """Place a matrix and record it in the plan.
+
+        All or nothing: when the pool cannot hold the matrix (or its
+        mirror), the cursors, round-robin pointers and plan stay as
+        they were before the call.
 
         Args:
             name: unique matrix identifier.
@@ -353,89 +402,127 @@ class Placer:
                 "a transposed-primary matrix already exposes columns; "
                 "mirror is redundant"
             )
-        handle = MatrixHandle(
-            name=name,
-            rows=rows,
-            cols=cols,
-            result_set=result,
-            stored_transposed=transposed,
-        )
-        pool = (
-            self._result_pool
-            if (result and self.disjoint_result_sets)
-            else self._operand_pool
-        )
-        pool_kind = "result" if (result and self.disjoint_result_sets) else "operand"
-        stored_rows = cols if transposed else rows
-        stored_cols = rows if transposed else cols
-        for _ in range(stored_rows):
-            handle.rows_placement.append(
-                self._place_row(stored_cols, pool, pool_kind)
-            )
-        if mirror:
-            mirror_handle = MatrixHandle(
-                name=f"{name}^T",
-                rows=cols,
-                cols=rows,
+        kind = self._pool_kind(result)
+        saved = (self._cursors.copy(), dict(self._rr_next))
+        try:
+            handle = MatrixHandle(
+                name,
+                rows,
+                cols,
+                *self._place_rows(
+                    cols if transposed else rows,
+                    rows if transposed else cols,
+                    kind,
+                ),
                 result_set=result,
+                stored_transposed=transposed,
             )
-            for _ in range(cols):
-                mirror_handle.rows_placement.append(
-                    self._place_row(rows, pool, pool_kind)
+            if mirror:
+                handle.mirror = MatrixHandle(
+                    f"{name}^T",
+                    cols,
+                    rows,
+                    *self._place_rows(cols, rows, kind),
+                    result_set=result,
                 )
-            handle.mirror = mirror_handle
+        except MemoryError:
+            self._cursors, self._rr_next = saved
+            raise
         self.plan.matrices[name] = handle
         return handle
 
-    def _place_row(
-        self,
-        cols: int,
-        pool: Sequence[Tuple[int, int]],
-        pool_kind: str,
-    ) -> List[RowSlice]:
-        capacity = self.subarray_capacity_words
-        n_slices = math.ceil(cols / capacity)
-        slices: List[RowSlice] = []
-        for piece in range(n_slices):
-            offset = piece * capacity
-            length = min(capacity, cols - offset)
-            target = self._next_target(length, pool, pool_kind)
-            bank, sub = target
-            cursor = self._cursors.get(target, 0)
-            address = (
-                self.address_map.subarray_base(bank, sub) + cursor
-            )
-            self._cursors[target] = cursor + length
-            slices.append(
-                RowSlice(
-                    bank=bank,
-                    subarray=sub,
-                    address=address,
-                    offset=offset,
-                    length=length,
-                )
-            )
-        return slices
+    def _place_rows(
+        self, rows: int, cols: int, kind: str
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Slice table and ``row_ptr`` of ``rows`` stored rows of
+        ``cols`` words, placed in row order."""
+        capacity = self._capacity
+        per_row = -(-cols // capacity)
+        offsets = np.arange(per_row, dtype=np.int64) * capacity
+        lengths = np.minimum(capacity, cols - offsets)
+        if per_row == 1:
+            runs = [(cols, rows)]
+        else:
+            runs = [(length, 1) for _ in range(rows) for length in lengths]
+        placed = [self._place_run(int(n), count, kind) for n, count in runs]
+        pool_index = np.concatenate([index for index, _ in placed])
+        slices = np.empty((rows * per_row, len(SLICE_FIELDS)), np.int64)
+        slices[:, BANK] = self._bank[pool_index]
+        slices[:, SUBARRAY] = self._subarray[pool_index]
+        slices[:, ADDRESS] = np.concatenate([address for _, address in placed])
+        slices[:, OFFSET] = np.tile(offsets, rows)
+        slices[:, LENGTH] = np.tile(lengths, rows)
+        return slices, np.arange(rows + 1, dtype=np.int64) * per_row
 
-    def _next_target(
-        self,
-        length: int,
-        pool: Sequence[Tuple[int, int]],
-        pool_kind: str,
-    ) -> Tuple[int, int]:
-        capacity = self.subarray_capacity_words
+    def _place_run(
+        self, length: int, count: int, kind: str
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Place ``count`` pieces of ``length`` words, in order.
+
+        Exactly what ``count`` one-piece placements would do, in closed
+        form over the cursor array.  A subarray with cursor ``c`` still
+        takes ``(capacity - c) // length`` pieces.  BASE fills the pool
+        first-fit, so each subarray in pool order takes all it can
+        before the next.  DISTRIBUTE visits the pool cyclically from
+        the round-robin pointer, skipping full subarrays, so in every
+        round around the ring each subarray with room takes one piece:
+        the pieces are the (round, ring position) pairs in order.
+
+        Returns:
+            Pool index and word address of every piece.
+
+        Raises:
+            MemoryError: if the pool cannot hold all ``count`` pieces.
+        """
+        lo, hi = self._pools[kind]
+        size = hi - lo
+        cursors = self._cursors[lo:hi]
+        room = (self._capacity - cursors) // length
+        if int(room.sum()) < count:
+            raise MemoryError(f"no PIM subarray has {length} free words left")
         if self.policy is PlacementPolicy.DISTRIBUTE:
-            start = self._rr_next[pool_kind]
-            for step in range(len(pool)):
-                candidate = pool[(start + step) % len(pool)]
-                if self._cursors.get(candidate, 0) + length <= capacity:
-                    self._rr_next[pool_kind] = (start + step + 1) % len(pool)
-                    return candidate
-            raise MemoryError(
-                f"no PIM subarray has {length} free words left"
-            )
-        # BASE: first-fit sequential packing.
-        for candidate in pool:
-            if self._cursors.get(candidate, 0) + length <= capacity:
-                return candidate
-        raise MemoryError(f"no PIM subarray has {length} free words left")
+            ring = (np.arange(size) + self._rr_next[kind]) % size
+            room = room[ring]
+            last_round = self._last_round(room, count)
+            taken = np.minimum(room, last_round)
+            final = room > last_round
+            final &= np.cumsum(final) <= count - int(taken.sum())
+            taken += final
+            last = ring[np.flatnonzero(final)[-1]]
+            self._rr_next[kind] = int(last + 1) % size
+        else:
+            ring = np.arange(size)
+            taken = np.clip(count - (np.cumsum(room) - room), 0, room)
+        position = np.repeat(np.arange(size), taken)
+        # Pieces a subarray took before this one: its round (DISTRIBUTE)
+        # or its rank in the subarray's fill (BASE).
+        before = np.arange(count) - np.repeat(np.cumsum(taken) - taken, taken)
+        if self.policy is PlacementPolicy.DISTRIBUTE and before.any():
+            order = np.argsort(before, kind="stable")
+            position, before = position[order], before[order]
+        index = lo + ring[position]
+        address = (
+            index * self.address_map.words_per_subarray
+            + self._cursors[index]
+            + before * length
+        )
+        cursors[ring] += taken * length
+        return index, address
+
+    @staticmethod
+    def _last_round(room: np.ndarray, count: int) -> int:
+        """Round of the ``count``-th piece when every subarray with
+        room takes one piece per round (0-based).
+
+        ``F(r) = sum(min(room, r))`` pieces fill rounds ``0..r-1``; the
+        answer is the least ``r`` with ``F(r + 1) >= count``.  ``F`` is
+        linear between sorted ``room`` values, so one search over them
+        and one division find it.
+        """
+        ordered = np.sort(room)
+        size = len(ordered)
+        below = np.concatenate(([0], np.cumsum(ordered)))
+        at_value = below[:-1] + ordered * (size - np.arange(size))
+        i = int(np.searchsorted(at_value, count))
+        rounds = -(-(count - int(below[i])) // (size - i))
+        return rounds - 1

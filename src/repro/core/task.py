@@ -39,6 +39,11 @@ import numpy as np
 
 from repro.core.device import StreamPIMDevice, StreamPIMConfig
 from repro.core.placement import (
+    ADDRESS,
+    BANK,
+    LENGTH,
+    OFFSET,
+    SUBARRAY,
     MatrixHandle,
     Placer,
     PlacementPolicy,
@@ -340,18 +345,6 @@ class PimTask:
         return self.device.engine_model
 
     @staticmethod
-    def _slices_per_row(handle) -> int:
-        """Slices each stored row occupies (section IV-C slicing).
-
-        A vector longer than a subarray's capacity is split across
-        consecutive subarrays; each dot product over it becomes one
-        partial dot per slice plus a partial-sum reduction.
-        """
-        if not handle.rows_placement:
-            return 1
-        return max(len(slices) for slices in handle.rows_placement)
-
-    @staticmethod
     def _parallelism(handle, rows: int) -> int:
         """Processors available to a matrix's row-wise VPCs.
 
@@ -359,7 +352,7 @@ class PimTask:
         the number of distinct subarrays the matrix actually occupies —
         512 under distribute placement, a handful under base placement.
         """
-        return max(1, min(rows, len(handle.subarrays_used())))
+        return max(1, min(rows, handle.subarray_count()))
 
     def _lower_matmul(self, operation, handles, placer):
         """C = A @ B: column rounds over B; C rows stay with A rows.
@@ -388,7 +381,7 @@ class PimTask:
         if parallel_rows == rows_count and rows_count < pool:
             col_groups = min(bcast_count, max(1, pool // rows_count))
         per_sub = math.ceil(rows_count / parallel_rows)
-        slices = self._slices_per_row(resident)
+        slices = resident.slices_per_row()
         slice_length = math.ceil(k / slices)
         engine = self._engine()
         proto = VPC.mul(0, 0, 0, slice_length)
@@ -451,7 +444,7 @@ class PimTask:
         rows, length = (a.cols, a.rows) if transposed else (a.rows, a.cols)
         parallel = self._parallelism(a, rows)
         per_sub = math.ceil(rows / parallel)
-        slices = self._slices_per_row(a)
+        slices = a.slices_per_row()
         slice_length = math.ceil(length / slices)
         engine = self._engine()
         proto = VPC.mul(0, 0, 0, slice_length)
@@ -697,10 +690,9 @@ class PimTask:
         self._trace_handles = handles
         self._trace_plan = placer.plan
         self._trace_scalar_slots = {}
-        row_cache: Dict[int, Tuple[np.ndarray, ...]] = {}
         for operation in self._operations:
             self._trace_operation_columnar(
-                operation, handles, builder, scratch, row_cache
+                operation, handles, builder, scratch
             )
             scratch.recycle()
             builder.mark_op_boundary()
@@ -812,10 +804,11 @@ class PimTask:
         stored = np.asarray(
             np.asarray(values).T if handle.stored_transposed else values
         )
-        addresses, _, _, lengths = PimTask._stored_row_arrays(handle, {})
+        first = handle.first_slices()
+        addresses = first[:, ADDRESS]
         # Each stored row's first slice takes the row's leading words.
         columns = np.arange(stored.shape[1])
-        inside = columns < lengths[:, None]
+        inside = columns < first[:, LENGTH, None]
         device.store.scatter(
             (addresses[:, None] + columns)[inside], stored[inside]
         )
@@ -824,53 +817,37 @@ class PimTask:
 
     @staticmethod
     def _read_matrix(device, handle) -> np.ndarray:
-        addresses, _, _, lengths = PimTask._stored_row_arrays(handle, {})
+        first = handle.first_slices()
+        lengths = first[:, LENGTH]
         width = int(lengths[0])
         if (lengths != width).any():
             raise ValueError("stored rows differ in first-slice length")
-        stored = device.store.gather(addresses[:, None] + np.arange(width))
+        stored = device.store.gather(
+            first[:, ADDRESS, None] + np.arange(width)
+        )
         return stored.T if handle.stored_transposed else stored
 
     # ------------------------------------------------------------------
     # Vectorized trace generation (same streams, array expressions)
     # ------------------------------------------------------------------
     @staticmethod
-    def _stored_row_arrays(handle, cache):
-        """First-slice columns of every stored row of ``handle``.
+    def _row_columns(handle) -> Tuple[np.ndarray, np.ndarray]:
+        """First-slice address and encoded subarray key
+        (:meth:`ScratchAllocator.encode_key`) of every stored row."""
+        first = handle.first_slices()
+        return first[:, ADDRESS], ScratchAllocator.encode_key(
+            first[:, BANK], first[:, SUBARRAY]
+        )
 
-        Returns ``(addresses, keys, offsets, lengths)`` int64 arrays
-        indexed by stored row, where ``keys`` holds the encoded
-        ``(bank, subarray)`` of each slice
-        (:func:`ScratchAllocator.encode_key`).  Memoised per handle for
-        the duration of one :meth:`to_trace` call.
-        """
-        arrays = cache.get(id(handle))
-        if arrays is None:
-            n = len(handle.rows_placement)
-            addresses = np.empty(n, dtype=np.int64)
-            keys = np.empty(n, dtype=np.int64)
-            offsets = np.empty(n, dtype=np.int64)
-            lengths = np.empty(n, dtype=np.int64)
-            for i, slices in enumerate(handle.rows_placement):
-                piece = slices[0]
-                addresses[i] = piece.address
-                keys[i] = ScratchAllocator.encode_key(
-                    piece.bank, piece.subarray
-                )
-                offsets[i] = piece.offset
-                lengths[i] = piece.length
-            arrays = (addresses, keys, offsets, lengths)
-            cache[id(handle)] = arrays
-        return arrays
-
-    @classmethod
-    def _element_addresses(cls, handle, rows_idx, cols_idx, cache):
-        """Vectorized :meth:`MatrixHandle.element_address`.
+    @staticmethod
+    def _element_addresses(handle, rows_idx, cols_idx):
+        """Linear addresses of logical elements ``(rows_idx, cols_idx)``.
 
         ``rows_idx``/``cols_idx`` broadcast; the result is the flattened
-        address array in broadcast order.  Raises the same
-        :class:`IndexError` as the scalar method on the first (in that
-        order) element falling outside its stored row's first slice.
+        address array in broadcast order.  Each element must lie in its
+        stored row's first slice (always true at the reduced scales
+        trace generation targets); the first (in that order) that does
+        not raises :class:`IndexError`.
         """
         rows_b, cols_b = np.broadcast_arrays(
             np.asarray(rows_idx, dtype=np.int64),
@@ -882,24 +859,22 @@ class PimTask:
             stored, offset = cols_f, rows_f
         else:
             stored, offset = rows_f, cols_f
-        addresses, _, offsets, lengths = cls._stored_row_arrays(
-            handle, cache
-        )
-        piece_offset = offsets[stored]
+        first = handle.first_slices()
+        piece_offset = first[stored, OFFSET]
         bad = (offset < piece_offset) | (
-            offset >= piece_offset + lengths[stored]
+            offset >= piece_offset + first[stored, LENGTH]
         )
         if bad.any():
-            first = int(np.argmax(bad))
+            index = int(np.argmax(bad))
             raise IndexError(
-                f"element ({int(rows_f[first])}, {int(cols_f[first])}) "
+                f"element ({int(rows_f[index])}, {int(cols_f[index])}) "
                 f"falls outside the first slice "
-                f"of stored row {int(stored[first])}"
+                f"of stored row {int(stored[index])}"
             )
-        return addresses[stored] + (offset - piece_offset)
+        return first[stored, ADDRESS] + (offset - piece_offset)
 
     def _trace_operation_columnar(
-        self, operation, handles, builder, scratch, cache
+        self, operation, handles, builder, scratch
     ) -> None:
         """Emit one operation's commands as bulk record blocks.
 
@@ -913,20 +888,20 @@ class PimTask:
         op = operation.op
         if op is TaskOp.MATMUL:
             self._trace_matmul_columnar(
-                operation, handles, builder, scratch, cache
+                operation, handles, builder, scratch
             )
         elif op in (TaskOp.MATVEC, TaskOp.MATVEC_T,
                     TaskOp.MATVEC_ACC, TaskOp.MATVEC_T_ACC):
             self._trace_matvec_columnar(
-                operation, handles, builder, scratch, cache
+                operation, handles, builder, scratch
             )
         elif op in (TaskOp.MAT_ADD, TaskOp.VEC_ADD):
             a = handles[operation.inputs[0]]
             b = handles[operation.inputs[1]]
             c = handles[operation.output]
-            a_addr, a_key, _, _ = self._stored_row_arrays(a, cache)
-            b_addr, _, _, _ = self._stored_row_arrays(b, cache)
-            c_addr, _, _, _ = self._stored_row_arrays(c, cache)
+            a_addr, a_key = self._row_columns(a)
+            b_addr, _ = self._row_columns(b)
+            c_addr, _ = self._row_columns(c)
             staged = scratch.near_block(a_key, a.cols)
             rec = np.empty((a.rows, 2), dtype=RECORD_DTYPE)
             rec["opcode"][:, 0] = TRAN_BYTE
@@ -942,8 +917,8 @@ class PimTask:
         elif op in (TaskOp.MAT_SCALE, TaskOp.VEC_SCALE):
             a = handles[operation.inputs[0]]
             c = handles[operation.output]
-            a_addr, a_key, _, _ = self._stored_row_arrays(a, cache)
-            c_addr, _, _, _ = self._stored_row_arrays(c, cache)
+            a_addr, a_key = self._row_columns(a)
+            c_addr, _ = self._row_columns(c)
             slots = scratch.unique_block(a_key, 1)
             for slot in slots.tolist():
                 self._trace_scalar_slots[slot] = operation.scalar
@@ -963,33 +938,33 @@ class PimTask:
             x = handles[operation.inputs[0]]
             y = handles[operation.inputs[1]]
             s = handles[operation.output]
-            row = x.row_slices(0)[0]
-            staged = scratch.near(row, x.cols)
+            x_addr, x_key = self._row_columns(x)
+            staged = scratch.near_block(x_key[0], x.cols)[0]
             rec = np.empty(2, dtype=RECORD_DTYPE)
             rec["opcode"] = (TRAN_BYTE, MUL_BYTE)
-            rec["src1"] = (y.row_slices(0)[0].address, row.address)
+            rec["src1"] = (self._row_columns(y)[0][0], x_addr[0])
             rec["src2"] = (NO_OPERAND_SENTINEL, staged)
-            rec["des"] = (staged, s.row_slices(0)[0].address)
+            rec["des"] = (staged, self._row_columns(s)[0][0])
             rec["size"] = x.cols
             builder.emit_records(rec)
         else:  # pragma: no cover - exhaustive over TaskOp
             raise NotImplementedError(str(op))
 
     def _trace_matmul_columnar(
-        self, operation, handles, builder, scratch, cache
+        self, operation, handles, builder, scratch
     ) -> None:
         a = handles[operation.inputs[0]]
         b = handles[operation.inputs[1]]
         c = handles[operation.output]
         m, k = a.shape
         n = b.cols
-        a_addr, a_key, _, _ = self._stored_row_arrays(a, cache)
+        a_addr, a_key = self._row_columns(a)
         # Destination addresses in emission order: j-major, i-minor.
         jj = np.repeat(np.arange(n, dtype=np.int64), m)
         ii = np.tile(np.arange(m, dtype=np.int64), n)
-        c_addr = self._element_addresses(c, ii, jj, cache)
+        c_addr = self._element_addresses(c, ii, jj)
         if b.stored_transposed:
-            b_addr, _, _, _ = self._stored_row_arrays(b, cache)
+            b_addr, _ = self._row_columns(b)
             column = scratch.near_block(np.tile(a_key, n), k)
             rec = np.empty((n * m, 2), dtype=RECORD_DTYPE)
             rec["opcode"][:, 0] = TRAN_BYTE
@@ -1007,9 +982,7 @@ class PimTask:
         # column into staging before the m delivery/MUL pairs consume
         # it.  The scratch-call sequence per column is the staging slot
         # followed by the m per-row column slots (all size k).
-        b0_key = ScratchAllocator.encode_key(
-            *b.row_slices(0)[0].subarray_key
-        )
+        b0_key = self._row_columns(b)[1][0]
         keys = np.empty((n, m + 1), dtype=np.int64)
         keys[:, 0] = b0_key
         keys[:, 1:] = a_key
@@ -1018,7 +991,7 @@ class PimTask:
         column = addrs[:, 1:]
         rr = np.tile(np.arange(k, dtype=np.int64), n)
         jg = np.repeat(np.arange(n, dtype=np.int64), k)
-        gather_src = self._element_addresses(b, rr, jg, cache)
+        gather_src = self._element_addresses(b, rr, jg)
         rec = np.empty((n, k + 2 * m), dtype=RECORD_DTYPE)
         rec["opcode"][:, :k] = TRAN_BYTE
         rec["src1"][:, :k] = gather_src.reshape(n, k)
@@ -1039,7 +1012,7 @@ class PimTask:
         builder.emit_records(rec)
 
     def _trace_matvec_columnar(
-        self, operation, handles, builder, scratch, cache
+        self, operation, handles, builder, scratch
     ) -> None:
         op = operation.op
         a = handles[operation.inputs[0]]
@@ -1056,16 +1029,12 @@ class PimTask:
                 "column access; _place_all should have mirrored it"
             )
         row_handle = a if (transposed and a.stored_transposed) else source
-        row_addr, row_key, _, _ = self._stored_row_arrays(
-            row_handle, cache
-        )
-        x_addr = x.row_slices(0)[0].address
+        row_addr, row_key = self._row_columns(row_handle)
+        x_addr = self._row_columns(x)[0][0]
         dest = self._element_addresses(
-            y, 0, np.arange(rows, dtype=np.int64), cache
+            y, 0, np.arange(rows, dtype=np.int64)
         )
-        y_key = ScratchAllocator.encode_key(
-            *y.row_slices(0)[0].subarray_key
-        )
+        y_key = self._row_columns(y)[1][0]
         calls = 5 if accumulate else 2
         keys = np.empty((rows, calls), dtype=np.int64)
         keys[:, 0] = row_key

@@ -407,6 +407,17 @@ class TraceVerifier:
 
     # ------------------------------------------------------------------
     @staticmethod
+    def _placed_handles(plan: "PlacementPlan", include_results: bool = True):
+        """Every placed handle of ``plan``, each mirror after its
+        primary; result-set handles only with ``include_results``."""
+        for handle in plan.matrices.values():
+            for item in (handle, handle.mirror):
+                if item is not None and (
+                    include_results or not item.result_set
+                ):
+                    yield item
+
+    @staticmethod
     def _placed_spans(
         plan: "PlacementPlan", include_results: bool
     ) -> List[Tuple[int, int, str]]:
@@ -417,22 +428,9 @@ class TraceVerifier:
         overwrite.
         """
         spans: List[Tuple[int, int, str]] = []
-        for handle in plan.matrices.values():
-            stack = [handle]
-            if handle.mirror is not None:
-                stack.append(handle.mirror)
-            for item in stack:
-                if item.result_set and not include_results:
-                    continue
-                for slices in item.rows_placement:
-                    for piece in slices:
-                        spans.append(
-                            (
-                                piece.address,
-                                piece.address + piece.length,
-                                item.name,
-                            )
-                        )
+        for item in TraceVerifier._placed_handles(plan, include_results):
+            for _, _, address, _, length in item.slices.tolist():
+                spans.append((address, address + length, item.name))
         return spans
 
     def _check_plan(self, plan: "PlacementPlan"):
@@ -442,22 +440,11 @@ class TraceVerifier:
         by_subarray: Dict[
             Tuple[int, int], List[Tuple[int, int, str]]
         ] = {}
-        for handle in plan.matrices.values():
-            stack = [handle]
-            if handle.mirror is not None:
-                stack.append(handle.mirror)
-            for item in stack:
-                for slices in item.rows_placement:
-                    for piece in slices:
-                        by_subarray.setdefault(
-                            piece.subarray_key, []
-                        ).append(
-                            (
-                                piece.address,
-                                piece.address + piece.length,
-                                item.name,
-                            )
-                        )
+        for item in self._placed_handles(plan):
+            for bank, sub, address, _, length in item.slices.tolist():
+                by_subarray.setdefault((bank, sub), []).append(
+                    (address, address + length, item.name)
+                )
         for key, spans in sorted(by_subarray.items()):
             spans.sort()
             for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):

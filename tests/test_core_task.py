@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.device import StreamPIMConfig, StreamPIMDevice
-from repro.core.placement import MatrixHandle, RowSlice
+from repro.core.placement import MatrixHandle
 from repro.core.scheduler import SchedulerPolicy
 from repro.core.task import PimTask, TaskOp, create_pim_task
 from repro.workloads.generator import random_matrix
@@ -201,9 +201,7 @@ class TestMatrixStoreRoundTrip:
         device = StreamPIMDevice()
         handle = MatrixHandle(
             "M", 2, 3,
-            rows_placement=[
-                [RowSlice(0, 0, 100 + 10 * col, 0, 2)] for col in range(3)
-            ],
+            slices=[(0, 0, 100 + 10 * col, 0, 2) for col in range(3)],
             stored_transposed=True,
         )
         values = np.array([[1, 2, 3], [4, 5, 6]])
@@ -216,10 +214,8 @@ class TestMatrixStoreRoundTrip:
     def test_read_rejects_ragged_first_slices(self):
         handle = MatrixHandle(
             "M", 2, 3,
-            rows_placement=[
-                [RowSlice(0, 0, 100, 0, 3)],
-                [RowSlice(0, 0, 200, 0, 2), RowSlice(0, 1, 300, 2, 1)],
-            ],
+            slices=[(0, 0, 100, 0, 3), (0, 0, 200, 0, 2), (0, 1, 300, 2, 1)],
+            row_ptr=[0, 1, 3],
         )
         with pytest.raises(ValueError, match="first-slice length"):
             PimTask._read_matrix(StreamPIMDevice(), handle)

@@ -8,7 +8,6 @@ from repro.core.placement import (
     MatrixHandle,
     PlacementPlan,
     PlacementPolicy,
-    RowSlice,
 )
 from repro.isa.columnar import ColumnarTrace
 from repro.isa.trace import VPCTrace, write_trace
@@ -48,18 +47,20 @@ def _plan_with(handles):
 
 
 def _handle(name, slices, result=False):
+    """One stored row per ``(bank, subarray, address, offset, length)``
+    slice."""
     return MatrixHandle(
         name=name,
         rows=len(slices),
-        cols=slices[0].length,
-        rows_placement=[[piece] for piece in slices],
+        cols=slices[0][4],
+        slices=slices,
         result_set=result,
     )
 
 
 def _plan_at(base, length=16):
     """One placed matrix covering ``[base, base + length)``."""
-    return _plan_with([_handle("A", [RowSlice(0, 1, base, 0, length)])])
+    return _plan_with([_handle("A", [(0, 1, base, 0, length)])])
 
 
 class TestIndexQueries:

@@ -1,5 +1,6 @@
 """Integration: fault injection through the mat and device layers."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,9 +161,6 @@ class TestPlacementBalance:
             handle = placer.place_matrix("A", rows, cols)
         except MemoryError:
             return
-        per_subarray = {}
-        for slices in handle.rows_placement:
-            key = slices[0].subarray_key
-            per_subarray[key] = per_subarray.get(key, 0) + 1
-        counts = list(per_subarray.values())
+        first = handle.first_slices()
+        _, counts = np.unique(first[:, :2], axis=0, return_counts=True)
         assert max(counts) - min(counts) <= 1

@@ -1,8 +1,8 @@
 """Performance and resilience gates, each a fixed scale and a fixed floor.
 
-Every gate times a user-visible path (trace execution, lowering, the
-trace cache, streamed compile/execute, deep analysis, the analytic
-sweep, a real service) on the machine running the suite, so each
+Every gate times a user-visible path (trace execution, placement,
+lowering, the trace cache, streamed compile/execute, deep analysis, the
+analytic sweep, a real service) on the machine running the suite, so each
 floor is a same-machine ratio or a generous absolute budget.  Where a
 gate has a shared-runner floor and a local acceptance floor, both
 (scale, floor) pairs run.  Each test records its measured value and
@@ -36,7 +36,8 @@ from repro.isa.trace_cache import TraceCache
 from repro.serve import ServeClient, ServeClientError
 from repro.serve.protocol import Request, decode_line, encode_message
 from repro.workloads import POLYBENCH, find_workload, polybench_workload
-from tests.oracles import scalar_exec, scalar_lowering
+from repro.baselines.stpim import spec_to_task
+from tests.oracles import scalar_exec, scalar_lowering, scalar_placer
 from tests.test_serve_scheduling import jain
 from tests.test_serve_server import start_server
 
@@ -157,6 +158,42 @@ def test_disabled_observability_overhead(matmul_100k, record_property):
     overhead_pct = (disabled_s - control_s) / control_s * 100.0
     record(record_property, overhead_pct=overhead_pct, ceiling_pct=5.0)
     assert overhead_pct <= 5.0
+
+
+# ----------------------------------------------------------------------
+# Placement: the array placer against the per-row oracle
+# ----------------------------------------------------------------------
+def test_array_placement_beats_row_oracle(record_property):
+    """gemm's paper-dimension ``_place_all`` on the StPIM config, the
+    placement every ``make figures`` run of it pays."""
+    task = spec_to_task(POLYBENCH["gemm"], StreamPIMDevice())
+
+    def place(oracle):
+        placer = task._build_placer()
+        if oracle:
+            placer = scalar_placer.Placer(
+                placer.geometry,
+                placer.policy,
+                placer.disjoint_result_sets,
+                placer.result_set_fraction,
+            )
+        task._place_all(placer)
+        return placer.plan
+
+    oracle_s, expected = best_of(lambda: place(True))
+    array_s, plan = best_of(lambda: place(False))
+    assert json.dumps(plan.to_dict(), sort_keys=True) == json.dumps(
+        expected.to_dict(), sort_keys=True
+    )
+    speedup = oracle_s / array_s
+    record(
+        record_property,
+        oracle_ms=oracle_s * 1e3,
+        array_ms=array_s * 1e3,
+        speedup=speedup,
+        floor=10.0,
+    )
+    assert speedup >= 10.0
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,240 @@
+"""Array-native placement held to the per-row reference placer.
+
+``tests/oracles/scalar_placer.py`` is the placer as it was before
+placement became array arithmetic: one subarray scan per row slice.
+The array placer must leave the same slices, cursors and round-robin
+pointers after every matrix and raise the same ``MemoryError``.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.placement import (
+    MatrixHandle,
+    PlacementPlan,
+    PlacementPolicy,
+    Placer,
+)
+from repro.rm.address import DeviceGeometry
+from repro.rm.bank import BankConfig
+from repro.rm.mat import MatConfig
+from repro.rm.subarray import SubarrayConfig
+from tests.oracles import scalar_placer
+
+
+def _geometry(pim_banks: int, subarrays: int, domains: int) -> DeviceGeometry:
+    mat = MatConfig(
+        save_tracks=16,
+        transfer_tracks=16,
+        domains_per_track=domains,
+        word_bits=8,
+        ports_per_track=2,
+    )
+    return DeviceGeometry(
+        banks=pim_banks + 1,
+        pim_banks=pim_banks,
+        bank=BankConfig(
+            subarrays=subarrays,
+            subarray=SubarrayConfig(mats=2, pim_mats=1, mat=mat),
+            pim_bank=True,
+        ),
+    )
+
+
+def _oracle_cursors(oracle, geometry):
+    return [
+        oracle._cursors.get((bank, sub), 0)
+        for bank in range(geometry.pim_banks)
+        for sub in range(geometry.bank.subarrays)
+    ]
+
+
+def _plan_json(plan) -> str:
+    return json.dumps(plan.to_dict(), sort_keys=True)
+
+
+@st.composite
+def _scenarios(draw):
+    geometry = _geometry(
+        draw(st.integers(1, 2)),
+        draw(st.integers(1, 5)),
+        draw(st.sampled_from([8, 16, 64])),
+    )
+    capacity = geometry.subarray_capacity_words
+    matrices = []
+    for _ in range(draw(st.integers(1, 8))):
+        transposed = draw(st.booleans())
+        matrices.append(
+            dict(
+                rows=draw(st.integers(1, 12)),
+                # Short rows, rows that fill a subarray in a few pieces,
+                # and rows longer than a subarray (sliced).
+                cols=draw(
+                    st.one_of(
+                        st.integers(1, 3),
+                        st.integers(1, capacity),
+                        st.integers(capacity, 3 * capacity),
+                    )
+                ),
+                result=draw(st.booleans()),
+                transposed=transposed,
+                mirror=not transposed and draw(st.booleans()),
+            )
+        )
+    return dict(
+        geometry=geometry,
+        policy=draw(st.sampled_from(list(PlacementPolicy))),
+        disjoint=draw(st.booleans()),
+        fraction=draw(st.sampled_from([0.1, 0.25, 0.5])),
+        matrices=matrices,
+    )
+
+
+class TestArrayPlacerDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=_scenarios())
+    def test_matches_row_oracle(self, scenario):
+        geometry = scenario["geometry"]
+        args = (
+            geometry,
+            scenario["policy"],
+            scenario["disjoint"],
+            scenario["fraction"],
+        )
+        placer = Placer(*args)
+        oracle = scalar_placer.Placer(*args)
+        assert placer.operand_pool == oracle.operand_pool
+        assert placer.result_pool == oracle.result_pool
+        for index, shape in enumerate(scenario["matrices"]):
+            name = f"M{index}"
+            errors = []
+            for candidate in (placer, oracle):
+                try:
+                    candidate.place_matrix(name, **shape)
+                except MemoryError as exc:
+                    errors.append(str(exc))
+            if errors:
+                # Both fail on the same matrix with the same message.
+                assert len(errors) == 2 and errors[0] == errors[1]
+                return
+            handle = placer.plan.handle(name)
+            expected = oracle.plan.handle(name)
+            for ours, theirs in (
+                (handle, expected),
+                (handle.mirror, expected.mirror),
+            ):
+                if theirs is None:
+                    assert ours is None
+                    continue
+                for row, slices in enumerate(theirs.rows_placement):
+                    assert ours.row_slices(row) == slices
+            assert placer._cursors.tolist() == _oracle_cursors(
+                oracle, geometry
+            )
+            assert placer._rr_next == oracle._rr_next
+            assert _plan_json(placer.plan) == _plan_json(oracle.plan)
+
+    @pytest.mark.parametrize("policy", list(PlacementPolicy))
+    def test_fill_mid_matrix_wraps_rounds(self, policy):
+        """Subarrays fill part-way through one matrix, and a second
+        matrix starts where the first one left the pointer."""
+        geometry = _geometry(1, 3, 8)
+        cols = geometry.subarray_capacity_words // 3 + 1
+        placer = Placer(geometry, policy)
+        oracle = scalar_placer.Placer(geometry, policy)
+        for name, rows in (("A", 4), ("B", 2)):
+            placer.place_matrix(name, rows, cols)
+            oracle.place_matrix(name, rows, cols)
+        assert _plan_json(placer.plan) == _plan_json(oracle.plan)
+        assert placer._rr_next == oracle._rr_next
+
+
+class TestAllOrNothing:
+    def test_failed_matrix_frees_its_rows(self, small_geometry):
+        placer = Placer(small_geometry, PlacementPolicy.DISTRIBUTE)
+        capacity = placer.subarray_capacity_words
+        pool = len(placer.operand_pool)
+        with pytest.raises(MemoryError):
+            placer.place_matrix("A", rows=pool + 1, cols=capacity)
+        assert not placer._cursors.any()
+        assert placer._rr_next == {"operand": 0, "result": 0}
+        assert "A" not in placer.plan.matrices
+        placer.place_matrix("x", rows=1, cols=1)
+
+    def test_failed_mirror_frees_the_primary(self, small_geometry):
+        placer = Placer(small_geometry, PlacementPolicy.BASE)
+        capacity = placer.subarray_capacity_words
+        pool = len(placer.operand_pool)
+        placer.place_matrix("x", rows=1, cols=1)
+        cursors = placer._cursors.copy()
+        # The primary's full-subarray rows take every subarray but the
+        # first; its mirror needs that much room again.
+        with pytest.raises(MemoryError):
+            placer.place_matrix(
+                "A", rows=pool - 1, cols=capacity, mirror=True
+            )
+        assert np.array_equal(placer._cursors, cursors)
+        assert list(placer.plan.matrices) == ["x"]
+
+
+class TestPlanColumns:
+    def test_json_round_trip(self, small_geometry):
+        placer = Placer(small_geometry, disjoint_result_sets=True)
+        capacity = placer.subarray_capacity_words
+        placer.place_matrix("B", 1, capacity + 3)
+        placer.place_matrix("A", 3, 5, mirror=True)
+        placer.place_matrix("C", 2, 4, result=True, transposed=True)
+        data = json.loads(_plan_json(placer.plan))
+        restored = PlacementPlan.from_dict(data)
+        assert _plan_json(restored) == _plan_json(placer.plan)
+        for name, handle in placer.plan.matrices.items():
+            again = restored.handle(name)
+            assert np.array_equal(again.slices, handle.slices)
+            assert np.array_equal(again.row_ptr, handle.row_ptr)
+            assert again.slices.dtype == np.int64
+
+    def test_ragged_rows_round_trip(self):
+        handle = MatrixHandle(
+            "M", 2, 3,
+            slices=[(0, 0, 100, 0, 3), (0, 0, 200, 0, 2), (0, 1, 300, 2, 1)],
+            row_ptr=[0, 1, 3],
+        )
+        data = handle.to_dict()
+        assert data["rows_placement"] == [
+            [[0, 0, 100, 0, 3]],
+            [[0, 0, 200, 0, 2], [0, 1, 300, 2, 1]],
+        ]
+        again = MatrixHandle.from_dict(data)
+        assert again.to_dict() == data
+        assert again.sliced and again.slices_per_row() == 2
+
+    def test_malformed_slices_rejected(self):
+        data = MatrixHandle("M", 1, 2, slices=[(0, 0, 9, 0, 2)]).to_dict()
+        data["rows_placement"] = [[[0, 0, 9, 0]]]
+        with pytest.raises(ValueError):
+            MatrixHandle.from_dict(data)
+
+
+class TestRemapTarget:
+    def test_least_loaded_healthy_subarray(self, small_geometry):
+        placer = Placer(small_geometry, PlacementPolicy.BASE)
+        capacity = placer.subarray_capacity_words
+        placer.place_matrix("A", 1, capacity)  # fills (0, 0)
+        placer.place_matrix("B", 1, 3)  # (0, 1) holds 3 words
+        # Ties on the cursor go to the lowest (bank, subarray) key.
+        assert placer.remap_target([]) == (0, 2)
+        assert placer.remap_target([(0, 2)]) == (0, 3)
+        assert placer.remap_target([(0, 2), (0, 3)]) == (0, 1)
+        # Keys outside the pool never match a pool subarray.
+        assert placer.remap_target([(1, 2), (0, 9)]) == (0, 2)
+        with pytest.raises(MemoryError, match="quarantined"):
+            placer.remap_target(placer.operand_pool)
+
+    def test_result_pool_when_disjoint(self, small_geometry):
+        placer = Placer(small_geometry, disjoint_result_sets=True)
+        (result_key,) = placer.result_pool
+        assert placer.remap_target([], result=True) == result_key
+        assert placer.remap_target([]) == placer.operand_pool[0]

@@ -57,7 +57,7 @@ class TestSlicedPlacement:
         placer = task._build_placer()
         handles = task._place_all(placer)
         assert handles["A"].sliced
-        assert task._slices_per_row(handles["A"]) == 2
+        assert handles["A"].slices_per_row() == 2
 
 
 class TestSlicedCosts:

@@ -9,7 +9,6 @@ from repro.core.placement import (
     MatrixHandle,
     PlacementPlan,
     PlacementPolicy,
-    RowSlice,
 )
 from repro.isa.trace import VPCTrace, write_trace, write_trace_binary
 from repro.isa.vpc import VPC
@@ -195,11 +194,13 @@ def _plan_with(handles):
 
 
 def _handle(name, slices, result=False):
+    """One stored row per ``(bank, subarray, address, offset, length)``
+    slice."""
     return MatrixHandle(
         name=name,
         rows=len(slices),
-        cols=slices[0].length,
-        rows_placement=[[piece] for piece in slices],
+        cols=slices[0][4],
+        slices=slices,
         result_set=result,
     )
 
@@ -211,7 +212,7 @@ class TestPlacementRules:
             [
                 _handle(
                     "A",
-                    [RowSlice(0, 1, base, 0, 16)],
+                    [(0, 1, base, 0, 16)],
                     result=False,
                 )
             ]
@@ -225,7 +226,7 @@ class TestPlacementRules:
     def test_tran_into_result_rows_is_fine(self, geometry, amap):
         base = amap.subarray_base(0, 1)
         plan = _plan_with(
-            [_handle("C", [RowSlice(0, 1, base, 0, 16)], result=True)]
+            [_handle("C", [(0, 1, base, 0, 16)], result=True)]
         )
         trace = VPCTrace([VPC.tran(amap.subarray_base(0, 0), base + 4, 4)])
         report = verify_trace(trace, geometry=geometry, plan=plan)
@@ -235,8 +236,8 @@ class TestPlacementRules:
         base = amap.subarray_base(0, 2)
         plan = _plan_with(
             [
-                _handle("A", [RowSlice(0, 2, base, 0, 16)]),
-                _handle("B", [RowSlice(0, 2, base + 8, 0, 16)]),
+                _handle("A", [(0, 2, base, 0, 16)]),
+                _handle("B", [(0, 2, base + 8, 0, 16)]),
             ]
         )
         report = verify_trace(VPCTrace(), geometry=geometry, plan=plan)
@@ -248,8 +249,8 @@ class TestPlacementRules:
         base = amap.subarray_base(0, 2)
         plan = _plan_with(
             [
-                _handle("A", [RowSlice(0, 2, base, 0, 16)]),
-                _handle("B", [RowSlice(0, 2, base + 16, 0, 16)]),
+                _handle("A", [(0, 2, base, 0, 16)]),
+                _handle("B", [(0, 2, base + 16, 0, 16)]),
             ]
         )
         report = verify_trace(VPCTrace(), geometry=geometry, plan=plan)

@@ -27,7 +27,6 @@ from repro.core.placement import (  # noqa: E402
     MatrixHandle,
     PlacementPlan,
     PlacementPolicy,
-    RowSlice,
 )
 from repro.core.rmbus import RMBusConfig  # noqa: E402
 from repro.isa.columnar import ColumnarTrace  # noqa: E402
@@ -136,7 +135,7 @@ class TestGeneratedTraces:
             name="A",
             rows=1,
             cols=16,
-            rows_placement=[[RowSlice(0, 1, placed, 0, 16)]],
+            slices=[(0, 1, placed, 0, 16)],
             result_set=False,
         )
         trace = VPCTrace([VPC.tran(BASE, placed + offset, 4)])
@@ -156,7 +155,7 @@ class TestGeneratedTraces:
                 name=name,
                 rows=1,
                 cols=16,
-                rows_placement=[[RowSlice(0, 1, start, 0, 16)]],
+                slices=[(0, 1, start, 0, 16)],
                 result_set=False,
             )
         report = assert_parity(VPCTrace(), plan=plan)
