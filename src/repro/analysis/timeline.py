@@ -48,15 +48,20 @@ def schedule_timeline(
     Serial policies alternate prep and compute; under ``unblock`` the
     compute lane runs back-to-back after the startup copy while the prep
     lane streams continuously beside it (the fluid software-pipelining
-    model of the scheduler).
+    model of the scheduler).  A run of ``repeat`` rounds is expanded
+    into ``repeat`` rounds that all carry the run's label.
     """
     intervals: List[Interval] = []
     if not rounds:
         return intervals
+    expanded = [
+        (run, scheduler.prep_duration_ns(run))
+        for run in rounds
+        for _ in range(run.repeat)
+    ]
     if not scheduler.policy.overlaps_prep:
         clock = 0.0
-        for index, round_ in enumerate(rounds):
-            prep = scheduler.prep_duration_ns(round_)
+        for index, (round_, prep) in enumerate(expanded):
             if prep > 0:
                 intervals.append(
                     Interval("prep", clock, clock + prep, round_.label)
@@ -74,13 +79,13 @@ def schedule_timeline(
                 clock += round_.compute_ns
         return intervals
 
-    first = rounds[0]
-    startup = scheduler.prep_duration_ns(first) / max(1, first.prep_targets)
+    first, first_prep = expanded[0]
+    startup = first_prep / max(1, first.prep_targets)
     if startup > 0:
         intervals.append(Interval("prep", 0.0, startup, "startup copy"))
     compute_clock = startup
     prep_clock = startup
-    for index, round_ in enumerate(rounds):
+    for index, (round_, prep) in enumerate(expanded):
         if round_.compute_ns > 0:
             intervals.append(
                 Interval(
@@ -91,7 +96,6 @@ def schedule_timeline(
                 )
             )
             compute_clock += round_.compute_ns
-        prep = scheduler.prep_duration_ns(round_)
         remaining = prep - (startup if index == 0 else 0.0)
         if remaining > 0:
             intervals.append(

@@ -104,6 +104,9 @@ class Round:
         compute_time: exclusive-category breakdown of the compute span.
         compute_energy: energy of all compute work in the round.
         move_vpcs: TRAN commands issued for the preparation.
+        repeat: consecutive identical rounds this entry stands for; the
+            fields above describe one of them.  A lowering emits a run
+            once and the scheduler prices it once, in closed form.
     """
 
     label: str = ""
@@ -113,11 +116,20 @@ class Round:
     compute_time: TimeBreakdown = field(default_factory=TimeBreakdown)
     compute_energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
     move_vpcs: int = 0
+    repeat: int = 1
+
+    def __post_init__(self) -> None:
+        if self.repeat < 1:
+            raise ValueError(f"repeat must be positive, got {self.repeat}")
 
 
 @dataclass
 class ScheduleResult:
-    """Composed execution of a round sequence."""
+    """Composed execution of a round sequence.
+
+    ``rounds`` counts rounds, not runs: the sum of every run's
+    ``repeat``.
+    """
 
     total_ns: float
     time: TimeBreakdown
@@ -271,24 +283,29 @@ class Scheduler:
     # Composition
     # ------------------------------------------------------------------
     def compose(self, rounds: List[Round]) -> ScheduleResult:
-        """Total execution of a task's rounds under the current policy."""
+        """Total execution of a task's rounds under the current policy.
+
+        Each run of ``repeat`` identical rounds is priced once and
+        scaled, so composition costs O(runs), not O(rounds).
+        """
         time = TimeBreakdown()
         energy = EnergyBreakdown()
-        total_ns = 0.0
         if not rounds:
             return ScheduleResult(0.0, time, energy, 0)
 
-        for round_ in rounds:
-            energy.merge(self.prep_energy(round_))
-            energy.merge(round_.compute_energy)
+        prep_ns = [self.prep_duration_ns(run) for run in rounds]
+        for run in rounds:
+            energy.merge(self.prep_energy(run).scaled(run.repeat))
+            energy.merge(run.compute_energy.scaled(run.repeat))
+        count = sum(run.repeat for run in rounds)
 
         if not self.policy.overlaps_prep:
-            for round_ in rounds:
-                prep_ns = self.prep_duration_ns(round_)
-                total_ns += prep_ns + round_.compute_ns
-                self._add_prep_time(time, prep_ns)
-                time.merge(round_.compute_time)
-            result = ScheduleResult(total_ns, time, energy, len(rounds))
+            total_ns = 0.0
+            for run, prep in zip(rounds, prep_ns):
+                total_ns += run.repeat * (prep + run.compute_ns)
+                self._add_prep_time(time, run.repeat * prep)
+                time.merge(run.compute_time.scaled(run.repeat))
+            result = ScheduleResult(total_ns, time, energy, count)
             self._observe_rounds(rounds, result)
             return result
 
@@ -299,20 +316,21 @@ class Scheduler:
         # whichever of (total compute, total prep) is larger, plus the
         # startup delay until the first target subarray has its operand
         # (per-subarray compute starts as soon as its copy lands).
-        first = rounds[0]
-        startup = self.prep_duration_ns(first) / max(1, first.prep_targets)
-        total_prep = sum(self.prep_duration_ns(r) for r in rounds)
+        startup = prep_ns[0] / max(1, rounds[0].prep_targets)
+        total_prep = sum(
+            run.repeat * prep for run, prep in zip(rounds, prep_ns)
+        )
         remaining_prep = max(0.0, total_prep - startup)
-        total_compute = sum(r.compute_ns for r in rounds)
+        total_compute = sum(run.repeat * run.compute_ns for run in rounds)
         total_ns = startup + max(total_compute, remaining_prep)
         self._add_prep_time(time, startup)
         merged_compute = TimeBreakdown()
-        for round_ in rounds:
-            merged_compute.merge(round_.compute_time)
+        for run in rounds:
+            merged_compute.merge(run.compute_time.scaled(run.repeat))
         self._add_overlapped_compute(
             time, merged_compute, total_compute, remaining_prep
         )
-        result = ScheduleResult(total_ns, time, energy, len(rounds))
+        result = ScheduleResult(total_ns, time, energy, count)
         self._observe_rounds(rounds, result)
         return result
 
@@ -327,7 +345,8 @@ class Scheduler:
         lanes, reconstructed with the same policy-aware clocks as
         :func:`repro.analysis.timeline.schedule_timeline` (reused
         directly — it is the reference reconstruction of this
-        composition).
+        composition).  Runs are expanded: a run of ``repeat`` rounds
+        emits ``repeat`` span pairs, each under the run's label.
         """
         obs = self.obs
         if not obs.enabled or not rounds:
@@ -344,12 +363,12 @@ class Scheduler:
             )
         registry = obs.registry
         registry.counter("sched.composes").inc()
-        registry.counter("sched.rounds").inc(len(rounds))
+        registry.counter("sched.rounds").inc(result.rounds)
         registry.counter("sched.prep_words").inc(
-            sum(r.prep_words for r in rounds)
+            sum(r.repeat * r.prep_words for r in rounds)
         )
         registry.counter("sched.move_vpcs").inc(
-            sum(r.move_vpcs for r in rounds)
+            sum(r.repeat * r.move_vpcs for r in rounds)
         )
         registry.gauge("sched.total_ns").set(result.total_ns)
 

@@ -144,7 +144,12 @@ class PimTask:
         values: Optional[np.ndarray] = None,
         shape: Optional[Tuple[int, int]] = None,
     ) -> None:
-        """Register a matrix operand (or a destination via ``shape``)."""
+        """Register a matrix operand (or a destination via ``shape``).
+
+        A ``shape``-only operand reads as zeros and is stored as a
+        read-only view, so it costs no memory until a functional run
+        copies it.
+        """
         if name in self._matrices or name in self._scalars:
             raise ValueError(f"operand {name!r} already added")
         if values is None:
@@ -153,9 +158,12 @@ class PimTask:
             rows, cols = shape
             if rows <= 0 or cols <= 0:
                 raise ValueError(f"shape must be positive, got {shape}")
-            # Fresh zeros need no defensive copy (and numpy keeps the
-            # pages virtual until touched, which matters at paper scale).
-            values = np.zeros((rows, cols), dtype=np.int64)
+            # A read-only zero-stride view of one zero: timing-only runs
+            # never read an operand's values, and np.zeros at paper
+            # dimensions would make the allocator zero-fill every page
+            # it serves from the heap.  The functional path copies every
+            # operand before writing, and trace seeding only reads.
+            values = np.broadcast_to(np.int64(0), (rows, cols))
         else:
             values = np.asarray(values, dtype=np.int64)
             if values.ndim == 1:
@@ -355,7 +363,7 @@ class PimTask:
         return max(1, min(rows, handle.subarray_count()))
 
     def _lower_matmul(self, operation, handles, placer):
-        """C = A @ B: column rounds over B; C rows stay with A rows.
+        """C = A @ B: column rounds over B, as runs; C rows stay with A rows.
 
         When A has fewer rows than the PIM pool (small-batch DNN layers),
         several columns of B are processed concurrently: the pool splits
@@ -409,16 +417,22 @@ class PimTask:
             merged_time.merge(compute_time)
             merged_time.merge(reduce_time)
             compute_time = merged_time
+        # Every round handles ``col_groups`` columns except a last,
+        # narrower one: at most two runs.
         rounds: List[Round] = []
-        n_rounds = math.ceil(bcast_count / col_groups)
-        for j in range(n_rounds):
-            cols = min(col_groups, bcast_count - j * col_groups)
+        full, rest = divmod(bcast_count, col_groups)
+        for repeat, cols, first in (
+            (full, col_groups, 0),
+            (1, rest, full * col_groups),
+        ):
+            if cols == 0:
+                continue
             prep = cols * k + k * parallel_rows * cols
             if slices > 1:
                 prep += rows_count * (slices - 1) * cols
             rounds.append(
                 Round(
-                    label=f"{operation.output} cols {j * col_groups}..",
+                    label=f"{operation.output} cols {first}..",
                     # Gather each broadcast vector from its subarrays,
                     # then copy it to its replica of the resident rows.
                     prep_words=prep,
@@ -427,6 +441,7 @@ class PimTask:
                     compute_time=compute_time,
                     compute_energy=round_energy,
                     move_vpcs=rows_count * cols * slices,
+                    repeat=repeat,
                 )
             )
         counts = OpCounts(

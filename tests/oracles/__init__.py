@@ -1,6 +1,7 @@
 """Reference implementations the differential tests compare against.
 
 Slow, straightforward twins of product paths in ``src/repro`` (the
-per-VPC executor, lowering, per-row placer and verifier walk) plus the
+per-VPC executor, lowering, per-row placer, per-round schedule
+composition and verifier walk) plus the
 cycle-by-cycle pipeline and RM-bus simulators.  Nothing under ``src/`` imports them.
 """
