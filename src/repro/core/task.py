@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,13 +108,11 @@ class RunReport:
         stats: platform timing/energy statistics.
         results: functional values of every matrix after the task.
         counts: total VPC counts (the Table IV columns).
-        per_op_ns: execution time attributed to each operation, in order.
     """
 
     stats: RunStats
     results: Dict[str, np.ndarray]
     counts: OpCounts
-    per_op_ns: List[float] = field(default_factory=list)
 
     @property
     def time_ns(self) -> float:
@@ -230,7 +228,6 @@ class PimTask:
         handles = self._place_all(placer)
         rounds: List[Round] = []
         counts = OpCounts()
-        per_op_ns: List[float] = []
         results = (
             {k: v.copy() for k, v in self._matrices.items()}
             if functional
@@ -238,8 +235,6 @@ class PimTask:
         )
         for operation in self._operations:
             op_rounds, op_counts = self._lower(operation, handles, placer)
-            op_result = self.device.execute_rounds(op_rounds)
-            per_op_ns.append(op_result.total_ns)
             rounds.extend(op_rounds)
             counts.merge(op_counts)
             if functional:
@@ -255,12 +250,7 @@ class PimTask:
         stats.bump("pim_vpcs", counts.pim_vpcs)
         stats.bump("move_vpcs", counts.move_vpcs)
         self._ran = True
-        return RunReport(
-            stats=stats,
-            results=results,
-            counts=counts,
-            per_op_ns=per_op_ns,
-        )
+        return RunReport(stats=stats, results=results, counts=counts)
 
     # ------------------------------------------------------------------
     # Lowering to rounds (analytic mode)
@@ -650,9 +640,7 @@ class PimTask:
             pim_vpcs=trace.stats.pim_vpcs,
             move_vpcs=trace.stats.move_vpcs,
         )
-        return RunReport(
-            stats=stats, results=results, counts=counts, per_op_ns=[]
-        )
+        return RunReport(stats=stats, results=results, counts=counts)
 
     def to_trace(self) -> ColumnarTrace:
         """Enumerate the full VPC stream with placed addresses.

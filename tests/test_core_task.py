@@ -253,12 +253,6 @@ class TestCountsAndTrace:
         assert trace.stats.pim_vpcs == report.counts.pim_vpcs == 5
         assert trace.stats.move_vpcs == report.counts.move_vpcs == 10
 
-    def test_per_op_timings_reported(self, device):
-        task = self._task(device)
-        report = task.run(functional=False)
-        assert len(report.per_op_ns) == 1
-        assert report.per_op_ns[0] > 0
-
 
 class TestPolicies:
     def _time(self, small_geometry, small_bus_config, policy, m=8, k=8, n=8):

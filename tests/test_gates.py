@@ -130,15 +130,25 @@ def test_vector_engine_beats_scalar_oracle(matmul_100k, record_property):
     assert speedup >= 1.0
 
 
+#: Interleaved (control, disabled) pairs of the overhead gate.
+OVERHEAD_PAIRS = 21
+
+
 def test_disabled_observability_overhead(matmul_100k, record_property):
     """``execute_trace`` with the collector disabled against a direct
     engine call that bypasses the obs plumbing; both skip verification
-    so the delta is the dispatch overhead."""
+    so the delta is the dispatch overhead.
+
+    The two sides run in back-to-back pairs, the order flipped every
+    pair, and the gate reads the median of the per-pair time ratios: a
+    host slowdown that spans a pair cancels in its ratio, and the median
+    drops the pairs it splits.
+    """
     from repro.sim.vector_exec import VectorExecState
 
     _, cols = matmul_100k
 
-    def direct_run():
+    def control():
         state = VectorExecState(
             StreamPIMDevice(),
             workload="bench",
@@ -148,15 +158,35 @@ def test_disabled_observability_overhead(matmul_100k, record_property):
         state.feed(cols)
         return state.finish()
 
-    control_s, control_stats = best_of(direct_run)
-    disabled_s, disabled_stats = best_of(
-        lambda: StreamPIMDevice().execute_trace(
+    def disabled():
+        return StreamPIMDevice().execute_trace(
             cols, workload="bench", functional=False, verify=False
         )
+
+    def timed(fn):
+        t0 = time.perf_counter()
+        result = fn()
+        return time.perf_counter() - t0, result
+
+    control()
+    disabled()
+    ratios = []
+    for pair in range(OVERHEAD_PAIRS):
+        if pair % 2:
+            disabled_s, disabled_stats = timed(disabled)
+            control_s, control_stats = timed(control)
+        else:
+            control_s, control_stats = timed(control)
+            disabled_s, disabled_stats = timed(disabled)
+        assert disabled_stats == control_stats
+        ratios.append(disabled_s / control_s)
+    overhead_pct = (percentile(ratios, 50) - 1.0) * 100.0
+    record(
+        record_property,
+        overhead_pct=overhead_pct,
+        pairs=OVERHEAD_PAIRS,
+        ceiling_pct=5.0,
     )
-    assert disabled_stats == control_stats
-    overhead_pct = (disabled_s - control_s) / control_s * 100.0
-    record(record_property, overhead_pct=overhead_pct, ceiling_pct=5.0)
     assert overhead_pct <= 5.0
 
 

@@ -25,7 +25,7 @@ from repro.core.scheduler import Round, Scheduler, SchedulerPolicy
 from repro.core.task import TaskOp
 from repro.obs import Collector
 from repro.sim.stats import EnergyBreakdown, TimeBreakdown
-from repro.workloads import POLYBENCH
+from repro.workloads import POLYBENCH, polybench_workload
 from repro.workloads.dnn import MLPShape, mlp_spec
 from tests.oracles import round_compose
 
@@ -208,10 +208,8 @@ class TestObservedRuns:
             for op in task._operations
         ]
         everything = [round_ for rounds in per_op for round_ in rounds]
-        # PimTask.run composes each operation, then the whole task.
-        expected = []
-        for rounds in [*per_op, everything]:
-            expected.extend(schedule_timeline(scheduler, rounds))
+        # PimTask.run composes the whole task once.
+        expected = schedule_timeline(scheduler, everything)
         spans = [s for s in collector.spans if s.category == "sched"]
         assert len(spans) == len(expected)
         for span, interval in zip(spans, expected):
@@ -219,14 +217,35 @@ class TestObservedRuns:
             assert span.ts_ns == pytest.approx(interval.start_ns, rel=1e-12)
             assert span.end_ns == pytest.approx(interval.end_ns, rel=1e-12)
         snapshot = collector.registry.snapshot()
-        assert snapshot["sched.rounds"] == 2 * len(everything)
-        assert snapshot["sched.move_vpcs"] == 2 * sum(
+        assert snapshot["sched.composes"] == 1
+        assert snapshot["sched.rounds"] == len(everything)
+        assert snapshot["sched.move_vpcs"] == sum(
             r.move_vpcs for r in everything
         )
         total = round_compose.compose(scheduler, everything).total_ns
         assert snapshot["sched.total_ns"]["value"] == pytest.approx(
             total, rel=1e-12
         )
+
+    @pytest.mark.parametrize("policy", list(SchedulerPolicy))
+    def test_each_round_spans_once(self, policy):
+        """Regression: ``run`` composed every operation on its own and
+        then the whole task, so each round's spans appeared twice (atax
+        at 0.01: two rounds read ``sched.rounds`` 4)."""
+        task, collector = _obs_run(polybench_workload("atax", scale=0.01), policy)
+        placer = task._build_placer()
+        handles = task._place_all(placer)
+        rounds = [
+            round_
+            for op in task._operations
+            for round_ in task._lower(op, handles, placer)[0]
+        ]
+        spans = [s for s in collector.spans if s.category == "sched"]
+        compute = [s for s in spans if s.track == "sched.compute"]
+        assert len(compute) == sum(r.repeat for r in rounds) == 2
+        assert len(spans) == len(schedule_timeline(task.device.scheduler, rounds))
+        assert len({(s.track, s.ts_ns) for s in spans}) == len(spans)
+        assert collector.registry.snapshot()["sched.rounds"] == 2
 
     @pytest.mark.parametrize("policy", list(SchedulerPolicy))
     def test_timeline_of_runs_is_timeline_of_expansion(self, policy):
