@@ -46,7 +46,8 @@ Prediction runs in three stages, which is what makes sweeps cheap:
   chains — all independent of timing constants;
 * **cost**, once per distinct set of cost tables (profile time, shift
   and compute energy per ``(opcode, size)`` shape; copy time, read and
-  write energy per word count), remembered on the predictor: exact
+  write energy per word count, priced by the vector engine's own
+  ``shape_costs``/``copy_costs``), remembered on the predictor: exact
   energy, category sums, and per operation a priced summary — its
   per-subarray loads and three bus-pipeline maxima, nothing per
   command;
@@ -64,9 +65,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.isa.columnar import ColumnarTrace, MUL_BYTE, TRAN_BYTE
-from repro.isa.encoding import BYTE_TO_OPCODE
-from repro.isa.vpc import VPC, VPCOpcode
 from repro.sim.stats import EnergyBreakdown, RunStats, TimeBreakdown
+from repro.sim.vector_exec import copy_costs, shape_costs, shape_keys
 
 #: Platform tag stamped on predicted stats (distinguishes analytic
 #: results from simulated ``"StPIM"`` rows in mixed reports).
@@ -301,8 +301,9 @@ class TracePredictor:
             )
         self.words_per_subarray = int(words_per_subarray)
         self.commands = len(trace)
-        # Cost-stage results keyed by the bytes of their cost tables.
-        self._priced: Dict[bytes, _PricedTrace] = {}
+        # Cost-stage results keyed by the device inputs the tables are
+        # priced from (see _pricing_inputs), so a hit prices nothing.
+        self._priced: Dict[tuple, _PricedTrace] = {}
         opcode = trace.opcode
         size = trace.size.astype(np.int64)
         compute = trace.is_compute
@@ -323,7 +324,7 @@ class TracePredictor:
             self.n_subs = 1
             self.cross_trans = 0
             self._ops: List[_OpStructure] = []
-            self._prof_protos: List[tuple] = []
+            self._shape_keys: List[int] = []
             self._prof_inv = np.empty(0, np.int64)
             self._word_uniq = np.empty(0, np.int64)
             self._inv_size = np.empty(0, np.int64)
@@ -351,20 +352,12 @@ class TracePredictor:
         self._insub = insub
         self._has_op = has_op
 
-        # Unique (opcode, size) shapes -> engine profile protos.
-        key = (opcode.astype(np.int64) << 48) | size
-        uniq, inverse = np.unique(key, return_inverse=True)
+        # Unique packed (opcode, size) shapes, priced per device.
+        uniq, inverse = np.unique(
+            shape_keys(opcode, size), return_inverse=True
+        )
         self._prof_inv = inverse
-        self._prof_protos = []
-        for packed in uniq.tolist():
-            code = packed >> 48
-            words = packed & ((1 << 48) - 1)
-            vpc_opcode = BYTE_TO_OPCODE[code]
-            if vpc_opcode is VPCOpcode.TRAN:
-                proto = VPC.tran(0, 0, words)
-            else:
-                proto = VPC(vpc_opcode, 0, 0, 0, words)
-            self._prof_protos.append(proto)
+        self._shape_keys = uniq.tolist()
 
         # Unique copy word counts (operand/cross copies move `size`
         # words; result copies move 1 word for MUL, `size` otherwise).
@@ -561,8 +554,11 @@ class TracePredictor:
         ``words_per_subarray`` this predictor was built with.
 
         The cost stage (:meth:`_price`) runs once per distinct set of
-        cost tables and is remembered on the predictor, so points that
-        differ only in ``vpc_decode_ns`` pay for the point stage alone.
+        cost tables and is remembered on the predictor, keyed by the
+        engine class and the config fields the tables are priced from
+        (:meth:`_pricing_inputs`), so points that differ only in
+        ``vpc_decode_ns`` pay for the point stage alone and price no
+        table.
         """
         if device.address_map.words_per_subarray != self.words_per_subarray:
             raise ValueError(
@@ -587,11 +583,12 @@ class TracePredictor:
             )
 
         # ---- cost stage, once per distinct set of cost tables -----------
-        tables = self._cost_tables(device)
-        key = b"".join(table.tobytes() for table in tables)
-        priced = self._priced.get(key)
+        inputs = self._pricing_inputs(device)
+        priced = self._priced.get(inputs)
         if priced is None:
-            priced = self._priced[key] = self._price(*tables)
+            priced = self._priced[inputs] = self._price(
+                *self._cost_tables(device)
+            )
 
         # ---- point stage: per-operation max-plus composition ------------
         decode_ns = device.config.vpc_decode_ns
@@ -638,35 +635,34 @@ class TracePredictor:
             cross_trans=self.cross_trans,
         )
 
+    @staticmethod
+    def _pricing_inputs(device) -> tuple:
+        """Every device input the cost tables are priced from.
+
+        The engine model's class (a device may swap in another engine)
+        and the config fields :meth:`SubarrayEngine.profile` and
+        ``_copy_cost_ns`` read; of the scheduler policy only whether it
+        overlaps preparation, so BASE and DISTRIBUTE share an entry.
+        The geometry is checked by :meth:`predict` and
+        ``vpc_decode_ns`` is read by the point stage alone.
+        """
+        config = device.config
+        return (
+            type(device.engine_model),
+            config.timing,
+            config.processor,
+            config.bus,
+            config.scheduler_policy.overlaps_prep,
+            config.prep_model,
+        )
+
     def _cost_tables(self, device) -> tuple:
         """The six per-shape cost tables: profile time, shift and compute
         energy per ``(opcode, size)`` shape, and copy time, read energy
         and write energy per word count.  They hold every device input
         the cost stage reads."""
-        n_p = len(self._prof_protos)
-        prof_tbl = np.empty(n_p)
-        prof_shift_tbl = np.empty(n_p)
-        prof_comp_tbl = np.empty(n_p)
-        profile = device.engine_model.profile
-        for j, proto in enumerate(self._prof_protos):
-            p = profile(proto)
-            prof_tbl[j] = p.time_ns
-            prof_shift_tbl[j] = p.energy.shift_pj
-            prof_comp_tbl[j] = p.energy.compute_pj
-        model = device.config.prep_model
-        n_w = len(self._word_uniq)
-        cost_tbl = np.empty(n_w)
-        cost_read_tbl = np.empty(n_w)
-        cost_write_tbl = np.empty(n_w)
-        for j, count in enumerate(self._word_uniq.tolist()):
-            cost_tbl[j] = device._copy_cost_ns(count)
-            reads = math.ceil(count / model.access_width_words)
-            writes = math.ceil(count / model.write_access_width_words)
-            cost_read_tbl[j] = reads * device.timing.read_pj
-            cost_write_tbl[j] = writes * device.timing.write_pj
-        return (
-            prof_tbl, prof_shift_tbl, prof_comp_tbl,
-            cost_tbl, cost_read_tbl, cost_write_tbl,
+        return shape_costs(device, self._shape_keys) + copy_costs(
+            device, self._word_uniq.tolist()
         )
 
     def _price(

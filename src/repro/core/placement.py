@@ -32,6 +32,7 @@ builds one row's :class:`RowSlice` objects on demand.
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -184,26 +185,21 @@ class MatrixHandle:
                 :data:`SLICE_FIELDS`.
         """
         placement = data["rows_placement"]
-        try:
-            # (stored rows, slices per row, fields) in one array.
-            table = np.array(placement, dtype=np.int64)
-            depth = 3
-            per_row = table.shape[1] if table.ndim == depth else 0
-            row_ptr = np.arange(len(table) + 1) * per_row
-        except ValueError:  # stored rows with different slice counts
-            table = np.array(
-                [piece for row in placement for piece in row],
-                dtype=np.int64,
-            )
-            depth = 2
-            row_ptr = np.cumsum([0] + [len(row) for row in placement])
-        if table.size and (
-            table.ndim != depth or table.shape[-1] != len(SLICE_FIELDS)
-        ):
+        pieces = list(chain.from_iterable(placement))
+        width = len(SLICE_FIELDS)
+        if set(map(len, pieces)) - {width}:
             raise ValueError(
                 f"matrix {data['name']!r}: slices must be "
                 f"[{', '.join(SLICE_FIELDS)}] lists"
             )
+        # One flat pass over the JSON ints; no nested-list inference.
+        table = np.fromiter(
+            chain.from_iterable(pieces),
+            dtype=np.int64,
+            count=len(pieces) * width,
+        ).reshape(-1, width)
+        row_ptr = np.zeros(len(placement) + 1, dtype=np.int64)
+        np.cumsum(list(map(len, placement)), out=row_ptr[1:])
         mirror = data.get("mirror")
         return cls(
             name=str(data["name"]),

@@ -1238,9 +1238,8 @@ class ScratchAllocator:
         keys = keys.ravel()
         sizes = sizes.ravel()
         n = keys.size
-        out = np.empty(n, dtype=np.int64)
         if n == 0:
-            return out
+            return np.empty(0, dtype=np.int64)
         unique_keys, key_inv = np.unique(keys, return_inverse=True)
         unique_sizes, size_inv = np.unique(sizes, return_inverse=True)
         group_ids, ginv = np.unique(
@@ -1253,57 +1252,120 @@ class ScratchAllocator:
         ranks[order] = np.arange(n, dtype=np.int64) - np.repeat(
             starts, counts
         )
-        n_groups = len(group_ids)
+        n_sizes = len(unique_sizes)
+        group_keys = [
+            self._decode_key(encoded)
+            for encoded in unique_keys[group_ids // n_sizes].tolist()
+        ]
+        group_words = unique_sizes[group_ids % n_sizes].tolist()
         pools: List[List[int]] = []
-        group_info: List[Tuple[Tuple[int, int], int]] = []
-        grow = np.empty(n_groups, dtype=np.int64)
-        slot_start = np.empty(n_groups, dtype=np.int64)
-        for gi, gid in enumerate(group_ids.tolist()):
-            key = self._decode_key(
-                int(unique_keys[gid // len(unique_sizes)])
-            )
-            words = int(unique_sizes[gid % len(unique_sizes)])
+        slot_start: List[int] = []
+        grow: List[int] = []
+        taken: List[int] = []
+        reused: List[int] = []
+        for key, words, count in zip(
+            group_keys, group_words, counts.tolist()
+        ):
             pool_key = (key, words)
             pool = self._pools.setdefault(pool_key, [])
-            count = int(counts[gi])
             # Invariant of near(): while the pool is not full the next
             # rotation index equals the pool length, so one start value
             # covers both the growth and the steady-state phases.
-            slot_start[gi] = self._next_slot.get(pool_key, 0)
-            grow[gi] = (
-                min(self.SLOTS - len(pool), count)
-                if len(pool) < self.SLOTS
-                else 0
-            )
-            self._next_slot[pool_key] = (
-                int(slot_start[gi]) + count
-            ) % self.SLOTS
+            start = self._next_slot.get(pool_key, 0)
+            self._next_slot[pool_key] = (start + count) % self.SLOTS
+            need = min(self.SLOTS - len(pool), count)
+            # _allocate pops the free list from the tail first.
+            free = self._free.get(pool_key) or []
+            take = min(need, len(free))
+            if take:
+                reused.extend(reversed(free[-take:]))
+                del free[-take:]
+            slot_start.append(start)
+            grow.append(need)
+            taken.append(take)
             pools.append(pool)
-            group_info.append((key, words))
-        # Grow pools through _allocate in original call order: cursor
-        # and free-list evolution must interleave across groups exactly
-        # as the scalar call sequence would.
-        for index in np.flatnonzero(ranks < grow[ginv]).tolist():
-            gi = int(ginv[index])
-            key, words = group_info[gi]
-            pools[gi].append(self._allocate(key, words))
-        for gi in range(n_groups):
-            members = ginv == gi
-            pool_arr = np.asarray(pools[gi], dtype=np.int64)
-            out[members] = pool_arr[
-                (slot_start[gi] + ranks[members]) % self.SLOTS
-            ]
-        return out
+        slot_start = np.array(slot_start, dtype=np.int64)
+        taken = np.array(taken, dtype=np.int64)
+
+        # Pool growth in call order: a group's first `taken` new slots
+        # come off its free list, the rest advance its subarray's
+        # cursor, which the groups of one subarray share in call order.
+        growing = np.flatnonzero(ranks < np.array(grow)[ginv])
+        grow_group = ginv[growing]
+        grow_rank = ranks[growing]
+        new_slots = np.empty(len(growing), dtype=np.int64)
+        from_free = grow_rank < taken[grow_group]
+        new_slots[from_free] = np.asarray(reused, dtype=np.int64)[
+            (np.cumsum(taken) - taken)[grow_group[from_free]]
+            + grow_rank[from_free]
+        ]
+        fresh = growing[~from_free]
+        new_slots[~from_free] = self._advance_cursors(
+            keys[fresh], sizes[fresh]
+        )
+        # Within a group the growing calls come in rank order.
+        new_list = new_slots[np.argsort(grow_group, kind="stable")].tolist()
+        at = 0
+        for pool, need in zip(pools, grow):
+            pool.extend(new_list[at : at + need])
+            at += need
+
+        # One padded (groups, SLOTS) pool table and one gather.
+        table = np.array(
+            [pool + [0] * (self.SLOTS - len(pool)) for pool in pools],
+            dtype=np.int64,
+        )
+        return table[ginv, (slot_start[ginv] + ranks) % self.SLOTS]
+
+    def _advance_cursors(
+        self, encoded: np.ndarray, words: np.ndarray
+    ) -> np.ndarray:
+        """Fresh addresses for allocations given in call order.
+
+        Each subarray's cursor moves down by every allocation's words in
+        turn, exactly as successive non-recycling :meth:`_allocate`
+        calls move it.  This is :meth:`unique_block` and the growth of
+        :meth:`near_block` pools past their free lists.
+        """
+        if not len(encoded):
+            return np.empty(0, dtype=np.int64)
+        unique_keys, key_id = np.unique(encoded, return_inverse=True)
+        keys = [self._decode_key(e) for e in unique_keys.tolist()]
+        capacity = self._placer.subarray_capacity_words
+        start = np.array(
+            [self._cursors.get(key, capacity - 1) for key in keys],
+            dtype=np.int64,
+        )
+        base = np.array(
+            [self._placer.address_map.subarray_base(*key) for key in keys],
+            dtype=np.int64,
+        )
+        # Running words per subarray: one stable sort by subarray, one
+        # cumsum, minus each subarray's total before its first call.
+        order = np.argsort(key_id, kind="stable")
+        running = np.cumsum(words[order])
+        first = np.flatnonzero(np.diff(key_id[order], prepend=-1))
+        before = (running - words[order])[first]
+        used = np.empty(len(order), dtype=np.int64)
+        used[order] = running - np.repeat(
+            before, np.diff(np.append(first, len(order)))
+        )
+        cursor = start[key_id] - used
+        exhausted = cursor < 0
+        if exhausted.any():
+            key = keys[int(key_id[np.argmax(exhausted)])]
+            raise MemoryError(f"scratch exhausted in subarray {key}")
+        last = np.append(first[1:], len(order)) - 1
+        for key, value in zip(keys, (start - running[last] + before).tolist()):
+            self._cursors[key] = value
+        return base[key_id] + cursor + 1
 
     def unique_block(self, keys, words: int) -> np.ndarray:
         """Vectorized :meth:`unique` over encoded subarray keys."""
         keys = np.asarray(keys, dtype=np.int64).ravel()
-        out = np.empty(keys.size, dtype=np.int64)
-        for i, encoded in enumerate(keys.tolist()):
-            out[i] = self._allocate(
-                self._decode_key(int(encoded)), words, reuse=False
-            )
-        return out
+        return self._advance_cursors(
+            keys, np.full(keys.size, words, dtype=np.int64)
+        )
 
     def _allocate(
         self, key: Tuple[int, int], words: int, reuse: bool = True

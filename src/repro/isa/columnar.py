@@ -68,8 +68,8 @@ _VALID_OPCODE_BYTES = np.array(sorted(BYTE_TO_OPCODE), dtype=np.uint8)
 _TEXT_OPCODE_BYTES = {op.value: OPCODE_TO_BYTE[op] for op in VPCOpcode}
 #: Columnar fields are int64; anything beyond this cannot round-trip.
 _COLUMN_MAX = np.iinfo(np.int64).max
-#: Little-endian byte weights of one 5-byte wire field.
-_FIELD_WEIGHTS = (np.int64(1) << (8 * np.arange(5, dtype=np.int64)))
+#: Wire fields are the low 5 bytes of a little-endian int64.
+_WIRE_INT = np.dtype("<i8")
 
 
 class ColumnarTrace:
@@ -321,8 +321,11 @@ class ColumnarTrace:
         raw = np.frombuffer(body, dtype=np.uint8).reshape(
             -1, VPC_ENCODED_BYTES
         )
-        fields = raw[:, 1:].reshape(-1, 4, 5).astype(np.int64)
-        values = fields @ _FIELD_WEIGHTS
+        # Widen each 5-byte little-endian field to 8 zero-padded bytes
+        # and view the block as int64.
+        wide = np.zeros((len(raw), 4, 8), dtype=np.uint8)
+        wide[:, :, :5] = raw[:, 1:].reshape(-1, 4, 5)
+        values = wide.view(_WIRE_INT).reshape(-1, 4)
         records = np.empty(len(raw), dtype=RECORD_DTYPE)
         records["opcode"] = raw[:, 0]
         records["src1"] = values[:, 0]
@@ -359,11 +362,14 @@ class ColumnarTrace:
             )
         out = np.empty((len(rec), VPC_ENCODED_BYTES), dtype=np.uint8)
         out[:, 0] = rec["opcode"]
+        # Every field is now known to fit 5 bytes: view the fields as
+        # little-endian int64 bytes and keep the low 5 of each 8.
         values = np.stack(
             [rec["src1"], src2, rec["des"], rec["size"]], axis=1
+        ).astype(_WIRE_INT, copy=False)
+        out[:, 1:] = (
+            values.view(np.uint8).reshape(-1, 4, 8)[:, :, :5].reshape(-1, 20)
         )
-        shifted = values[:, :, None] >> (8 * np.arange(5, dtype=np.int64))
-        out[:, 1:] = (shifted & 0xFF).reshape(len(rec), 20)
         return _BINARY_MAGIC + out.tobytes()
 
     # ------------------------------------------------------------------

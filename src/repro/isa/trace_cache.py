@@ -26,7 +26,9 @@ loads it instead:
 Hit/miss/byte counters go to a
 :class:`~repro.obs.metrics.MetricsRegistry` and are also persisted to
 ``stats.json`` in the cache directory, which is what
-``repro-streampim cache stats`` reports across processes.
+``repro-streampim cache stats`` reports across processes.  An
+in-memory hit touches no file; its counts are added to ``stats.json``
+with the instance's next disk access, ``stats()`` call or finalizer.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import hashlib
 import json
 import os
 import tempfile
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -245,6 +248,9 @@ class TraceCache:
             )
         self.memory_entries = memory_entries
         self._memory: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        #: Counter increments not yet added to ``stats.json``.
+        self._pending: Dict[str, int] = {}
+        weakref.finalize(self, _flush_at_exit, self.cache_dir, self._pending)
 
     # ------------------------------------------------------------------
     def entry_path(self, key: str) -> Path:
@@ -357,7 +363,8 @@ class TraceCache:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Persistent counters plus the current on-disk footprint."""
-        counters = self._read_stats()
+        self._flush_stats()
+        counters = _read_stats(self.cache_dir)
         entries = 0
         total_bytes = 0
         if self.cache_dir.is_dir():
@@ -384,10 +391,11 @@ class TraceCache:
                 except OSError:
                     continue
             try:
-                (self.cache_dir / "stats.json").unlink()
+                _stats_path(self.cache_dir).unlink()
             except OSError:
                 pass
         self._memory.clear()
+        self._pending.clear()
         return removed
 
     # ------------------------------------------------------------------
@@ -449,74 +457,101 @@ class TraceCache:
             increments["bytes_written"] = bytes_written
         for name, amount in increments.items():
             self.registry.counter(f"trace_cache.{name}").inc(amount)
-        self._bump_stats(increments)
-
-    def _stats_path(self) -> Path:
-        return self.cache_dir / "stats.json"
-
-    def _read_stats(self) -> Dict[str, int]:
-        """Load the persistent counters, tolerating a damaged file.
-
-        A truncated, corrupt, or wrong-shaped ``stats.json`` (a crash
-        mid-write on a filesystem without atomic replace, a partial
-        copy, manual editing) is treated as *zero counters* and
-        atomically regenerated — it must never raise into a caller
-        that only wanted to compile a trace.
-        """
-        counters = {name: 0 for name in _STATS_FIELDS}
-        path = self._stats_path()
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return counters
-        damaged = False
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            data = None
-            damaged = True
-        if isinstance(data, dict):
-            for name in _STATS_FIELDS:
-                value = data.get(name)
-                if isinstance(value, int) and value >= 0:
-                    counters[name] = value
-                elif name in data:
-                    damaged = True
-        elif data is not None:
-            damaged = True
-        if damaged:
-            # Regenerate a clean file so the damage is not re-read on
-            # every future stats bump.
-            self._write_stats(counters)
-        return counters
-
-    def _write_stats(self, counters: Dict[str, int]) -> None:
-        """Atomically replace ``stats.json`` (write-temp + replace)."""
-        temp_name = None
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, temp_name = tempfile.mkstemp(
-                dir=self.cache_dir, prefix=".stats.", suffix=".tmp"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(counters, handle, sort_keys=True)
-            os.replace(temp_name, self._stats_path())
-            temp_name = None
-        except OSError:
-            pass
-        finally:
-            if temp_name is not None:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-
-    def _bump_stats(self, increments: Dict[str, int]) -> None:
-        # Best-effort cross-process counters: read-modify-write with an
-        # atomic replace.  Concurrent writers may drop increments, which
-        # is acceptable for operational stats (correctness never depends
-        # on them).
-        counters = self._read_stats()
         for name, amount in increments.items():
-            counters[name] = counters.get(name, 0) + amount
-        self._write_stats(counters)
+            self._pending[name] = self._pending.get(name, 0) + amount
+        if not memory:
+            # A memory hit reads no file, so it does not write one
+            # either: its counts ride along with this instance's next
+            # disk access, its next stats() call, or its finalizer.
+            self._flush_stats()
+
+    def _flush_stats(self) -> None:
+        _bump_stats(self.cache_dir, self._pending)
+
+
+# ----------------------------------------------------------------------
+# stats.json: best-effort cross-process counters
+# ----------------------------------------------------------------------
+def _stats_path(cache_dir: Path) -> Path:
+    return cache_dir / "stats.json"
+
+
+def _read_stats(cache_dir: Path) -> Dict[str, int]:
+    """Load the persistent counters, tolerating a damaged file.
+
+    A truncated, corrupt, or wrong-shaped ``stats.json`` (a crash
+    mid-write on a filesystem without atomic replace, a partial copy,
+    manual editing) is treated as *zero counters* and atomically
+    regenerated — it must never raise into a caller that only wanted
+    to compile a trace.
+    """
+    counters = {name: 0 for name in _STATS_FIELDS}
+    try:
+        raw = _stats_path(cache_dir).read_bytes()
+    except OSError:
+        return counters
+    damaged = False
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        data = None
+        damaged = True
+    if isinstance(data, dict):
+        for name in _STATS_FIELDS:
+            value = data.get(name)
+            if isinstance(value, int) and value >= 0:
+                counters[name] = value
+            elif name in data:
+                damaged = True
+    elif data is not None:
+        damaged = True
+    if damaged:
+        # Regenerate a clean file so the damage is not re-read on every
+        # future stats bump.
+        _write_stats(cache_dir, counters)
+    return counters
+
+
+def _write_stats(cache_dir: Path, counters: Dict[str, int]) -> None:
+    """Atomically replace ``stats.json`` (write-temp + replace)."""
+    temp_name = None
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        fd, temp_name = tempfile.mkstemp(
+            dir=cache_dir, prefix=".stats.", suffix=".tmp"
+        )
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(counters, handle, sort_keys=True)
+        os.replace(temp_name, _stats_path(cache_dir))
+        temp_name = None
+    except OSError:
+        pass
+    finally:
+        if temp_name is not None:
+            try:
+                os.unlink(temp_name)
+            except OSError:
+                pass
+
+
+def _bump_stats(cache_dir: Path, pending: Dict[str, int]) -> None:
+    """Add ``pending`` to ``stats.json`` and empty it.
+
+    Read-modify-write with an atomic replace.  Concurrent writers may
+    drop increments, which is acceptable for operational stats
+    (correctness never depends on them).
+    """
+    if not pending:
+        return
+    counters = _read_stats(cache_dir)
+    for name, amount in pending.items():
+        counters[name] = counters.get(name, 0) + amount
+    pending.clear()
+    _write_stats(cache_dir, counters)
+
+
+def _flush_at_exit(cache_dir: Path, pending: Dict[str, int]) -> None:
+    """A dropped cache's last memory-hit counts, written only while its
+    directory still exists (a removed cache stays removed)."""
+    if pending and cache_dir.is_dir():
+        _bump_stats(cache_dir, pending)

@@ -11,13 +11,16 @@ This module is the columnar engine behind
 splits the work into
 
 * **bulk array passes** for everything value-parallel: subarray ids of
-  every operand (one integer division per column), per-command durations
-  and energies (profiled once per unique ``(opcode, size)`` shape and
-  gathered), decode-ready times, and the exclusive-category time sweep
-  (:func:`sweep_spans`);
-* a **minimal busy-until scan** for the one genuinely sequential part —
-  the per-subarray blocking recurrence — reduced to a handful of float
-  ``max``/``add`` operations per command over precomputed columns;
+  every operand (one integer division per column), the chunk's *event
+  table* — one row per busy span in the reference loop's order, with
+  its duration and energy (priced once per unique ``(opcode, size)``
+  shape or copy word count and gathered) — decode-ready times, and the
+  exclusive-category time sweep (:func:`sweep_spans`);
+* a **begin-only busy-until scan** for the one genuinely sequential
+  part — the per-subarray blocking recurrence — one Python loop over
+  per-command class codes that keeps the clocks in a flat list indexed
+  by subarray id and records only each row's begin; finishes are one
+  array add afterwards;
 * a **dataflow-batched functional apply**: one sort of a chunk's word
   ranges finds each read's producer, TRANs become renames, every
   compute result gets its own slot, and each ``(RAW level, opcode,
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -140,56 +143,62 @@ def sweep_spans(
     )
 
 
-def _unique_profiles(
-    device, opcode: np.ndarray, size: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-command (duration, shift_pj, compute_pj) via shape dedup.
+def shape_keys(opcode: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Pack each command's ``(opcode byte, size)`` shape into one int64."""
+    return (opcode.astype(np.int64) << 48) | size
 
-    ``SubarrayEngine.profile`` depends only on ``(opcode, size)``;
-    real traces contain a handful of distinct shapes, so profiling each
-    unique shape once and gathering is exact and cheap.
+
+def shape_costs(
+    device, keys
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(time_ns, shift_pj, compute_pj) of each packed shape key.
+
+    ``SubarrayEngine.profile`` depends only on ``(opcode, size)``, and
+    real traces hold a handful of distinct shapes, so callers price the
+    unique keys (:func:`shape_keys`) once and gather.
     """
-    key = (opcode.astype(np.int64) << 48) | size
-    uniq, inverse = np.unique(key, return_inverse=True)
-    duration = np.empty(len(uniq), dtype=np.float64)
-    shift_pj = np.empty(len(uniq), dtype=np.float64)
-    compute_pj = np.empty(len(uniq), dtype=np.float64)
-    for j, packed in enumerate(uniq.tolist()):
-        code = packed >> 48
+    count = len(keys)
+    time_ns = np.empty(count, dtype=np.float64)
+    shift_pj = np.empty(count, dtype=np.float64)
+    compute_pj = np.empty(count, dtype=np.float64)
+    profile = device.engine_model.profile
+    for j, packed in enumerate(keys):
+        vpc_opcode = BYTE_TO_OPCODE[packed >> 48]
         words = packed & ((1 << 48) - 1)
-        vpc_opcode = BYTE_TO_OPCODE[code]
         if vpc_opcode is VPCOpcode.TRAN:
             proto = VPC.tran(0, 0, words)
         else:
             proto = VPC(vpc_opcode, 0, 0, 0, words)
-        profile = device.engine_model.profile(proto)
-        duration[j] = profile.time_ns
-        shift_pj[j] = profile.energy.shift_pj
-        compute_pj[j] = profile.energy.compute_pj
-    return duration[inverse], shift_pj[inverse], compute_pj[inverse]
+        costs = profile(proto)
+        time_ns[j] = costs.time_ns
+        shift_pj[j] = costs.energy.shift_pj
+        compute_pj[j] = costs.energy.compute_pj
+    return time_ns, shift_pj, compute_pj
 
 
-def _copy_costs(
-    device, words: np.ndarray
+def copy_costs(
+    device, counts
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(duration, read_pj, write_pj) of a cross-subarray copy per size.
+    """(time_ns, read_pj, write_pj) of a cross-subarray copy per word
+    count.
 
-    Delegates each unique word count to the device's scalar cost model
-    (same ``math.ceil`` float divisions) so the gathered values are the
-    exact floats the per-VPC reference loop computes.
+    Delegates the duration to the device's scalar cost model (same
+    ``math.ceil`` float divisions), so the values are the exact floats
+    the per-VPC reference loop computes.
     """
-    uniq, inverse = np.unique(words, return_inverse=True)
     model = device.config.prep_model
-    duration = np.empty(len(uniq), dtype=np.float64)
-    read_pj = np.empty(len(uniq), dtype=np.float64)
-    write_pj = np.empty(len(uniq), dtype=np.float64)
-    for j, count in enumerate(uniq.tolist()):
-        duration[j] = device._copy_cost_ns(count)
-        reads = math.ceil(count / model.access_width_words)
-        writes = math.ceil(count / model.write_access_width_words)
-        read_pj[j] = reads * device.timing.read_pj
-        write_pj[j] = writes * device.timing.write_pj
-    return duration[inverse], read_pj[inverse], write_pj[inverse]
+    read_pj = device.timing.read_pj
+    write_pj = device.timing.write_pj
+    time_ns = np.empty(len(counts), dtype=np.float64)
+    reads_pj = np.empty(len(counts), dtype=np.float64)
+    writes_pj = np.empty(len(counts), dtype=np.float64)
+    for j, words in enumerate(counts):
+        time_ns[j] = device._copy_cost_ns(words)
+        reads_pj[j] = math.ceil(words / model.access_width_words) * read_pj
+        writes_pj[j] = (
+            math.ceil(words / model.write_access_width_words) * write_pj
+        )
+    return time_ns, reads_pj, writes_pj
 
 
 def check_addresses(device, cols: ColumnarTrace) -> None:
@@ -224,10 +233,12 @@ def check_addresses(device, cols: ColumnarTrace) -> None:
 class VectorExecState:
     """Resumable vector execution: one trace, fed as ordered chunks.
 
-    Holds the per-subarray busy-until map, the bus/total clocks, the
-    span record, the breakdown accumulators, and the functional word
-    state, so a trace can be executed incrementally while later chunks
-    are still being lowered (the streamed compile/execute pipeline).
+    Holds the per-subarray busy-until list (one clock per subarray of
+    the device, indexed by subarray id), the bus/total clocks, the span
+    record (one ``starts``/``finishes``/``is_rw`` array triple per
+    chunk), the breakdown accumulators, and the functional word state,
+    so a trace can be executed incrementally while later chunks are
+    still being lowered (the streamed compile/execute pipeline).
     The contract is bit-identity: feeding a trace as any sequence of
     chunks and calling :meth:`finish` produces exactly the
     ``RunStats``, word-store contents, and span triple that feeding it
@@ -235,10 +246,15 @@ class VectorExecState:
 
     The float accumulations that make that non-trivial are handled
     explicitly: energy components carry the running left-to-right sum
-    across chunks (:func:`_ordered_sum_carry`), decode-ready times are
-    derived from the global command index, and the time sweep
-    (:func:`sweep_spans`, which globally sorts span edges) runs once in
-    :meth:`finish` over the accumulated spans.
+    over event rows across chunks (:func:`_ordered_sum_carry`),
+    decode-ready times are derived from the global command index, and
+    the time sweep (:func:`sweep_spans`, which globally sorts span
+    edges) runs once in :meth:`finish` over the concatenated spans.
+    Within a chunk, a span's finish is ``begin + duration`` computed as
+    one array add after the scan — the same IEEE addition the scan
+    performs when it advances a clock, and every begin is an exact
+    ``max`` of clocks, so the spans equal the per-VPC loop's bit for
+    bit.
 
     Functional state advances per chunk through the dataflow-batched
     apply (:func:`_apply_functional_chunk`), which hands a chunk whose
@@ -274,12 +290,18 @@ class VectorExecState:
         #: Chunks the batched apply replayed through the exact loop
         #: because a seed or result was negative.
         self.fallbacks = 0
-        self._busy: Dict[int, float] = {}
+        address_map = device.address_map
+        #: Busy-until clock of every subarray, indexed by subarray id
+        #: (``check_addresses`` keeps every id in range).
+        self._busy = [0.0] * -(
+            -address_map.total_words // address_map.words_per_subarray
+        )
         self._bus_busy = 0.0
         self._finish_time = 0.0
-        self._span_start: List[float] = []
-        self._span_finish: List[float] = []
-        self._span_rw: List[bool] = []
+        #: Per-chunk span arrays, concatenated once in :meth:`finish`.
+        self._span_start: List[np.ndarray] = []
+        self._span_finish: List[np.ndarray] = []
+        self._span_rw: List[np.ndarray] = []
         self._read_pj = 0.0
         self._write_pj = 0.0
         self._shift_pj = 0.0
@@ -323,148 +345,144 @@ class VectorExecState:
         deps = trace_dependencies(
             cols, device.address_map.words_per_subarray
         )
-
-        is_mul = opcode == MUL_BYTE
-        profile_ns, profile_shift, profile_compute = _unique_profiles(
-            device, opcode, size
-        )
-        copy_ns, copy_read, copy_write = _copy_costs(device, size)
-        result_words = np.where(is_mul, 1, size)
-        result_ns, result_read, result_write = _copy_costs(
-            device, result_words
-        )
-
         operand_copy = deps.remote >= 0
         result_copy = compute & (deps.dest >= 0)
-        cross_tran = deps.uses_bus
+        cross = deps.uses_bus
 
         # --------------------------------------------------------------
-        # Energy: per-command contributions are fully static; lay them
-        # out in the reference loop's event order (operand copy,
-        # profile, result copy — three slots per command) and continue
-        # the running left-to-right reduction across chunks.
+        # Event table: one row per busy span, in the reference loop's
+        # order (operand copy, then compute, then result copy; one row
+        # per TRAN), with its duration and rw flag.
         # --------------------------------------------------------------
-        read_contrib = np.zeros(3 * n)
-        write_contrib = np.zeros(3 * n)
-        shift_contrib = np.zeros(3 * n)
-        compute_contrib = np.zeros(3 * n)
-        slot0 = 3 * np.flatnonzero(operand_copy)
-        read_contrib[slot0] = copy_read[operand_copy]
-        write_contrib[slot0] = copy_write[operand_copy]
-        profiled = compute | ~cross_tran
-        slot1 = 3 * np.flatnonzero(profiled) + 1
-        shift_contrib[slot1] = profile_shift[profiled]
-        compute_contrib[slot1] = profile_compute[profiled]
-        slot1_cross = 3 * np.flatnonzero(cross_tran) + 1
-        read_contrib[slot1_cross] = copy_read[cross_tran]
-        write_contrib[slot1_cross] = copy_write[cross_tran]
-        slot2 = 3 * np.flatnonzero(result_copy) + 2
-        read_contrib[slot2] = result_read[result_copy]
-        write_contrib[slot2] = result_write[result_copy]
-        self._read_pj = _ordered_sum_carry(self._read_pj, read_contrib)
-        self._write_pj = _ordered_sum_carry(self._write_pj, write_contrib)
-        self._shift_pj = _ordered_sum_carry(self._shift_pj, shift_contrib)
+        extra = operand_copy.astype(np.int64) + result_copy
+        first_row = np.arange(n) + np.cumsum(extra) - extra
+        main_row = first_row + operand_copy
+        rows = n + int(extra.sum())
+        is_rw = np.zeros(rows, dtype=bool)
+        is_rw[first_row[operand_copy]] = True
+        is_rw[main_row[cross]] = True
+        is_rw[main_row[result_copy] + 1] = True
+        copy_words = np.empty(rows, dtype=np.int64)
+        copy_words[main_row] = size
+        copy_words[first_row[operand_copy]] = size[operand_copy]
+        copy_words[main_row[result_copy] + 1] = np.where(
+            opcode[result_copy] == MUL_BYTE, 1, size[result_copy]
+        )
+        words, word_of = np.unique(copy_words[is_rw], return_inverse=True)
+        copy_ns, read_pj, write_pj = copy_costs(device, words.tolist())
+        keys, shape_of = np.unique(
+            shape_keys(opcode[~cross], size[~cross]), return_inverse=True
+        )
+        profile_ns, shift_pj, compute_pj = shape_costs(device, keys.tolist())
+        duration = np.empty(rows, dtype=np.float64)
+        duration[is_rw] = copy_ns[word_of]
+        duration[~is_rw] = profile_ns[shape_of]
+
+        # Energy: every row's contribution is static; continue the
+        # running left-to-right reduction over the rows across chunks.
+        self._read_pj = _ordered_sum_carry(self._read_pj, read_pj[word_of])
+        self._write_pj = _ordered_sum_carry(
+            self._write_pj, write_pj[word_of]
+        )
+        self._shift_pj = _ordered_sum_carry(
+            self._shift_pj, shift_pj[shape_of]
+        )
         self._compute_pj = _ordered_sum_carry(
-            self._compute_pj, compute_contrib
+            self._compute_pj, compute_pj[shape_of]
         )
 
         # --------------------------------------------------------------
-        # Busy-until scan: the only sequential dependence.  The decode
+        # Busy-until scan: the only sequential dependence.  Class codes:
+        # 0 plain compute or local TRAN, 1 compute + result copy, 2 cross
+        # TRAN, 3 compute + operand copy, 4 compute + both copies.  The
+        # scan records each row's begin only; a row's finish is its
+        # begin plus its duration, the same single addition.  The decode
         # clock continues from the global command index, and the busy
-        # map / bus clock persist on the state across chunks.
+        # list / bus clock persist on the state across chunks.
         # --------------------------------------------------------------
-        decode_ns = device.config.vpc_decode_ns
+        code = np.where(
+            cross, 2, np.where(operand_copy, 3 + result_copy, result_copy)
+        )
+        other = np.where(operand_copy, deps.remote, deps.dest)
+        second = np.minimum(first_row + 1, rows - 1)
         ready_list = (
             np.arange(
                 self.offset + 1, self.offset + n + 1, dtype=np.float64
             )
-            * decode_ns
+            * device.config.vpc_decode_ns
         ).tolist()
+        both = np.flatnonzero(operand_copy & result_copy)
+        last_copy = iter(
+            zip(
+                deps.dest[both].tolist(),
+                duration[first_row[both] + 2].tolist(),
+            )
+        ).__next__
         busy = self._busy
-        busy_get = busy.get
         bus_busy = self._bus_busy
-        finish_time = self._finish_time
-        start_append = self._span_start.append
-        finish_append = self._span_finish.append
-        rw_append = self._span_rw.append
-
-        for (
-            ready,
-            code,
-            home,
-            remote,
-            dest,
-            profile_dur,
-            copy_dur,
-            result_dur,
-            has_operand_copy,
-            has_result_copy,
-            is_cross,
-        ) in zip(
+        begins: List[float] = []
+        append = begins.append
+        for kind, ready, home, far, first, then in zip(
+            code.tolist(),
             ready_list,
-            opcode.tolist(),
             deps.home.tolist(),
-            deps.remote.tolist(),
-            deps.dest.tolist(),
-            profile_ns.tolist(),
-            copy_ns.tolist(),
-            result_ns.tolist(),
-            operand_copy.tolist(),
-            result_copy.tolist(),
-            cross_tran.tolist(),
+            other.tolist(),
+            duration[first_row].tolist(),
+            duration[second].tolist(),
         ):
-            if code != TRAN_BYTE:
-                home_busy = busy_get(home, 0.0)
-                start = ready if ready > home_busy else home_busy
-                if has_operand_copy:
-                    remote_busy = busy_get(remote, 0.0)
-                    begin = start if start > remote_busy else remote_busy
-                    start = begin + copy_dur
-                    busy[remote] = start
-                    start_append(begin)
-                    finish_append(start)
-                    rw_append(True)
-                finish = start + profile_dur
+            if kind == 1:
+                begin = busy[home]
+                if ready > begin:
+                    begin = ready
+                append(begin)
+                finish = begin + first
                 busy[home] = finish
-                start_append(start)
-                finish_append(finish)
-                rw_append(False)
-                if has_result_copy:
-                    dest_busy = busy_get(dest, 0.0)
-                    begin = finish if finish > dest_busy else dest_busy
-                    finish = begin + result_dur
-                    busy[dest] = finish
-                    start_append(begin)
-                    finish_append(finish)
-                    rw_append(True)
-            elif not is_cross:
-                source_busy = busy_get(home, 0.0)
-                begin = ready if ready > source_busy else source_busy
-                finish = begin + profile_dur
-                busy[home] = finish
-                start_append(begin)
-                finish_append(finish)
-                rw_append(False)
-            else:
+                begin = busy[far]
+                if finish > begin:
+                    begin = finish
+                append(begin)
+                busy[far] = begin + then
+            elif kind == 2:
                 begin = bus_busy if bus_busy > ready else ready
-                source_busy = busy_get(home, 0.0)
-                if source_busy > begin:
-                    begin = source_busy
-                dest_busy = busy_get(dest, 0.0)
-                if dest_busy > begin:
-                    begin = dest_busy
-                finish = begin + copy_dur
-                bus_busy = finish
+                if busy[home] > begin:
+                    begin = busy[home]
+                if busy[far] > begin:
+                    begin = busy[far]
+                append(begin)
+                bus_busy = busy[home] = busy[far] = begin + first
+            elif kind == 0:
+                begin = busy[home]
+                if ready > begin:
+                    begin = ready
+                append(begin)
+                busy[home] = begin + first
+            else:
+                begin = busy[home]
+                if ready > begin:
+                    begin = ready
+                if busy[far] > begin:
+                    begin = busy[far]
+                append(begin)
+                start = begin + first
+                busy[far] = start
+                append(start)
+                finish = start + then
                 busy[home] = finish
-                busy[dest] = finish
-                start_append(begin)
-                finish_append(finish)
-                rw_append(True)
-            if finish > finish_time:
-                finish_time = finish
-
+                if kind == 4:
+                    dest, result_ns = last_copy()
+                    begin = busy[dest]
+                    if finish > begin:
+                        begin = finish
+                    append(begin)
+                    busy[dest] = begin + result_ns
         self._bus_busy = bus_busy
-        self._finish_time = finish_time
+
+        starts = np.array(begins, dtype=np.float64)
+        finishes = starts + duration
+        self._finish_time = max(self._finish_time, float(finishes.max()))
+        self._span_start.append(starts)
+        self._span_finish.append(finishes)
+        self._span_rw.append(is_rw)
 
         if self.functional:
             if self.exact_apply or not _apply_functional_chunk(
@@ -505,9 +523,13 @@ class VectorExecState:
         )
         stats.bump("pim_vpcs", self.pim_vpcs)
         stats.bump("move_vpcs", self.offset - self.pim_vpcs)
-        starts_array = np.array(self._span_start, dtype=np.float64)
-        finishes_array = np.array(self._span_finish, dtype=np.float64)
-        rw_array = np.array(self._span_rw, dtype=bool)
+        starts_array = np.concatenate(
+            self._span_start or [np.empty(0, dtype=np.float64)]
+        )
+        finishes_array = np.concatenate(
+            self._span_finish or [np.empty(0, dtype=np.float64)]
+        )
+        rw_array = np.concatenate(self._span_rw or [np.empty(0, dtype=bool)])
         # sweep_spans globally sorts span edges, so it must see the
         # whole span record at once — per-chunk sweeps would not merge
         # intervals that straddle a chunk boundary identically.

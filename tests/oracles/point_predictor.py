@@ -16,6 +16,8 @@ import math
 import numpy as np
 
 from repro.analysis.predictor import PredictedStats, TracePredictor
+from repro.isa.encoding import BYTE_TO_OPCODE
+from repro.isa.vpc import VPC, VPCOpcode
 from repro.sim.stats import EnergyBreakdown, TimeBreakdown
 
 
@@ -52,12 +54,20 @@ def predict(
         )
 
     # ---- per-unique-shape cost tables -------------------------------
-    n_p = len(predictor._prof_protos)
+    protos = []
+    for packed in predictor._shape_keys:
+        opcode = BYTE_TO_OPCODE[packed >> 48]
+        words = packed & ((1 << 48) - 1)
+        if opcode is VPCOpcode.TRAN:
+            protos.append(VPC.tran(0, 0, words))
+        else:
+            protos.append(VPC(opcode, 0, 0, 0, words))
+    n_p = len(protos)
     prof_tbl = np.empty(n_p)
     prof_shift_tbl = np.empty(n_p)
     prof_comp_tbl = np.empty(n_p)
     profile = device.engine_model.profile
-    for j, proto in enumerate(predictor._prof_protos):
+    for j, proto in enumerate(protos):
         p = profile(proto)
         prof_tbl[j] = p.time_ns
         prof_shift_tbl[j] = p.energy.shift_pj

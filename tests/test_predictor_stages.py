@@ -22,10 +22,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.analysis.explore import build_grid
 from repro.analysis.predictor import AnalyticDevice, TracePredictor
 from repro.core.compile import compile_workload
 from repro.core.device import StreamPIMConfig, StreamPIMDevice
 from repro.core.scheduler import SchedulerPolicy
+from repro.core.subarray_engine import SubarrayEngine
 from repro.isa.columnar import (
     ADD_BYTE,
     ColumnarTraceBuilder,
@@ -236,6 +238,59 @@ class TestMemo:
             AnalyticDevice(_config(SchedulerPolicy.DISTRIBUTE))
         )
         assert len(predictor._priced) == 1 and a == b
+
+    def test_swapped_engine_gets_its_own_entry(self, gemm):
+        """A device whose engine model was replaced (as StPIM-e does)
+        prices its own tables instead of reusing the stock engine's."""
+        from repro.baselines.stpim_e import ElectricalSubarrayEngine
+
+        predictor = TracePredictor(gemm, WPS)
+        stock = predictor.predict(AnalyticDevice(_config()))
+        device = AnalyticDevice(_config())
+        device.engine_model = ElectricalSubarrayEngine(
+            processor=device.processor, bus=device.bus, timing=device.timing
+        )
+        electrical = predictor.predict(device)
+        assert len(predictor._priced) == 2
+        assert electrical == TracePredictor(gemm, WPS).predict(device)
+        assert electrical != stock
+
+    def test_warm_grid_prices_each_table_set_once(self, gemm, monkeypatch):
+        """The 20 read = write points of explore's default grid take 4
+        distinct cost-table sets (4 timing scales x 5 decode latencies):
+        each set is profiled and copy-priced once, and a memo hit prices
+        nothing."""
+        calls = {"profile": 0, "copy": 0}
+        profile = SubarrayEngine.profile
+        copy_cost = AnalyticDevice._copy_cost_ns
+
+        def counted_profile(engine, vpc):
+            calls["profile"] += 1
+            return profile(engine, vpc)
+
+        def counted_copy(device, words):
+            calls["copy"] += 1
+            return copy_cost(device, words)
+
+        monkeypatch.setattr(SubarrayEngine, "profile", counted_profile)
+        monkeypatch.setattr(AnalyticDevice, "_copy_cost_ns", counted_copy)
+        base = StreamPIMConfig()
+        points = [
+            point
+            for point in build_grid(
+                workloads=[("gemm", 0.02)], policies=["unblock"]
+            )
+            if point.read_scale == point.write_scale
+        ]
+        predictor = TracePredictor(gemm, WPS)
+        for point in points:
+            predictor.predict(AnalyticDevice(point.config(base)))
+        assert len(points) == 20
+        assert len(predictor._priced) == 4
+        assert calls == {
+            "profile": 4 * len(predictor._shape_keys),
+            "copy": 4 * len(predictor._word_uniq),
+        }
 
     def test_entries_hold_no_per_command_array(self, gemm):
         predictor = TracePredictor(gemm, WPS)

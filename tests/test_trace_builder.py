@@ -369,6 +369,52 @@ class TestBlockParity:
         assert block._cursors == scalar._cursors
         assert block._free == scalar._free
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(calls_strategy, st.booleans()), min_size=1, max_size=4
+        )
+    )
+    def test_near_block_parity_partial_pools(self, batches):
+        """Blocks that end with or without a recycle: pools that enter a
+        block partly filled or full, free lists drained part-way, then
+        cursor growth — every allocator field ends equal."""
+        scalar = _allocator()
+        block = _allocator()
+        for batch, recycle in batches:
+            expected = [
+                scalar.near(_Slice(*_KEYS[ki]), words)
+                for ki, words in batch
+            ]
+            got = block.near_block(
+                [ScratchAllocator.encode_key(*_KEYS[ki]) for ki, _ in batch],
+                [words for _, words in batch],
+            )
+            assert got.tolist() == expected
+            if recycle:
+                scalar.recycle()
+                block.recycle()
+            assert block._pools == scalar._pools
+            assert block._next_slot == scalar._next_slot
+            assert block._cursors == scalar._cursors
+            assert block._free == scalar._free
+
+    def test_near_block_exhaustion_names_first_failing_subarray(self):
+        capacity = _allocator()._placer.subarray_capacity_words
+        # (0, 1) runs out on its second call, before (0, 0) does.
+        calls = [((0, 0), 1), ((0, 1), capacity - 1), ((0, 1), 2),
+                 ((0, 0), capacity)]
+        block = _allocator()
+        with pytest.raises(MemoryError, match=r"subarray \(0, 1\)"):
+            block.near_block(
+                [ScratchAllocator.encode_key(*key) for key, _ in calls],
+                [words for _, words in calls],
+            )
+        scalar = _allocator()
+        with pytest.raises(MemoryError, match=r"subarray \(0, 1\)"):
+            for key, words in calls:
+                scalar.near(_Slice(*key), words)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(range(len(_KEYS))), max_size=12))
     def test_unique_block_parity(self, key_ids):

@@ -8,7 +8,9 @@ detected by checksum, deleted, and recompiled — never half-loaded.
 """
 
 import dataclasses
+import gc
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -181,6 +183,35 @@ class TestTraceCacheStore:
         assert stats["misses"] == 1
         assert stats["entries"] == 1
         assert stats["entry_bytes"] > 0
+
+    def test_memory_hits_batch_their_stats_write(self, tmp_path):
+        """A memory hit writes no stats.json; its counts land with the
+        next stats() call, disk access, or when the cache is dropped."""
+        cache = TraceCache(tmp_path / "c")
+        cache.put("a" * 64, _sample_trace())
+        path = cache.cache_dir / "stats.json"
+        written = path.read_bytes()
+        assert cache.get("a" * 64) is not None  # memory hit
+        assert path.read_bytes() == written
+        stats = cache.stats()
+        assert (stats["hits"], stats["memory_hits"]) == (1, 1)
+        cache.get("a" * 64)
+        cache.get("b" * 64)  # a miss flushes the pending hit with it
+        stats = json.loads(path.read_text("utf-8"))
+        assert (stats["hits"], stats["misses"]) == (2, 1)
+        cache.get("a" * 64)
+        del cache
+        gc.collect()
+        assert TraceCache(tmp_path / "c").stats()["memory_hits"] == 3
+
+    def test_dropped_cache_does_not_recreate_its_directory(self, tmp_path):
+        cache = TraceCache(tmp_path / "c")
+        cache.put("a" * 64, _sample_trace())
+        cache.get("a" * 64)  # pending memory hit
+        shutil.rmtree(tmp_path / "c")
+        del cache
+        gc.collect()
+        assert not (tmp_path / "c").exists()
 
     def test_clear_removes_entries_and_counters(self, tmp_path):
         cache = TraceCache(tmp_path / "c")

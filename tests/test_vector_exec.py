@@ -400,6 +400,120 @@ class TestBatchedApply:
         assert state.fallbacks == 0
 
 
+#: Subarray ids of the scan traces: the first few and the device's last
+#: two, so the flat busy list is indexed at both ends.
+_SUBARRAYS = StreamPIMDevice().address_map.total_words // (
+    StreamPIMDevice().address_map.words_per_subarray
+)
+_SCAN_SUBS = (0, 1, 2, _SUBARRAYS - 2, _SUBARRAYS - 1)
+
+
+@st.composite
+def _scan_traces(draw):
+    """A trace mixing every busy-scan class, seeds and chunk cuts.
+
+    Classes: compute in one subarray, compute with an operand copy, with
+    a result copy, with both, in-subarray TRAN and cross TRAN.  No
+    PolyBench kernel at the benchmark scale emits an operand copy, so
+    this is where that class is exercised.
+    """
+    wps = StreamPIMDevice().address_map.words_per_subarray
+    k = draw(st.integers(1, 6))
+    sub = st.sampled_from(_SCAN_SUBS)
+    slot = st.integers(0, 7).map(lambda j: 8 * j)
+
+    def at(s):
+        return s * wps + draw(slot)
+
+    vpcs = []
+    for kind in draw(
+        st.lists(
+            st.sampled_from(
+                ["compute", "operand", "result", "both", "local", "cross"]
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    ):
+        home = draw(sub)
+        other = draw(sub.filter(lambda s, home=home: s != home))
+        far = draw(sub.filter(lambda s, home=home: s != home))
+        if kind == "local":
+            vpcs.append(VPC.tran(at(home), at(home), k))
+            continue
+        if kind == "cross":
+            vpcs.append(VPC.tran(at(home), at(other), k))
+            continue
+        src2 = at(other if kind in ("operand", "both") else home)
+        des = at(far if kind in ("result", "both") else home)
+        make = draw(st.sampled_from([VPC.mul, VPC.add, VPC.smul]))
+        vpcs.append(make(at(home), src2, des, k))
+    seeds = draw(st.lists(st.integers(0, 50), min_size=64, max_size=64))
+    cuts = draw(
+        st.lists(st.integers(1, max(1, len(vpcs) - 1)), max_size=5)
+    )
+    return seeds, vpcs, sorted(set(cuts))
+
+
+def _scan_device(seeds):
+    device = StreamPIMDevice()
+    wps = device.address_map.words_per_subarray
+    for s in _SCAN_SUBS:
+        device.store.write(s * wps, seeds)
+    return device
+
+
+class TestBusyScan:
+    """The begin-only busy scan equals the scalar oracle and itself under
+    any command-aligned chunking: ``RunStats``, spans and store."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_scan_traces())
+    def test_every_class_matches_oracle_under_chunking(self, case):
+        seeds, vpcs, cuts = case
+        trace = VPCTrace(vpcs)
+        cols = ColumnarTrace.from_trace(trace)
+
+        oracle_spans = []
+        sweep = scalar_exec.spans_to_breakdown
+
+        def capture(spans):
+            oracle_spans.extend(spans)
+            return sweep(spans)
+
+        oracle = _scan_device(seeds)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scalar_exec, "spans_to_breakdown", capture)
+            expected = scalar_exec.execute_trace(
+                oracle, trace, workload="diff", verify=False
+            )
+
+        triples = []
+        stores = []
+        for chunk_cuts in (cuts, []):
+            device = _scan_device(seeds)
+            sink = []
+            state = VectorExecState(device, workload="diff", span_sink=sink)
+            for lo, hi in zip([0, *chunk_cuts], [*chunk_cuts, len(cols)]):
+                state.feed(ColumnarTrace(cols.records[lo:hi]))
+            _assert_identical(expected, state.finish())
+            (triple,) = sink
+            triples.append(triple)
+            stores.append(device.store.snapshot())
+
+        want = (
+            [span.start for span in oracle_spans],
+            [span.finish for span in oracle_spans],
+            [span.kind == "rw" for span in oracle_spans],
+        )
+        for triple in triples:
+            assert [a.tolist() for a in triple] == list(want)
+            assert [a.dtype for a in triple] == [
+                np.float64, np.float64, np.bool_
+            ]
+        assert stores[0] == stores[1] == oracle.store.snapshot()
+
+
 class TestVerifyGateParity:
     """Both engines reject out-of-bounds traces with the same report."""
 
