@@ -23,10 +23,16 @@ per pool subarray and places a matrix as runs of equal-length pieces
 (:meth:`Placer._place_run`): an unsliced matrix is one run of
 ``stored_rows`` pieces, a sliced row one run per slice.  Each run is
 solved in closed form over the cursor array instead of one subarray
-scan per piece.  A :class:`MatrixHandle` stores the result once, as an
-``(n, 5)`` int64 slice table (:data:`SLICE_FIELDS` columns) plus a
-``row_ptr`` index per stored row; :meth:`MatrixHandle.row_slices`
-builds one row's :class:`RowSlice` objects on demand.
+scan per piece, and kept as a :class:`PlacedRun` summary: the pool
+subarrays it took pieces from in ring order, the pieces each took and
+each one's cursor before the run, at most one entry per pool
+subarray.  A :class:`MatrixHandle` holds its runs (:class:`PlacedRows`)
+and builds its ``(n, 5)`` int64 slice table (:data:`SLICE_FIELDS`
+columns) and ``row_ptr`` index per stored row from them on the first
+read; the distinct subarrays and slices per row, all the round model
+reads, come from the summaries without a table.
+:meth:`MatrixHandle.row_slices` builds one row's :class:`RowSlice`
+objects on demand.
 """
 
 from __future__ import annotations
@@ -75,7 +81,100 @@ class RowSlice:
         return (self.bank, self.subarray)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
+class PlacedRun:
+    """One run of equal-length pieces, as :meth:`Placer._place_run`
+    placed it: the few numbers its pieces follow from.
+
+    ``index`` lists the pool subarrays that took pieces, in the order
+    the placer visited them (the ring from the round-robin pointer
+    under DISTRIBUTE, pool order under BASE); ``taken`` is how many
+    pieces each took and ``cursor`` its allocation cursor before the
+    run.  All three are int64 copies, never views of the placer's
+    cursors, so later placements leave a summary as it was.
+    """
+
+    length: int
+    index: np.ndarray
+    taken: np.ndarray
+    cursor: np.ndarray
+
+    def pieces(
+        self, round_robin: bool, words_per_subarray: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Pool index and word address of every piece, in placement
+        order: by round, then ring position, when ``round_robin``
+        (DISTRIBUTE); subarray by subarray otherwise (BASE)."""
+        taken = self.taken
+        position = np.repeat(np.arange(len(taken)), taken)
+        # Pieces a subarray took before this one: its round (DISTRIBUTE)
+        # or its rank in the subarray's fill (BASE).
+        before = np.arange(len(position)) - np.repeat(
+            np.cumsum(taken) - taken, taken
+        )
+        if round_robin and before.any():
+            order = np.argsort(before, kind="stable")
+            position, before = position[order], before[order]
+        index = self.index[position]
+        address = (
+            index * words_per_subarray
+            + self.cursor[position]
+            + before * self.length
+        )
+        return index, address
+
+
+@dataclass(frozen=True)
+class PlacedRows:
+    """``rows`` stored rows of ``cols`` words as
+    :meth:`Placer._place_rows` placed them: one :class:`PlacedRun` per
+    run, from which the slice table follows.
+
+    An unsliced matrix is one run, so its summary holds at most one
+    entry per pool subarray however many rows it has; a sliced row is
+    one run per slice.
+    """
+
+    rows: int
+    cols: int
+    capacity: int
+    round_robin: bool
+    words_per_subarray: int
+    subarrays_per_bank: int
+    runs: Tuple[PlacedRun, ...]
+
+    def slices_per_row(self) -> int:
+        """Slices of every stored row (:meth:`MatrixHandle.slices_per_row`)."""
+        return -(-self.cols // self.capacity)
+
+    def subarray_count(self) -> int:
+        """Distinct pool subarrays the runs took pieces from."""
+        if len(self.runs) == 1:
+            return len(self.runs[0].index)
+        return len(np.unique(np.concatenate([run.index for run in self.runs])))
+
+    def table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(rows * slices_per_row, 5)`` slice table and its
+        ``row_ptr``."""
+        per_row = self.slices_per_row()
+        offsets = np.arange(per_row, dtype=np.int64) * self.capacity
+        lengths = np.minimum(self.capacity, self.cols - offsets)
+        placed = [
+            run.pieces(self.round_robin, self.words_per_subarray)
+            for run in self.runs
+        ]
+        pool_index = np.concatenate([index for index, _ in placed])
+        slices = np.empty((self.rows * per_row, len(SLICE_FIELDS)), np.int64)
+        # Pool index g is bank * subarrays_per_bank + subarray.
+        slices[:, BANK], slices[:, SUBARRAY] = np.divmod(
+            pool_index, self.subarrays_per_bank
+        )
+        slices[:, ADDRESS] = np.concatenate([address for _, address in placed])
+        slices[:, OFFSET] = np.tile(offsets, self.rows)
+        slices[:, LENGTH] = np.tile(lengths, self.rows)
+        return slices, np.arange(self.rows + 1, dtype=np.int64) * per_row
+
+
 class MatrixHandle:
     """A placed matrix: logical shape plus the location of every stored
     row slice.
@@ -92,25 +191,62 @@ class MatrixHandle:
     stored-row order, with the :data:`SLICE_FIELDS` columns; stored row
     ``r`` owns ``slices[row_ptr[r]:row_ptr[r + 1]]``.  ``row_ptr``
     defaults to one slice per stored row.
+
+    A handle the :class:`Placer` makes holds ``placed``, the per-run
+    summaries (:class:`PlacedRows`), instead: the table and ``row_ptr``
+    are built from them on the first read of either (lowering, word
+    store reads and writes, the SPV005/006 checks, the plan JSON,
+    :meth:`row_slices`).  :meth:`subarray_count` and
+    :meth:`slices_per_row` answer from the summaries, so the round
+    model never builds a table.  A handle made from a table
+    (:meth:`from_dict`, tests) has ``placed`` None.
     """
 
-    name: str
-    rows: int
-    cols: int
-    slices: np.ndarray
-    row_ptr: Optional[np.ndarray] = None
-    result_set: bool = False
-    stored_transposed: bool = False
-    mirror: Optional["MatrixHandle"] = None
+    def __init__(
+        self,
+        name: str,
+        rows: int,
+        cols: int,
+        slices: Optional[np.ndarray] = None,
+        row_ptr: Optional[np.ndarray] = None,
+        result_set: bool = False,
+        stored_transposed: bool = False,
+        mirror: Optional["MatrixHandle"] = None,
+        placed: Optional[PlacedRows] = None,
+    ) -> None:
+        if (slices is None) == (placed is None):
+            raise ValueError("a handle takes exactly one of slices and placed")
+        self.name = name
+        self.rows = rows
+        self.cols = cols
+        self.result_set = result_set
+        self.stored_transposed = stored_transposed
+        self.mirror = mirror
+        self.placed = placed
+        self._slices: Optional[np.ndarray] = None
+        self._row_ptr: Optional[np.ndarray] = None
+        if slices is not None:
+            self._slices = np.asarray(slices, dtype=np.int64).reshape(
+                -1, len(SLICE_FIELDS)
+            )
+            self._row_ptr = (
+                np.arange(len(self._slices) + 1, dtype=np.int64)
+                if row_ptr is None
+                else np.asarray(row_ptr, dtype=np.int64)
+            )
 
-    def __post_init__(self) -> None:
-        self.slices = np.asarray(self.slices, dtype=np.int64).reshape(
-            -1, len(SLICE_FIELDS)
-        )
-        if self.row_ptr is None:
-            self.row_ptr = np.arange(len(self.slices) + 1, dtype=np.int64)
-        else:
-            self.row_ptr = np.asarray(self.row_ptr, dtype=np.int64)
+    @property
+    def slices(self) -> np.ndarray:
+        """The ``(n, 5)`` slice table, built on the first read."""
+        if self._slices is None:
+            self._slices, self._row_ptr = self.placed.table()
+        return self._slices
+
+    @property
+    def row_ptr(self) -> np.ndarray:
+        if self._row_ptr is None:
+            self._slices, self._row_ptr = self.placed.table()
+        return self._row_ptr
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -127,6 +263,8 @@ class MatrixHandle:
         consecutive subarrays; each dot product over it becomes one
         partial dot per slice plus a partial-sum reduction.
         """
+        if self.placed is not None:
+            return self.placed.slices_per_row()
         return int(np.diff(self.row_ptr).max(initial=1))
 
     @property
@@ -140,6 +278,8 @@ class MatrixHandle:
 
     def subarray_count(self) -> int:
         """Distinct (bank, subarray) pairs this matrix occupies."""
+        if self.placed is not None:
+            return self.placed.subarray_count()
         # Same packing as ScratchAllocator.encode_key.
         keys = (self.slices[:, BANK] << 32) | self.slices[:, SUBARRAY]
         return len(np.unique(keys))
@@ -405,21 +545,21 @@ class Placer:
                 name,
                 rows,
                 cols,
-                *self._place_rows(
+                result_set=result,
+                stored_transposed=transposed,
+                placed=self._place_rows(
                     cols if transposed else rows,
                     rows if transposed else cols,
                     kind,
                 ),
-                result_set=result,
-                stored_transposed=transposed,
             )
             if mirror:
                 handle.mirror = MatrixHandle(
                     f"{name}^T",
                     cols,
                     rows,
-                    *self._place_rows(cols, rows, kind),
                     result_set=result,
+                    placed=self._place_rows(cols, rows, kind),
                 )
         except MemoryError:
             self._cursors, self._rr_next = saved
@@ -427,32 +567,29 @@ class Placer:
         self.plan.matrices[name] = handle
         return handle
 
-    def _place_rows(
-        self, rows: int, cols: int, kind: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Slice table and ``row_ptr`` of ``rows`` stored rows of
-        ``cols`` words, placed in row order."""
+    def _place_rows(self, rows: int, cols: int, kind: str) -> PlacedRows:
+        """Place ``rows`` stored rows of ``cols`` words, in row order."""
         capacity = self._capacity
         per_row = -(-cols // capacity)
-        offsets = np.arange(per_row, dtype=np.int64) * capacity
-        lengths = np.minimum(capacity, cols - offsets)
         if per_row == 1:
             runs = [(cols, rows)]
         else:
+            lengths = [
+                min(capacity, cols - piece * capacity)
+                for piece in range(per_row)
+            ]
             runs = [(length, 1) for _ in range(rows) for length in lengths]
-        placed = [self._place_run(int(n), count, kind) for n, count in runs]
-        pool_index = np.concatenate([index for index, _ in placed])
-        slices = np.empty((rows * per_row, len(SLICE_FIELDS)), np.int64)
-        slices[:, BANK] = self._bank[pool_index]
-        slices[:, SUBARRAY] = self._subarray[pool_index]
-        slices[:, ADDRESS] = np.concatenate([address for _, address in placed])
-        slices[:, OFFSET] = np.tile(offsets, rows)
-        slices[:, LENGTH] = np.tile(lengths, rows)
-        return slices, np.arange(rows + 1, dtype=np.int64) * per_row
+        return PlacedRows(
+            rows,
+            cols,
+            capacity,
+            self.policy is PlacementPolicy.DISTRIBUTE,
+            self.address_map.words_per_subarray,
+            self.geometry.bank.subarrays,
+            tuple(self._place_run(n, count, kind) for n, count in runs),
+        )
 
-    def _place_run(
-        self, length: int, count: int, kind: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _place_run(self, length: int, count: int, kind: str) -> PlacedRun:
         """Place ``count`` pieces of ``length`` words, in order.
 
         Exactly what ``count`` one-piece placements would do, in closed
@@ -465,7 +602,7 @@ class Placer:
         the pieces are the (round, ring position) pairs in order.
 
         Returns:
-            Pool index and word address of every piece.
+            The run's summary; :meth:`PlacedRun.pieces` expands it.
 
         Raises:
             MemoryError: if the pool cannot hold all ``count`` pieces.
@@ -489,21 +626,12 @@ class Placer:
         else:
             ring = np.arange(size)
             taken = np.clip(count - (np.cumsum(room) - room), 0, room)
-        position = np.repeat(np.arange(size), taken)
-        # Pieces a subarray took before this one: its round (DISTRIBUTE)
-        # or its rank in the subarray's fill (BASE).
-        before = np.arange(count) - np.repeat(np.cumsum(taken) - taken, taken)
-        if self.policy is PlacementPolicy.DISTRIBUTE and before.any():
-            order = np.argsort(before, kind="stable")
-            position, before = position[order], before[order]
-        index = lo + ring[position]
-        address = (
-            index * self.address_map.words_per_subarray
-            + self._cursors[index]
-            + before * length
-        )
+        took = np.flatnonzero(taken)
+        ring, taken = ring[took], taken[took]
+        # Fancy indexing copies: the summary never sees later cursors.
+        run = PlacedRun(length, lo + ring, taken, cursors[ring])
         cursors[ring] += taken * length
-        return index, address
+        return run
 
     @staticmethod
     def _last_round(room: np.ndarray, count: int) -> int:
@@ -513,10 +641,14 @@ class Placer:
         ``F(r) = sum(min(room, r))`` pieces fill rounds ``0..r-1``; the
         answer is the least ``r`` with ``F(r + 1) >= count``.  ``F`` is
         linear between sorted ``room`` values, so one search over them
-        and one division find it.
+        and one division find it.  When every subarray has room for
+        ``ceil(count / size)`` pieces, that is the ``i = 0`` case and
+        needs no sort.
         """
+        size = len(room)
+        if int(room.min()) * size >= count:
+            return -(-count // size) - 1
         ordered = np.sort(room)
-        size = len(ordered)
         below = np.concatenate(([0], np.cumsum(ordered)))
         at_value = below[:-1] + ordered * (size - np.arange(size))
         i = int(np.searchsorted(at_value, count))

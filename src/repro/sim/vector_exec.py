@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -306,7 +306,22 @@ class VectorExecState:
         self._write_pj = 0.0
         self._shift_pj = 0.0
         self._compute_pj = 0.0
+        #: Costs already priced, by copy word count and by packed shape
+        #: key: a device prices them the same in every chunk.
+        self._copy_costs: Dict[int, Tuple[float, float, float]] = {}
+        self._shape_costs: Dict[int, Tuple[float, float, float]] = {}
         self._stats: "RunStats | None" = None
+
+    def _priced(
+        self, memo, price, keys: List[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``price(device, keys)`` (:func:`copy_costs` or
+        :func:`shape_costs`), pricing only the keys ``memo`` lacks."""
+        missing = [key for key in keys if key not in memo]
+        if missing:
+            memo.update(zip(missing, zip(*price(self.device, missing))))
+        costs = np.array([memo[key] for key in keys], dtype=np.float64)
+        return tuple(costs.reshape(-1, 3).T)
 
     def feed(self, cols: ColumnarTrace) -> None:
         """Advance the execution by one chunk of the trace."""
@@ -369,11 +384,15 @@ class VectorExecState:
             opcode[result_copy] == MUL_BYTE, 1, size[result_copy]
         )
         words, word_of = np.unique(copy_words[is_rw], return_inverse=True)
-        copy_ns, read_pj, write_pj = copy_costs(device, words.tolist())
+        copy_ns, read_pj, write_pj = self._priced(
+            self._copy_costs, copy_costs, words.tolist()
+        )
         keys, shape_of = np.unique(
             shape_keys(opcode[~cross], size[~cross]), return_inverse=True
         )
-        profile_ns, shift_pj, compute_pj = shape_costs(device, keys.tolist())
+        profile_ns, shift_pj, compute_pj = self._priced(
+            self._shape_costs, shape_costs, keys.tolist()
+        )
         duration = np.empty(rows, dtype=np.float64)
         duration[is_rw] = copy_ns[word_of]
         duration[~is_rw] = profile_ns[shape_of]

@@ -60,9 +60,10 @@ def calibrate(values: np.ndarray, bits: int = 8) -> QuantParams:
     low = float(min(values.min(), 0.0))
     high = float(max(values.max(), 0.0))
     qmax = (1 << bits) - 1
-    if high == low:
-        return QuantParams(scale=1.0, zero_point=0, bits=bits)
     scale = (high - low) / qmax
+    # Equal ends, or a range so narrow that its step underflows to 0.
+    if scale == 0.0:
+        return QuantParams(scale=1.0, zero_point=0, bits=bits)
     zero_point = int(round(-low / scale))
     zero_point = max(0, min(qmax, zero_point))
     return QuantParams(scale=scale, zero_point=zero_point, bits=bits)

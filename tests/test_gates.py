@@ -194,8 +194,13 @@ def test_disabled_observability_overhead(matmul_100k, record_property):
 # Placement: the array placer against the per-row oracle
 # ----------------------------------------------------------------------
 def test_array_placement_beats_row_oracle(record_property):
-    """gemm's paper-dimension ``_place_all`` on the StPIM config, the
-    placement every ``make figures`` run of it pays."""
+    """gemm's paper-dimension ``_place_all`` on the StPIM config, with
+    every slice table read back.
+
+    The array placer builds a handle's table on its first read, so the
+    timed region reads ``slices`` of every handle and mirror: both sides
+    then produce every slice, as the oracle always does.
+    """
     task = spec_to_task(POLYBENCH["gemm"], StreamPIMDevice())
 
     def place(oracle):
@@ -208,6 +213,11 @@ def test_array_placement_beats_row_oracle(record_property):
                 placer.result_set_fraction,
             )
         task._place_all(placer)
+        if not oracle:
+            for handle in placer.plan.matrices.values():
+                for placed in (handle, handle.mirror):
+                    if placed is not None:
+                        placed.slices
         return placer.plan
 
     oracle_s, expected = best_of(lambda: place(True))

@@ -3,25 +3,32 @@
 ``tests/oracles/scalar_placer.py`` is the placer as it was before
 placement became array arithmetic: one subarray scan per row slice.
 The array placer must leave the same slices, cursors and round-robin
-pointers after every matrix and raise the same ``MemoryError``.
+pointers after every matrix and raise the same ``MemoryError``.  It
+keeps per-run summaries and builds a slice table on its first read,
+so the tables must come out the same however late they are read.
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.stpim import spec_to_task
+from repro.core.device import StreamPIMDevice
 from repro.core.placement import (
     MatrixHandle,
     PlacementPlan,
     PlacementPolicy,
     Placer,
 )
+from repro.core.task import PimTask
 from repro.rm.address import DeviceGeometry
 from repro.rm.bank import BankConfig
 from repro.rm.mat import MatConfig
 from repro.rm.subarray import SubarrayConfig
+from repro.workloads import POLYBENCH
 from tests.oracles import scalar_placer
 
 
@@ -137,6 +144,68 @@ class TestArrayPlacerDifferential:
             assert placer._rr_next == oracle._rr_next
             assert _plan_json(placer.plan) == _plan_json(oracle.plan)
 
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=_scenarios())
+    def test_tables_read_after_every_placement(self, scenario):
+        """Place the whole scenario, a ``MemoryError`` part-way
+        included, and only then read the tables: a table built from
+        the placer's live state instead of the run summaries differs."""
+        args = (
+            scenario["geometry"],
+            scenario["policy"],
+            scenario["disjoint"],
+            scenario["fraction"],
+        )
+        placer = Placer(*args)
+        oracle = scalar_placer.Placer(*args)
+        placed, pickled = [], {}
+        for index, shape in enumerate(scenario["matrices"]):
+            name = f"M{index}"
+            try:
+                placer.place_matrix(name, **shape)
+            except MemoryError:
+                with pytest.raises(MemoryError):
+                    oracle.place_matrix(name, **shape)
+                # The oracle keeps the rows it placed before failing and
+                # the array placer does not: rebuild the oracle from the
+                # matrices placed so far.
+                oracle = scalar_placer.Placer(*args)
+                for done, done_shape in placed:
+                    oracle.place_matrix(done, **done_shape)
+                continue
+            oracle.place_matrix(name, **shape)
+            placed.append((name, shape))
+            pickled[name] = pickle.dumps(placer.plan.handle(name))
+        pairs = []
+        for name, handle in placer.plan.matrices.items():
+            expected = oracle.plan.handle(name)
+            again = pickle.loads(pickled[name])
+            pairs.append((handle, again, expected))
+            assert (handle.mirror is None) == (expected.mirror is None)
+            if expected.mirror is not None:
+                pairs.append((handle.mirror, again.mirror, expected.mirror))
+        for ours, copy, _ in pairs:
+            assert ours._slices is None and copy._slices is None
+        for ours, copy, theirs in pairs:
+            counts = ours.subarray_count(), ours.slices_per_row()
+            assert ours.row_ptr.tolist() == np.cumsum(
+                [0] + list(map(len, theirs.rows_placement))
+            ).tolist()
+            assert ours.slices.tolist() == [
+                [piece.bank, piece.subarray, piece.address, piece.offset,
+                 piece.length]
+                for row in theirs.rows_placement
+                for piece in row
+            ]
+            assert np.array_equal(copy.slices, ours.slices)
+            assert np.array_equal(copy.row_ptr, ours.row_ptr)
+            keys = ours.slices[:, 0] << 32 | ours.slices[:, 1]
+            assert counts == (
+                len(np.unique(keys)),
+                max(map(len, theirs.rows_placement)),
+            )
+        assert _plan_json(placer.plan) == _plan_json(oracle.plan)
+
     @pytest.mark.parametrize("policy", list(PlacementPolicy))
     def test_fill_mid_matrix_wraps_rounds(self, policy):
         """Subarrays fill part-way through one matrix, and a second
@@ -150,6 +219,33 @@ class TestArrayPlacerDifferential:
             oracle.place_matrix(name, rows, cols)
         assert _plan_json(placer.plan) == _plan_json(oracle.plan)
         assert placer._rr_next == oracle._rr_next
+
+
+class TestDeferredTables:
+    def test_round_model_builds_no_table(self, monkeypatch):
+        """The round model reads only ``subarray_count`` and
+        ``slices_per_row``: a StPIM run of gemm at paper dimensions
+        leaves every slice table unbuilt."""
+        placed = []
+        place_all = PimTask._place_all
+
+        def recording(task, placer):
+            handles = place_all(task, placer)
+            placed.extend(handles.values())
+            return handles
+
+        monkeypatch.setattr(PimTask, "_place_all", recording)
+        task = spec_to_task(POLYBENCH["gemm"], StreamPIMDevice())
+        task.run("gemm", functional=False)
+        assert placed
+        for handle in placed:
+            for one in (handle, handle.mirror):
+                if one is not None:
+                    assert one._slices is None and one._row_ptr is None
+
+    def test_table_given_or_placed(self):
+        with pytest.raises(ValueError):
+            MatrixHandle("M", 1, 1)
 
 
 class TestAllOrNothing:
