@@ -3,9 +3,9 @@
 The closed-form model in :mod:`repro.analysis.predictor` is only useful
 if its error against the simulator is known and bounded.  This module
 runs the full buildable workload set through both paths — simulate with
-``StreamPIMDevice.execute_trace`` (phased) or the streamed pipeline,
-predict analytically from the same compiled trace — and reports
-per-workload relative errors.
+``StreamPIMDevice.execute_trace`` (the streamed pipeline's stats are
+bit-identical to it), predict analytically from the same compiled
+trace — and reports per-workload relative errors.
 
 Error bounds are documented **per workload class**, because the model's
 accuracy is structural, not incidental:
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.predictor import TracePredictor
+from repro.workloads.spec import DEFAULT_SEED
 
 #: Global acceptance bounds (fractions): documented in docs/modeling.md.
 TIME_ERROR_BOUND = 0.10
@@ -98,7 +99,6 @@ class WorkloadCalibration:
     workload: str
     scale: Optional[float]
     workload_class: str
-    engine: str
     commands: int
     ops: int
     simulated_time_ns: float
@@ -142,7 +142,6 @@ class WorkloadCalibration:
             "workload": self.workload,
             "scale": self.scale,
             "class": self.workload_class,
-            "engine": self.engine,
             "commands": self.commands,
             "ops": self.ops,
             "simulated_time_ns": self.simulated_time_ns,
@@ -211,22 +210,13 @@ class CalibrationReport:
 def calibrate_workload(
     name: str,
     scale: Optional[float] = None,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
     cache=None,
     cache_dir=None,
     use_cache: bool = True,
-    stream: bool = False,
 ) -> WorkloadCalibration:
-    """Simulate and predict one workload; return the comparison.
-
-    Args:
-        stream: reference the streamed execution path
-            (:func:`~repro.core.compile.stream_workload`) instead of the
-            phased one; stats are bit-identical by the streaming
-            contract, so this validates the predictor against the
-            streaming pipeline.
-    """
-    from repro.core.compile import compile_workload, stream_workload
+    """Simulate and predict one workload; return the comparison."""
+    from repro.core.compile import compile_workload
     from repro.workloads import find_workload
 
     spec = (
@@ -234,35 +224,20 @@ def calibrate_workload(
         if scale is not None
         else find_workload(name)
     )
-    if stream:
-        sim0 = time.perf_counter()
-        streamed = stream_workload(
-            spec,
-            seed=seed,
-            cache=cache,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            functional=False,
-        )
-        sim_seconds = time.perf_counter() - sim0
-        stats = streamed.stats
-        trace = streamed.trace
-        device = streamed.device
-    else:
-        compiled = compile_workload(
-            spec,
-            seed=seed,
-            cache=cache,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-        )
-        trace = compiled.trace
-        device = compiled.device
-        sim0 = time.perf_counter()
-        stats = device.execute_trace(
-            trace, workload=spec.name, functional=False, verify=False
-        )
-        sim_seconds = time.perf_counter() - sim0
+    compiled = compile_workload(
+        spec,
+        seed=seed,
+        cache=cache,
+        cache_dir=cache_dir,
+        use_cache=use_cache,
+    )
+    trace = compiled.trace
+    device = compiled.device
+    sim0 = time.perf_counter()
+    stats = device.execute_trace(
+        trace, workload=spec.name, functional=False, verify=False
+    )
+    sim_seconds = time.perf_counter() - sim0
 
     pred0 = time.perf_counter()
     predictor = TracePredictor(
@@ -291,7 +266,6 @@ def calibrate_workload(
         workload=name,
         scale=scale,
         workload_class=workload_class(name),
-        engine="stream" if stream else "vector",
         commands=predicted.commands,
         ops=predicted.ops,
         simulated_time_ns=float(stats.time_ns),
@@ -305,7 +279,7 @@ def calibrate_workload(
 
 def run_calibration(
     cases: Optional[Sequence[Tuple[str, Optional[float]]]] = None,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
     cache=None,
     cache_dir=None,
     use_cache: bool = True,

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.predictor import AnalyticDevice, TracePredictor
+from repro.workloads.spec import DEFAULT_SEED
 
 #: Default latency multipliers for the access-port speed grades.
 DEFAULT_READ_SCALES: Tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
@@ -279,7 +280,7 @@ def build_grid(
 
 def run_explore(
     grid: Optional[Sequence[DesignPoint]] = None,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
     cache=None,
     cache_dir=None,
     use_cache: bool = True,

@@ -67,6 +67,7 @@ import numpy as np
 from repro.isa.columnar import ColumnarTrace, MUL_BYTE, TRAN_BYTE
 from repro.sim.stats import EnergyBreakdown, RunStats, TimeBreakdown
 from repro.sim.vector_exec import copy_costs, shape_costs, shape_keys
+from repro.workloads.spec import DEFAULT_SEED
 
 #: Platform tag stamped on predicted stats (distinguishes analytic
 #: results from simulated ``"StPIM"`` rows in mixed reports).
@@ -815,7 +816,7 @@ def predict_trace(
 def predict_workload(
     spec,
     device=None,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
     cache=None,
     cache_dir=None,
     use_cache: bool = True,

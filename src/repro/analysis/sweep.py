@@ -60,7 +60,6 @@ def sweep(
     platform_factory: Optional[
         Callable[[StreamPIMConfig], StreamPIMPlatform]
     ] = None,
-    engine: str = "simulate",
 ) -> SweepResult:
     """Run every workload at every sweep point.
 
@@ -70,22 +69,6 @@ def sweep(
         config_factory: maps one point to a device config.
         workloads: specs to run at every point.
         platform_factory: how to build the platform (default: StPIM).
-        engine: ``"simulate"`` (default) runs the round-based platform
-            at every point; ``"predict"`` evaluates the closed-form
-            model of :mod:`repro.analysis.predictor` instead — each
-            workload is lowered once per distinct trace-shaping
-            configuration (geometry + scheduler policy) and every
-            timing-only point reuses that trace's predictor, so wide
-            sweeps cost milliseconds per point.  The result has the
-            same shape either way (``RunStats`` per point/workload;
-            predicted runs carry the ``StPIM-analytic`` platform tag).
-            Note the reference models differ in absolute terms: the
-            predictor reproduces the **VPC-trace streaming engines**
-            (its calibrated reference, <1% error there), while
-            ``"simulate"`` times the coarser round-parallel
-            ``PimTask.run`` model — compare predicted sweeps through
-            normalised series (:meth:`SweepResult.speedup_series`),
-            which both engines agree on.
 
     Returns:
         A :class:`SweepResult` with every run's stats.
@@ -94,14 +77,7 @@ def sweep(
         raise ValueError("sweep needs at least one point")
     if not workloads:
         raise ValueError("sweep needs at least one workload")
-    if engine not in ("simulate", "predict"):
-        raise ValueError(
-            f"engine must be 'simulate' or 'predict', got {engine!r}"
-        )
     result = SweepResult(parameter=parameter, points=list(points))
-    if engine == "predict":
-        _sweep_predict(result, points, config_factory, workloads)
-        return result
     platform_factory = platform_factory or StreamPIMPlatform
     for point in points:
         config = config_factory(point)
@@ -110,44 +86,3 @@ def sweep(
             spec.name: platform.run(spec) for spec in workloads
         }
     return result
-
-
-def _sweep_predict(
-    result: SweepResult,
-    points: Sequence[Hashable],
-    config_factory: ConfigFactory,
-    workloads: Sequence[WorkloadSpec],
-) -> None:
-    """Fill ``result.runs`` from the analytic model.
-
-    Predicts from the same lowered trace the platform path would
-    execute (:func:`~repro.baselines.stpim.spec_to_task`), memoised on
-    the compile cache key — which covers exactly the config fields that
-    shape the trace — so a sweep over timing constants lowers each
-    workload once.
-    """
-    from repro.analysis.predictor import AnalyticDevice, TracePredictor
-    from repro.baselines.stpim import spec_to_task
-    from repro.core.compile import spec_cache_key
-    from repro.core.device import StreamPIMDevice
-
-    predictors: Dict[str, TracePredictor] = {}
-    for point in points:
-        config = config_factory(point)
-        runs: Dict[str, RunStats] = {}
-        for spec in workloads:
-            key = spec_cache_key(spec, config)
-            predictor = predictors.get(key)
-            if predictor is None:
-                device = StreamPIMDevice(config)
-                task = spec_to_task(spec, device)
-                predictor = TracePredictor(
-                    task.to_trace(),
-                    device.address_map.words_per_subarray,
-                )
-                predictors[key] = predictor
-            predicted = predictor.predict(
-                AnalyticDevice(config), workload=spec.name
-            )
-            runs[spec.name] = predicted.to_run_stats()
-        result.runs[point] = runs

@@ -59,6 +59,7 @@ from repro.workloads import (
     extra_workload,
     polybench_workload,
 )
+from repro.workloads.spec import DEFAULT_SEED
 
 
 def _lookup_workload(name: str, scale: float):
@@ -70,42 +71,15 @@ def _lookup_workload(name: str, scale: float):
         raise SystemExit(exc.args[0] if exc.args else str(exc))
 
 
-def _compile_spec(spec, args):
+def _compile_spec(spec, args, deep: bool = False):
     """Compile one workload's trace, honouring the cache CLI flags."""
     from repro.core.compile import compile_workload
 
     return compile_workload(
         spec,
-        use_cache=not getattr(args, "no_trace_cache", False),
-        cache_dir=getattr(args, "cache_dir", None),
-        deep_verify=getattr(args, "deep", False),
-    )
-
-
-def _print_stream_summary(telemetry) -> None:
-    """One-line pipeline telemetry for streamed runs."""
-    print(
-        f"stream : {telemetry.chunks} chunks "
-        f"({telemetry.records:,} records), "
-        f"{telemetry.fallbacks} exact-replay fallbacks, "
-        f"produce {telemetry.produce_ns / 1e6:.2f} ms / "
-        f"consume {telemetry.consume_ns / 1e6:.2f} ms "
-        f"(overlap {telemetry.overlap_ratio:.0%})"
-    )
-
-
-def _stream_spec(spec, args, device=None, functional: bool = True):
-    """Streamed counterpart of :func:`_compile_spec` (fused execution)."""
-    from repro.core.compile import stream_workload
-
-    return stream_workload(
-        spec,
-        device=device,
-        use_cache=not getattr(args, "no_trace_cache", False),
-        cache_dir=getattr(args, "cache_dir", None),
-        chunk_vpcs=getattr(args, "chunk_vpcs", None),
-        functional=functional,
-        deep_verify=getattr(args, "deep", False),
+        use_cache=not args.no_trace_cache,
+        cache_dir=args.cache_dir,
+        deep_verify=deep,
     )
 
 
@@ -218,13 +192,6 @@ def _sweep_metrics(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.stream or args.chunk_vpcs is not None:
-        print(
-            "warning: sweep uses the analytic platform models and "
-            "neither lowers nor executes traces; --stream/--chunk-vpcs "
-            "have no effect here",
-            file=sys.stderr,
-        )
     names = args.workloads or list(POLYBENCH)
     for name in names:
         _lookup_workload(name, args.scale)  # fail fast on bad names
@@ -354,25 +321,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     spec = _lookup_workload(args.workload, args.scale)
     if spec.build is None:
         raise SystemExit(f"workload {spec.name!r} has no task builder")
-    if args.stream:
-        streamed = _stream_spec(spec, args)
-        trace = streamed.trace
-        source = (
-            "cache hit, streamed"
-            if streamed.cache_hit
-            else "streamed compile+execute"
-        )
-    else:
-        compiled = _compile_spec(spec, args)
-        trace = compiled.trace
-        source = "cache hit" if compiled.cache_hit else "compiled"
+    compiled = _compile_spec(spec, args)
+    trace = compiled.trace
+    source = "cache hit" if compiled.cache_hit else "compiled"
     stats = trace.stats
     print(
         f"{spec.name} @ scale {args.scale}: {stats.pim_vpcs:,} PIM VPCs, "
         f"{stats.move_vpcs:,} move VPCs ({source})"
     )
-    if args.stream:
-        _print_stream_summary(streamed.telemetry)
     if args.output:
         write_trace(trace, args.output)
         print(f"wrote {len(trace):,} commands to {args.output}")
@@ -462,8 +418,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     report = run_calibration(
         cases,
         seed=args.seed,
-        cache_dir=getattr(args, "cache_dir", None),
-        use_cache=not getattr(args, "no_trace_cache", False),
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_trace_cache,
         heavy=args.heavy,
         progress=show,
     )
@@ -501,8 +457,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     report = run_explore(
         grid,
         seed=args.seed,
-        cache_dir=getattr(args, "cache_dir", None),
-        use_cache=not getattr(args, "no_trace_cache", False),
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_trace_cache,
         verify_limit=args.verify_limit,
         progress=lambda stage, detail: print(f"[{stage}] {detail}"),
     )
@@ -540,26 +496,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
         collector = Collector()
         device.observe(collector)
-    if args.stream:
-        from repro.core.stream import (
-            DEFAULT_CHUNK_VPCS,
-            iter_trace_chunks,
-            run_stream,
-        )
-
-        chunk_vpcs = args.chunk_vpcs or DEFAULT_CHUNK_VPCS
-        result, telemetry = run_stream(
-            device,
-            iter_trace_chunks(trace, chunk_vpcs=chunk_vpcs),
-            workload="replay",
-            functional=False,
-            verify=not args.no_verify,
-        )
-        stats = result.stats
-    else:
-        stats = device.execute_trace(
-            trace, functional=False, verify=not args.no_verify
-        )
+    stats = device.execute_trace(
+        trace, functional=False, verify=not args.no_verify
+    )
     print(f"replayed {len(trace):,} commands from {args.trace}")
     print(f"time   : {stats.time_ns / 1e3:.2f} us")
     print(f"energy : {stats.energy.total_pj / 1e3:.2f} nJ")
@@ -568,8 +507,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         f"{k} {v:.1%}" for k, v in fractions.items() if v > 0.0005
     )
     print(f"time breakdown : {shares}")
-    if args.stream:
-        _print_stream_summary(telemetry)
     if collector is not None:
         return _export_profile(collector, stats, args.profile)
     return 0
@@ -646,37 +583,42 @@ def _export_profile(collector, stats, path: str) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run one workload instrumented; export trace.json + summaries."""
+    """Run one workload instrumented; export trace.json + summaries.
+
+    Lowering streams straight into the vector executor
+    (:func:`~repro.core.compile.stream_workload`).
+    """
+    from repro.core.compile import stream_workload
+    from repro.core.device import StreamPIMDevice
     from repro.obs import Collector
 
     spec = _lookup_workload(args.workload, args.scale)
     if spec.build is None:
         raise SystemExit(f"workload {args.workload!r} has no task builder")
     collector = Collector()
-    if args.stream:
-        from repro.core.device import StreamPIMDevice
-
-        device = StreamPIMDevice().observe(collector)
-        streamed = _stream_spec(
-            spec, args, device=device, functional=args.functional
-        )
-        trace = streamed.trace
-        stats = streamed.stats
-    else:
-        compiled = _compile_spec(spec, args)
-        trace = compiled.trace
-        device = compiled.device.observe(collector)
-        stats = device.execute_trace(
-            trace, workload=spec.name, functional=args.functional
-        )
+    streamed = stream_workload(
+        spec,
+        device=StreamPIMDevice().observe(collector),
+        use_cache=not args.no_trace_cache,
+        cache_dir=args.cache_dir,
+        functional=args.functional,
+    )
+    stats = streamed.stats
+    telemetry = streamed.telemetry
     print(
-        f"profiled {spec.name} @ scale {args.scale}: {len(trace):,} "
-        f"commands{', streamed' if args.stream else ''}"
+        f"profiled {spec.name} @ scale {args.scale}: "
+        f"{len(streamed.trace):,} commands"
     )
     print(f"time   : {stats.time_ns / 1e3:.2f} us")
     print(f"energy : {stats.energy.total_pj / 1e3:.2f} nJ")
-    if args.stream:
-        _print_stream_summary(streamed.telemetry)
+    print(
+        f"stream : {telemetry.chunks} chunks "
+        f"({telemetry.records:,} records), "
+        f"{telemetry.fallbacks} exact-replay fallbacks, "
+        f"produce {telemetry.produce_ns / 1e6:.2f} ms / "
+        f"consume {telemetry.consume_ns / 1e6:.2f} ms "
+        f"(overlap {telemetry.overlap_ratio:.0%})"
+    )
     return _export_profile(collector, stats, args.output)
 
 
@@ -703,7 +645,7 @@ def _check_specs(scale: float):
     )
 
 
-def _verify_spec(spec, hazard_window: int, args=None):
+def _verify_spec(spec, hazard_window: int, args):
     """Enumerate a workload's trace and verify it with its placement.
 
     When ``args.deep`` is set, :func:`_compile_spec` already ran the
@@ -712,7 +654,7 @@ def _verify_spec(spec, hazard_window: int, args=None):
     """
     from repro.verify import TraceVerifier
 
-    compiled = _compile_spec(spec, args if args is not None else object())
+    compiled = _compile_spec(spec, args, deep=args.deep)
     verifier = TraceVerifier(
         geometry=compiled.device.config.geometry,
         plan=compiled.task.placement_plan,
@@ -1055,7 +997,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         core=core,
         drain_timeout_s=args.drain_timeout,
-        cache_dir=getattr(args, "cache_dir", None),
+        cache_dir=args.cache_dir,
     )
     try:
         return run_server(config)
@@ -1132,54 +1074,20 @@ def _add_rule_filter_flags(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cache_flags(
-    cmd: argparse.ArgumentParser, no_compile: str = ""
-) -> None:
-    """``--no-trace-cache``/``--cache-dir`` on a trace-lowering command.
-
-    ``no_compile`` notes that a command accepts the flags only for
-    interface uniformity (it never lowers a trace itself).
-    """
-    suffix = f" ({no_compile})" if no_compile else ""
+def _add_cache_flags(cmd: argparse.ArgumentParser) -> None:
+    """``--no-trace-cache``/``--cache-dir`` on a trace-lowering command."""
     cmd.add_argument(
         "--no-trace-cache",
         dest="no_trace_cache",
         action="store_true",
         help="compile the trace fresh instead of using the "
-        "content-addressed cache" + suffix,
+        "content-addressed cache",
     )
     cmd.add_argument(
         "--cache-dir",
         default=None,
         help="trace cache directory (default: "
         "$REPRO_STREAMPIM_CACHE_DIR or ~/.cache/repro-streampim)",
-    )
-
-
-def _add_stream_flags(
-    cmd: argparse.ArgumentParser, no_stream: str = ""
-) -> None:
-    """``--stream/--no-stream``/``--chunk-vpcs`` on an execution command.
-
-    ``no_stream`` notes that a command accepts the flags only for
-    interface uniformity (it never drives the chunk pipeline itself).
-    """
-    suffix = f" ({no_stream})" if no_stream else ""
-    cmd.add_argument(
-        "--stream",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="stream chunked lowering straight into the vector "
-        "executor instead of finishing compilation first" + suffix,
-    )
-    cmd.add_argument(
-        "--chunk-vpcs",
-        dest="chunk_vpcs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="minimum records per streamed chunk, cut at operation "
-        "boundaries (default 4096)",
     )
 
 
@@ -1215,16 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
         "many seconds: the cell is reported as JobTimeout and excluded "
         "from the averages instead of hanging the sweep",
     )
-    _add_cache_flags(
-        sweep,
-        no_compile="sweep uses the analytic model and lowers no "
-        "traces; accepted for interface uniformity",
-    )
-    _add_stream_flags(
-        sweep,
-        no_stream="sweep uses the analytic model and executes no "
-        "traces; accepted for interface uniformity",
-    )
     sweep.set_defaults(func=_cmd_sweep)
 
     counts = sub.add_parser("counts", help="Table IV VPC counts")
@@ -1238,7 +1136,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--scale", type=float, default=0.01)
     trace.add_argument("-o", "--output", default=None)
     _add_cache_flags(trace)
-    _add_stream_flags(trace)
     trace.set_defaults(func=_cmd_trace)
 
     replay = sub.add_parser(
@@ -1256,12 +1153,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="collect metrics and spans; write a Chrome trace to FILE",
     )
-    _add_cache_flags(
-        replay,
-        no_compile="replay executes an already-saved trace file and "
-        "lowers nothing; accepted for interface uniformity",
-    )
-    _add_stream_flags(replay)
     replay.set_defaults(func=_cmd_replay)
 
     profile = sub.add_parser(
@@ -1282,7 +1173,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Chrome trace_event JSON output path",
     )
     _add_cache_flags(profile)
-    _add_stream_flags(profile)
     profile.set_defaults(func=_cmd_profile)
 
     check = sub.add_parser(
@@ -1457,7 +1347,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="include bert (~24M commands; the simulation side alone "
         "takes ~10 minutes)",
     )
-    calibrate.add_argument("--seed", type=int, default=7)
+    calibrate.add_argument("--seed", type=int, default=DEFAULT_SEED)
     calibrate.add_argument(
         "-o", "--output", default=None, help="write the report as JSON"
     )
@@ -1515,7 +1405,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-simulate at most N frontier points per workload "
         "(default: the whole frontier)",
     )
-    explore.add_argument("--seed", type=int, default=7)
+    explore.add_argument("--seed", type=int, default=DEFAULT_SEED)
     explore.add_argument(
         "-o", "--output", default=None, help="write the report as JSON"
     )

@@ -31,9 +31,16 @@ from typing import Dict, Optional, Union
 
 from repro.core.device import StreamPIMDevice
 from repro.core.placement import PlacementPlan
+from repro.core.stream import (
+    DEFAULT_CHUNK_VPCS,
+    iter_trace_chunks,
+    run_stream,
+    task_chunk_producer,
+)
 from repro.core.task import PimTask
-from repro.isa.columnar import ColumnarTrace
+from repro.isa.columnar import ColumnarTrace, _validate_op_starts
 from repro.isa.trace_cache import TraceCache, make_cache_key
+from repro.workloads.spec import DEFAULT_SEED
 
 #: Version stamp of the trace-lowering algorithm.  Part of every cache
 #: key: bump on any change that alters emitted trace bytes (opcode
@@ -78,7 +85,7 @@ def workload_fingerprint(spec) -> list:
     ]
 
 
-def spec_cache_key(spec, config=None, seed: int = 7) -> str:
+def spec_cache_key(spec, config=None, seed: int = DEFAULT_SEED) -> str:
     """Cache key of ``spec`` compiled under ``config`` — no task needed.
 
     The same key :func:`task_cache_key` derives, but computed from a
@@ -104,7 +111,7 @@ def spec_cache_key(spec, config=None, seed: int = 7) -> str:
 def task_cache_key(
     spec,
     device: StreamPIMDevice,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
 ) -> str:
     """Cache key of ``spec`` compiled for ``device``.
 
@@ -134,16 +141,6 @@ def _restore_trace_state(task: PimTask, aux: Dict[str, object]) -> bool:
     return True
 
 
-def _op_starts_aux(trace: ColumnarTrace, task: PimTask) -> Optional[list]:
-    """JSON-safe operation-boundary list for the cache aux dict."""
-    starts = trace.op_starts
-    if starts is None:
-        starts = getattr(task, "_trace_op_starts", None)
-    if starts is None:
-        return None
-    return [int(s) for s in starts]
-
-
 def _restore_op_starts(trace: ColumnarTrace, aux: Dict[str, object]) -> None:
     """Attach cached operation boundaries to a loaded trace.
 
@@ -155,15 +152,51 @@ def _restore_op_starts(trace: ColumnarTrace, aux: Dict[str, object]) -> None:
     if starts is None:
         return
     try:
-        trace.op_starts = _validate_op_starts_list(starts, len(trace))
+        trace.op_starts = _validate_op_starts(starts, len(trace))
     except (TypeError, ValueError):
         trace.op_starts = None
 
 
-def _validate_op_starts_list(starts, total: int):
-    from repro.isa.columnar import _validate_op_starts
+def _cache_lookup(spec, task, seed, cache, cache_dir, use_cache):
+    """``(cache, key, entry)`` for ``task``'s trace.
 
-    return _validate_op_starts(starts, total)
+    ``cache`` is None and ``key`` empty when caching is disabled.
+    ``entry`` is the cached entry with the task's placement state and
+    the trace's operation boundaries restored, or None on a miss (an
+    entry whose aux is unusable counts as a miss).
+    """
+    if not use_cache:
+        return None, "", None
+    if cache is None:
+        cache = TraceCache(cache_dir)
+    key = task_cache_key(spec, task.device, seed=seed)
+    entry = cache.get(key)
+    if entry is None or not _restore_trace_state(task, entry.aux):
+        return cache, key, None
+    _restore_op_starts(entry.trace, entry.aux)
+    return cache, key, entry
+
+
+def _cache_store(cache, key, spec, seed, task, trace) -> None:
+    """Write a freshly lowered ``trace`` with the state a hit restores."""
+    cache.put(
+        key,
+        trace,
+        aux={
+            "plan": task.placement_plan.to_dict(),
+            "scalar_slots": {
+                str(address): name
+                for address, name in task._trace_scalar_slots.items()
+            },
+            "op_starts": trace.op_starts.tolist(),
+        },
+        provenance={
+            "workload": spec.name,
+            "seed": int(seed),
+            "lowering_version": LOWERING_VERSION,
+            "commands": len(trace),
+        },
+    )
 
 
 def _deep_verify(compiled: CompiledWorkload, subject: str) -> None:
@@ -190,7 +223,7 @@ def _deep_verify(compiled: CompiledWorkload, subject: str) -> None:
 def compile_workload(
     spec,
     device: Optional[StreamPIMDevice] = None,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
     cache: Optional[TraceCache] = None,
     cache_dir: Union[str, Path, None] = None,
     use_cache: bool = True,
@@ -220,60 +253,27 @@ def compile_workload(
             observable (and cleaned up) by the serving supervisor.
     """
     task = spec.build_task(device, seed=seed)
-    subject = f"workload {spec.name}"
-    if not use_cache:
-        compiled = CompiledWorkload(
-            task=task,
-            trace=task.to_trace(),
-            cache_key="",
-            cache_hit=False,
-        )
-        if deep_verify:
-            _deep_verify(compiled, subject)
-        return compiled
-    if cache is None:
-        cache = TraceCache(cache_dir)
-    key = task_cache_key(spec, task.device, seed=seed)
-    entry = cache.get(key)
-    if entry is not None and _restore_trace_state(task, entry.aux):
-        _restore_op_starts(entry.trace, entry.aux)
-        compiled = CompiledWorkload(
-            task=task, trace=entry.trace, cache_key=key, cache_hit=True
-        )
-        if deep_verify:
-            _deep_verify(compiled, subject)
-        return compiled
-    if inflight is not None:
-        inflight.mark(key)
-    try:
+    cache, key, entry = _cache_lookup(
+        spec, task, seed, cache, cache_dir, use_cache
+    )
+    if entry is not None:
+        trace = entry.trace
+    elif cache is None:
         trace = task.to_trace()
-        aux = {
-            "plan": task.placement_plan.to_dict(),
-            "scalar_slots": {
-                str(address): name
-                for address, name in task._trace_scalar_slots.items()
-            },
-            "op_starts": _op_starts_aux(trace, task),
-        }
-        cache.put(
-            key,
-            trace,
-            aux=aux,
-            provenance={
-                "workload": spec.name,
-                "seed": int(seed),
-                "lowering_version": LOWERING_VERSION,
-                "commands": len(trace),
-            },
-        )
-    finally:
+    else:
         if inflight is not None:
-            inflight.clear(key)
+            inflight.mark(key)
+        try:
+            trace = task.to_trace()
+            _cache_store(cache, key, spec, seed, task, trace)
+        finally:
+            if inflight is not None:
+                inflight.clear(key)
     compiled = CompiledWorkload(
-        task=task, trace=trace, cache_key=key, cache_hit=False
+        task=task, trace=trace, cache_key=key, cache_hit=entry is not None
     )
     if deep_verify:
-        _deep_verify(compiled, subject)
+        _deep_verify(compiled, f"workload {spec.name}")
     return compiled
 
 
@@ -314,11 +314,11 @@ class StreamedWorkload:
 def stream_workload(
     spec,
     device: Optional[StreamPIMDevice] = None,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
     cache: Optional[TraceCache] = None,
     cache_dir: Union[str, Path, None] = None,
     use_cache: bool = True,
-    chunk_vpcs: Optional[int] = None,
+    chunk_vpcs: int = DEFAULT_CHUNK_VPCS,
     functional: bool = True,
     verify: bool = True,
     deep_verify: bool = False,
@@ -341,85 +341,38 @@ def stream_workload(
     Results (``stats``, word-store contents, spans) are bit-identical
     to the phased path for any chunk size.
     """
-    from repro.core.stream import (
-        DEFAULT_CHUNK_VPCS,
-        iter_trace_chunks,
-        run_stream,
-        task_chunk_producer,
-    )
-
-    if chunk_vpcs is None:
-        chunk_vpcs = DEFAULT_CHUNK_VPCS
     task = spec.build_task(device, seed=seed)
-    subject = f"workload {spec.name}"
-    key = ""
-    entry = None
-    if use_cache:
-        if cache is None:
-            cache = TraceCache(cache_dir)
-        key = task_cache_key(spec, task.device, seed=seed)
-        entry = cache.get(key)
-        if entry is not None and not _restore_trace_state(task, entry.aux):
-            entry = None
+    cache, key, entry = _cache_lookup(
+        spec, task, seed, cache, cache_dir, use_cache
+    )
     if entry is not None:
-        _restore_op_starts(entry.trace, entry.aux)
         task.materialize()
-        result, telemetry = run_stream(
-            task.device,
-            iter_trace_chunks(entry.trace, chunk_vpcs=chunk_vpcs),
-            workload=spec.name,
-            functional=functional,
-            verify=verify,
-            cache_hit=True,
-        )
+        chunks = iter_trace_chunks(entry.trace, chunk_vpcs=chunk_vpcs)
     else:
-        result, telemetry = run_stream(
-            task.device,
-            task_chunk_producer(task, chunk_vpcs=chunk_vpcs),
-            workload=spec.name,
-            functional=functional,
-            verify=verify,
-        )
-        if use_cache:
-            cache.put(
-                key,
-                result.trace,
-                aux={
-                    "plan": task.placement_plan.to_dict(),
-                    "scalar_slots": {
-                        str(address): name
-                        for address, name in task._trace_scalar_slots.items()
-                    },
-                    "op_starts": _op_starts_aux(result.trace, task),
-                },
-                provenance={
-                    "workload": spec.name,
-                    "seed": int(seed),
-                    "lowering_version": LOWERING_VERSION,
-                    "commands": len(result.trace),
-                },
-            )
-    if result.trace.op_starts is None:
-        starts = (
-            entry.trace.op_starts
-            if entry is not None
-            else getattr(task, "_trace_op_starts", None)
-        )
-        if starts is not None and len(result.trace):
-            try:
-                result.trace.op_starts = _validate_op_starts_list(
-                    starts, len(result.trace)
-                )
-            except (TypeError, ValueError):
-                pass
+        chunks = task_chunk_producer(task, chunk_vpcs=chunk_vpcs)
+    result, telemetry = run_stream(
+        task.device,
+        chunks,
+        workload=spec.name,
+        functional=functional,
+        verify=verify,
+        cache_hit=entry is not None,
+    )
+    trace = result.trace
+    if entry is not None:
+        trace.op_starts = entry.trace.op_starts
+    else:
+        trace.op_starts = task._trace_op_starts
+        if cache is not None:
+            _cache_store(cache, key, spec, seed, task, trace)
     streamed = StreamedWorkload(
         task=task,
-        trace=result.trace,
+        trace=trace,
         stats=result.stats,
         telemetry=telemetry,
         cache_key=key,
         cache_hit=entry is not None,
     )
     if deep_verify:
-        _deep_verify(streamed, subject)
+        _deep_verify(streamed, f"workload {spec.name}")
     return streamed

@@ -49,6 +49,7 @@ from repro.core.placement import (
     PlacementPolicy,
 )
 from repro.core.scheduler import Round, SchedulerPolicy
+from repro.core.stream import DEFAULT_CHUNK_VPCS
 from repro.isa.columnar import (
     ADD_BYTE,
     MUL_BYTE,
@@ -374,7 +375,8 @@ class PimTask:
         else:
             resident, rows_count, bcast_count = a, m, n
         parallel_rows = self._parallelism(resident, rows_count)
-        pool = len(placer.operand_pool)
+        lo, hi = placer._pools["operand"]
+        pool = hi - lo
         col_groups = 1
         if parallel_rows == rows_count and rows_count < pool:
             col_groups = min(bcast_count, max(1, pool // rows_count))
@@ -663,7 +665,7 @@ class PimTask:
         )
         return ColumnarTrace(records, op_starts=self._trace_op_starts)
 
-    def to_trace_chunks(self, chunk_vpcs: int = 4096):
+    def to_trace_chunks(self, chunk_vpcs: int = DEFAULT_CHUNK_VPCS):
         """Incremental :meth:`to_trace`: yield the trace as chunks.
 
         The lowering itself, as a generator for the streamed

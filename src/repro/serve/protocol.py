@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.workloads.spec import DEFAULT_SEED
+
 #: Protocol revision; servers reject requests from newer majors.
 PROTOCOL_VERSION = 1
 
@@ -145,7 +147,12 @@ GROUP_POLICY: Dict[str, str] = {"compile": SHARED, "run": PER_ITEM}
 #: method does not read are ignored, as they always were.
 _WORK_DEFAULTS: Dict[str, Dict[str, object]] = {
     "run": {"scale": 1.0, "platform": "StPIM"},
-    "compile": {"scale": 0.01, "seed": 7, "deep": False, "no_cache": False},
+    "compile": {
+        "scale": 0.01,
+        "seed": DEFAULT_SEED,
+        "deep": False,
+        "no_cache": False,
+    },
 }
 _PARAM_TYPES = {"seed": int, "platform": str, "deep": bool, "no_cache": bool}
 

@@ -5,6 +5,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.device import StreamPIMDevice
 from repro.isa.trace import read_trace
+from repro.workloads import find_workload
 from tests.oracles import scalar_exec
 
 
@@ -95,14 +96,11 @@ class TestReplay:
         assert "replayed" in out
         assert "time breakdown" in out
 
-    @pytest.mark.parametrize("flags", [[], ["--stream"]])
-    def test_default_flags_match_scalar_oracle(
-        self, tmp_path, capsys, flags
-    ):
+    def test_default_flags_match_scalar_oracle(self, tmp_path, capsys):
         path = tmp_path / "t.trace"
         assert main(["trace", "gemm", "--scale", "0.01", "-o", str(path)]) == 0
         capsys.readouterr()
-        assert main(["replay", str(path), *flags]) == 0
+        assert main(["replay", str(path)]) == 0
         out = capsys.readouterr().out
         reference = scalar_exec.execute_trace(
             StreamPIMDevice(), read_trace(path), functional=False
@@ -115,6 +113,61 @@ class TestReplay:
     def test_replay_missing_file(self):
         with pytest.raises(FileNotFoundError):
             main(["replay", "/nonexistent/trace.txt"])
+
+
+class TestProfile:
+    def test_functional_profile_matches_scalar_oracle(
+        self, tmp_path, capsys
+    ):
+        assert main(
+            [
+                "profile",
+                "gemm",
+                "--scale",
+                "0.01",
+                "--functional",
+                "-o",
+                str(tmp_path / "trace.json"),
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        task = find_workload("gemm", scale=0.01).build_task()
+        trace = task.to_trace()
+        task.materialize()
+        reference = scalar_exec.execute_trace(
+            task.device, trace, workload="gemm", functional=True
+        )
+        assert f"time   : {reference.time_ns / 1e3:.2f} us" in out
+        assert (
+            f"energy : {reference.energy.total_pj / 1e3:.2f} nJ" in out
+        )
+        assert "breakdown reconciliation: OK" in out
+
+
+#: Run-path selectors, and cache flags on commands that lower no trace:
+#: each is a usage error.
+REMOVED_FLAGS = [
+    [*command, *flag]
+    for command in (
+        ["sweep"],
+        ["trace", "gemm"],
+        ["replay", "t.trace"],
+        ["profile", "gemm"],
+    )
+    for flag in (["--stream"], ["--no-stream"], ["--chunk-vpcs", "512"])
+] + [
+    [*command, *flag]
+    for command in (["sweep"], ["replay", "t.trace"])
+    for flag in (["--no-trace-cache"], ["--cache-dir", "cache"])
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
+def test_removed_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestFaults:
@@ -283,19 +336,3 @@ class TestSweepRobustness:
         assert rc == 0
         assert "JobTimeout" not in captured.err
         assert "StPIM" in captured.out
-
-    @pytest.mark.parametrize(
-        "flags",
-        [["--stream"], ["--chunk-vpcs", "512"]],
-    )
-    def test_inert_stream_flags_warn_on_stderr(self, capsys, flags):
-        rc = main(
-            ["sweep", "--workloads", "atax", "--scale", "0.05", *flags]
-        )
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "have no effect here" in captured.err
-
-    def test_no_warning_without_the_inert_flags(self, capsys):
-        assert main(["sweep", "--workloads", "atax", "--scale", "0.05"]) == 0
-        assert "no effect" not in capsys.readouterr().err

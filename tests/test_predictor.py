@@ -9,13 +9,11 @@ kinds of correctness obligations:
   :class:`AnalyticDevice`, and monotone in trace length (appending
   work never makes the predicted run faster or cheaper);
 * **accuracy** — against the trace executor it must stay inside the
-  documented per-class bounds on real workloads, for the phased and
-  streamed execution paths alike (bit-identical by contract, so one
-  error figure covers both);
+  documented per-class bounds on real workloads (the streamed path is
+  bit-identical to the phased one by contract, so one error figure
+  covers both);
 * **integration** — op boundaries survive the compile cache round
-  trip, the sweep module's ``engine="predict"`` mode produces the
-  same result shape as simulation, and the explorer re-simulates only
-  its Pareto frontier.
+  trip, and the explorer re-simulates only its Pareto frontier.
 """
 
 import json
@@ -170,19 +168,11 @@ class TestAccuracy:
             result = calibrate_workload(
                 name, scale=scale, cache_dir=tmp_path
             )
-            assert result.engine == "vector"
             assert result.ok, (
                 f"{name}@{scale}: time "
                 f"{result.time_rel_error:+.4%} "
                 f"energy {result.energy_rel_error:+.4%}"
             )
-
-    def test_streamed_path(self, tmp_path):
-        result = calibrate_workload(
-            "gemm", scale=0.02, cache_dir=tmp_path, stream=True
-        )
-        assert result.engine == "stream"
-        assert result.ok
 
     def test_energy_is_exact(self, tmp_path):
         result = calibrate_workload("mvt", scale=0.02, cache_dir=tmp_path)
@@ -225,35 +215,6 @@ class TestOpStarts:
         assert without.energy.total_pj == pytest.approx(
             with_ops.energy.total_pj
         )
-
-
-class TestSweepPredictEngine:
-    def test_same_result_shape(self):
-        from repro.analysis.sweep import sweep
-
-        spec = find_workload("atax", scale=0.02)
-        points = [1.0, 2.0]
-
-        def factory(scale):
-            from dataclasses import replace
-
-            base = StreamPIMConfig()
-            return replace(base, vpc_decode_ns=10.0 * scale)
-
-        result = sweep("decode", points, factory, [spec], engine="predict")
-        assert result.points == points
-        for point in points:
-            stats = result.runs[point]["atax"]
-            assert stats.platform == PREDICTED_PLATFORM
-            assert stats.time_ns > 0
-        assert set(result.speedup_series(1.0)) == {1.0, 2.0}
-
-    def test_unknown_engine_rejected(self):
-        from repro.analysis.sweep import sweep
-
-        spec = find_workload("atax", scale=0.02)
-        with pytest.raises(ValueError, match="engine"):
-            sweep("x", [1], lambda p: StreamPIMConfig(), [spec], engine="no")
 
 
 class TestExplore:
