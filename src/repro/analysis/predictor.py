@@ -65,14 +65,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.isa.columnar import ColumnarTrace, MUL_BYTE, TRAN_BYTE
-from repro.sim.stats import EnergyBreakdown, RunStats, TimeBreakdown
+from repro.sim.stats import EnergyBreakdown, TimeBreakdown
 from repro.sim.vector_exec import copy_costs, shape_costs, shape_keys
 from repro.workloads.spec import DEFAULT_SEED
-
-#: Platform tag stamped on predicted stats (distinguishes analytic
-#: results from simulated ``"StPIM"`` rows in mixed reports).
-PREDICTED_PLATFORM = "StPIM-analytic"
-
 
 class AnalyticDevice:
     """Cost-model view of a device configuration.
@@ -145,22 +140,6 @@ class PredictedStats:
     @property
     def total_pj(self) -> float:
         return self.energy.total_pj
-
-    def to_run_stats(
-        self, platform: str = PREDICTED_PLATFORM
-    ) -> RunStats:
-        """Repackage as a ``RunStats`` so sweep/report code is reusable."""
-        stats = RunStats(
-            platform=platform,
-            workload=self.workload,
-            time_ns=self.time_ns,
-            time_breakdown=self.time_breakdown,
-            energy=self.energy,
-        )
-        stats.bump("pim_vpcs", self.pim_vpcs)
-        stats.bump("move_vpcs", self.move_vpcs)
-        stats.bump("predicted", 1)
-        return stats
 
     def to_dict(self) -> Dict[str, object]:
         return {

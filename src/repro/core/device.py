@@ -156,11 +156,14 @@ class WordStore:
         rows = self._rows_of(pages)
         missing = rows < 0
         if missing.any():
-            self._allocate(np.unique(pages[missing]))
+            # Addresses come in runs that share a page: keep each run's
+            # head before sorting the page ids.
+            absent = pages[missing]
+            self._allocate(np.unique(absent[self._run_heads(absent)]))
             rows = self._rows_of(pages)
         words = (rows << self._PAGE_SHIFT) | (addresses & self._PAGE_MASK)
-        # The page arrays are always C-contiguous (np.zeros / np.pad), so
-        # reshape(-1) is a view and these writes land in the store.
+        # The page arrays are always C-contiguous (np.zeros / np.empty),
+        # so reshape(-1) is a view and these writes land in the store.
         self._pages.reshape(-1)[words] = values
         self._written.reshape(-1)[words] = True
 
@@ -186,10 +189,7 @@ class WordStore:
         flat = pages.ravel()
         if not len(ids) or not len(flat):
             return np.full(pages.shape, -1, dtype=np.int64)
-        head = np.empty(len(flat), dtype=bool)
-        head[0] = True
-        np.not_equal(flat[1:], flat[:-1], out=head[1:])
-        first = np.flatnonzero(head)
+        first = np.flatnonzero(self._run_heads(flat))
         run_pages = flat[first]
         pos = np.minimum(np.searchsorted(ids, run_pages), len(ids) - 1)
         rows = np.where(ids[pos] == run_pages, self._page_rows[pos], -1)
@@ -197,14 +197,29 @@ class WordStore:
             pages.shape
         )
 
+    @staticmethod
+    def _run_heads(values: np.ndarray) -> np.ndarray:
+        """Mask of the first element of each run of equal neighbours
+        in the non-empty 1-D ``values``."""
+        head = np.empty(len(values), dtype=bool)
+        head[0] = True
+        np.not_equal(values[1:], values[:-1], out=head[1:])
+        return head
+
     def _allocate(self, new_pages: np.ndarray) -> None:
-        """Add rows for ``new_pages`` (sorted, none allocated yet)."""
+        """Add zeroed rows for ``new_pages`` (sorted, none allocated
+        yet).  Spare capacity is left uninitialised until allocated."""
         used = len(self._page_ids)
         need = used + len(new_pages)
         if need > len(self._pages):
-            spare = ((0, max(need, 2 * len(self._pages), 8) - used), (0, 0))
-            self._pages = np.pad(self._pages[:used], spare)
-            self._written = np.pad(self._written[:used], spare)
+            rows = max(need, 2 * len(self._pages), 8)
+            pages = np.empty((rows, self.PAGE_WORDS), dtype=np.int64)
+            written = np.empty((rows, self.PAGE_WORDS), dtype=bool)
+            pages[:used] = self._pages[:used]
+            written[:used] = self._written[:used]
+            self._pages, self._written = pages, written
+        self._pages[used:need] = 0
+        self._written[used:need] = False
         at = np.searchsorted(self._page_ids, new_pages)
         self._page_ids = np.insert(self._page_ids, at, new_pages)
         self._page_rows = np.insert(

@@ -18,19 +18,22 @@ The placer also implements the two supporting rules of section IV-C:
   results are placed in non-overlapping subarray sets so read/write data
   preparation never targets a subarray that is computing.
 
-Placement is array-native.  The :class:`Placer` keeps one int64 cursor
-per pool subarray and places a matrix as runs of equal-length pieces
-(:meth:`Placer._place_run`): an unsliced matrix is one run of
+Placement works on run-length cursor state.  The :class:`Placer`
+keeps each pool's allocation cursors as *segments*: ``(first, end,
+cursor)`` triples of Python ints, one per stretch of pool subarrays
+``[first, end)`` that share a cursor.  Round-robin placement keeps the
+cursors of a pool nearly uniform, so a pool of hundreds of subarrays
+is a handful of segments.  A matrix is placed as runs of equal-length
+pieces (:meth:`Placer._place_run`): an unsliced matrix is one run of
 ``stored_rows`` pieces, a sliced row one run per slice.  Each run is
-solved in closed form over the cursor array instead of one subarray
-scan per piece, and kept as a :class:`PlacedRun` summary: the pool
-subarrays it took pieces from in ring order, the pieces each took and
-each one's cursor before the run, at most one entry per pool
-subarray.  A :class:`MatrixHandle` holds its runs (:class:`PlacedRows`)
-and builds its ``(n, 5)`` int64 slice table (:data:`SLICE_FIELDS`
-columns) and ``row_ptr`` index per stored row from them on the first
-read; the distinct subarrays and slices per row, all the round model
-reads, come from the summaries without a table.
+solved in closed form per segment and kept as a :class:`PlacedRun`
+summary: in ring order, the stretches of pool subarrays it took pieces
+from, the pieces each took and each one's cursor before the run.  A
+:class:`MatrixHandle` holds its runs (:class:`PlacedRows`) and builds
+its ``(n, 5)`` int64 slice table (:data:`SLICE_FIELDS` columns) and
+``row_ptr`` index per stored row from them on the first read; the
+distinct subarrays and slices per row, all the round model reads, come
+from the segments without a table or any per-subarray array.
 :meth:`MatrixHandle.row_slices` builds one row's :class:`RowSlice`
 objects on demand.
 """
@@ -38,8 +41,11 @@ objects on demand.
 from __future__ import annotations
 
 import enum
-from itertools import chain
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,23 +87,40 @@ class RowSlice:
         return (self.bank, self.subarray)
 
 
+#: Pool subarrays ``[first, end)`` that share one allocation cursor:
+#: ``(first, end, cursor)``.
+Segment = Tuple[int, int, int]
+_FIRST, _END = itemgetter(0), itemgetter(1)
+
+
 @dataclass(frozen=True)
 class PlacedRun:
     """One run of equal-length pieces, as :meth:`Placer._place_run`
     placed it: the few numbers its pieces follow from.
 
-    ``index`` lists the pool subarrays that took pieces, in the order
-    the placer visited them (the ring from the round-robin pointer
-    under DISTRIBUTE, pool order under BASE); ``taken`` is how many
-    pieces each took and ``cursor`` its allocation cursor before the
-    run.  All three are int64 copies, never views of the placer's
-    cursors, so later placements leave a summary as it was.
+    ``segments`` lists ``(first, end, taken, cursor)``: pool subarrays
+    ``first .. end - 1`` each took ``taken`` pieces and had allocation
+    cursor ``cursor`` before the run.  They come in the order the
+    placer visited them (the ring from the round-robin pointer under
+    DISTRIBUTE, pool order under BASE).  The per-subarray arrays are
+    built on the first read of :attr:`arrays`.
     """
 
     length: int
-    index: np.ndarray
-    taken: np.ndarray
-    cursor: np.ndarray
+    segments: Tuple[Tuple[int, int, int, int], ...]
+
+    @cached_property
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pool index, pieces taken and cursor before the run of every
+        subarray that took pieces, in visiting order (int64)."""
+        first, end, taken, cursor = (
+            np.array(self.segments, dtype=np.int64).reshape(-1, 4).T
+        )
+        sizes = end - first
+        index = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(
+            np.cumsum(sizes) - sizes - first, sizes
+        )
+        return index, np.repeat(taken, sizes), np.repeat(cursor, sizes)
 
     def pieces(
         self, round_robin: bool, words_per_subarray: int
@@ -105,7 +128,7 @@ class PlacedRun:
         """Pool index and word address of every piece, in placement
         order: by round, then ring position, when ``round_robin``
         (DISTRIBUTE); subarray by subarray otherwise (BASE)."""
-        taken = self.taken
+        pool_index, taken, cursor = self.arrays
         position = np.repeat(np.arange(len(taken)), taken)
         # Pieces a subarray took before this one: its round (DISTRIBUTE)
         # or its rank in the subarray's fill (BASE).
@@ -115,10 +138,10 @@ class PlacedRun:
         if round_robin and before.any():
             order = np.argsort(before, kind="stable")
             position, before = position[order], before[order]
-        index = self.index[position]
+        index = pool_index[position]
         address = (
             index * words_per_subarray
-            + self.cursor[position]
+            + cursor[position]
             + before * self.length
         )
         return index, address
@@ -148,10 +171,19 @@ class PlacedRows:
         return -(-self.cols // self.capacity)
 
     def subarray_count(self) -> int:
-        """Distinct pool subarrays the runs took pieces from."""
-        if len(self.runs) == 1:
-            return len(self.runs[0].index)
-        return len(np.unique(np.concatenate([run.index for run in self.runs])))
+        """Distinct pool subarrays the runs took pieces from: the size
+        of the union of their segments."""
+        spans = sorted(
+            (first, end)
+            for run in self.runs
+            for first, end, _, _ in run.segments
+        )
+        count = reach = 0
+        for first, end in spans:
+            if end > reach:
+                count += end - max(first, reach)
+                reach = end
+        return count
 
     def table(self) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(rows * slices_per_row, 5)`` slice table and its
@@ -392,8 +424,10 @@ class Placer:
 
     The pool is every PIM subarray in (bank, subarray) order; pool
     index ``g`` is ``bank * subarrays_per_bank + subarray`` and its
-    first word is ``g * words_per_subarray``.  ``_cursors[g]`` counts
-    the words allocated in subarray ``g``.
+    first word is ``g * words_per_subarray``.  The words allocated in
+    each subarray are kept per pool kind as :data:`Segment` lists in
+    pool order, merged so neighbours differ; the two kinds share one
+    list when their ranges coincide.  :attr:`cursors` expands them.
 
     Args:
         geometry: device geometry (supplies the PIM subarray pool and the
@@ -433,20 +467,20 @@ class Placer:
             self._pools = {"operand": (0, split), "result": (split, size)}
         else:
             self._pools = {"operand": (0, size), "result": (0, size)}
-        self._bank, self._subarray = np.divmod(
-            np.arange(size, dtype=np.int64), per_bank
-        )
+        self._segments: Dict[str, List[Segment]] = {
+            kind: [(lo, hi, 0)] for kind, (lo, hi) in self._pools.items()
+        }
+        if self._pools["operand"] == self._pools["result"]:
+            self._segments["result"] = self._segments["operand"]
         self._capacity = self.geometry.subarray_capacity_words
-        self._cursors = np.zeros(size, dtype=np.int64)
         self._rr_next = {"operand": 0, "result": 0}
         self.plan = PlacementPlan(policy=self.policy)
 
     # ------------------------------------------------------------------
     def _pool_keys(self, kind: str) -> Tuple[Tuple[int, int], ...]:
         lo, hi = self._pools[kind]
-        return tuple(
-            zip(self._bank[lo:hi].tolist(), self._subarray[lo:hi].tolist())
-        )
+        per_bank = self.geometry.bank.subarrays
+        return tuple(divmod(g, per_bank) for g in range(lo, hi))
 
     @property
     def operand_pool(self) -> Sequence[Tuple[int, int]]:
@@ -459,6 +493,16 @@ class Placer:
     @property
     def subarray_capacity_words(self) -> int:
         return self._capacity
+
+    @property
+    def cursors(self) -> np.ndarray:
+        """Words allocated in each pool subarray (a new int64 array,
+        expanded from the segments)."""
+        segments = self._segments["operand"]
+        if self._segments["result"] is not segments:
+            segments = segments + self._segments["result"]
+        first, end, cursor = np.array(segments, dtype=np.int64).T
+        return np.repeat(cursor, end - first)
 
     def _pool_kind(self, result: bool) -> str:
         if result and self.disjoint_result_sets:
@@ -492,10 +536,11 @@ class Placer:
                 "every PIM subarray in the pool is quarantined; "
                 "cannot remap"
             )
-        candidates = lo + np.flatnonzero(healthy)
+        candidates = np.flatnonzero(healthy)
+        cursors = self.cursors[lo:hi]
         # argmin keeps the first of equal cursors: the lowest key.
-        pick = candidates[np.argmin(self._cursors[candidates])]
-        return (int(self._bank[pick]), int(self._subarray[pick]))
+        pick = lo + int(candidates[np.argmin(cursors[candidates])])
+        return divmod(pick, per_bank)
 
     # ------------------------------------------------------------------
     def place_matrix(
@@ -539,7 +584,8 @@ class Placer:
                 "mirror is redundant"
             )
         kind = self._pool_kind(result)
-        saved = (self._cursors.copy(), dict(self._rr_next))
+        segments = self._segments[kind]
+        saved = (list(segments), dict(self._rr_next))
         try:
             handle = MatrixHandle(
                 name,
@@ -562,7 +608,7 @@ class Placer:
                     placed=self._place_rows(cols, rows, kind),
                 )
         except MemoryError:
-            self._cursors, self._rr_next = saved
+            segments[:], self._rr_next = saved
             raise
         self.plan.matrices[name] = handle
         return handle
@@ -593,7 +639,7 @@ class Placer:
         """Place ``count`` pieces of ``length`` words, in order.
 
         Exactly what ``count`` one-piece placements would do, in closed
-        form over the cursor array.  A subarray with cursor ``c`` still
+        form per cursor segment.  A subarray with cursor ``c`` still
         takes ``(capacity - c) // length`` pieces.  BASE fills the pool
         first-fit, so each subarray in pool order takes all it can
         before the next.  DISTRIBUTE visits the pool cyclically from
@@ -608,49 +654,164 @@ class Placer:
             MemoryError: if the pool cannot hold all ``count`` pieces.
         """
         lo, hi = self._pools[kind]
-        size = hi - lo
-        cursors = self._cursors[lo:hi]
-        room = (self._capacity - cursors) // length
-        if int(room.sum()) < count:
-            raise MemoryError(f"no PIM subarray has {length} free words left")
-        if self.policy is PlacementPolicy.DISTRIBUTE:
-            ring = (np.arange(size) + self._rr_next[kind]) % size
-            room = room[ring]
-            last_round = self._last_round(room, count)
-            taken = np.minimum(room, last_round)
-            final = room > last_round
-            final &= np.cumsum(final) <= count - int(taken.sum())
-            taken += final
-            last = ring[np.flatnonzero(final)[-1]]
-            self._rr_next[kind] = int(last + 1) % size
+        segments = self._segments[kind]
+        if self.policy is PlacementPolicy.BASE:
+            run, updated = self._fill(segments, length, count)
+            self._splice(segments, updated)
+            return PlacedRun(length, tuple(run))
+        start = lo + self._rr_next[kind]
+        k = bisect_right(segments, start, key=_FIRST) - 1
+        first, end, cursor = segments[k]
+        ring = [(start, end, cursor), *segments[k + 1 :], *segments[:k]]
+        if first < start:
+            ring.append((first, start, cursor))
+        run, updated, stop = self._deal(ring, length, count, hi - lo)
+        self._rr_next[kind] = (stop - lo) % (hi - lo)
+        # ``updated`` follows the ring: from ``start`` up the pool, then
+        # from ``lo`` if the walk wrapped past its end.
+        wrap = 1
+        while wrap < len(updated) and updated[wrap][0] > start:
+            wrap += 1
+        up, wrapped = updated[:wrap], updated[wrap:]
+        if wrapped and wrapped[-1][1] == start:
+            # The whole ring: one pool-ordered splice.
+            self._splice(segments, wrapped + up)
         else:
-            ring = np.arange(size)
-            taken = np.clip(count - (np.cumsum(room) - room), 0, room)
-        took = np.flatnonzero(taken)
-        ring, taken = ring[took], taken[took]
-        # Fancy indexing copies: the summary never sees later cursors.
-        run = PlacedRun(length, lo + ring, taken, cursors[ring])
-        cursors[ring] += taken * length
-        return run
+            self._splice(segments, up)
+            if wrapped:
+                self._splice(segments, wrapped)
+        return PlacedRun(length, tuple(run))
+
+    def _fill(
+        self, segments: List[Segment], length: int, count: int
+    ) -> Tuple[list, List[Segment]]:
+        """BASE: first-fit over ``segments`` in pool order.
+
+        Returns the run's ``(first, end, taken, cursor)`` segments and
+        the new cursors of the pool prefix it touched.
+        """
+        capacity = self._capacity
+        run, updated = [], []
+        need = count
+        for first, end, cursor in segments:
+            room = (capacity - cursor) // length
+            if not room:
+                updated.append((first, end, cursor))
+                continue
+            stop = min(end, first + need // room)
+            if stop > first:
+                run.append((first, stop, room, cursor))
+                updated.append((first, stop, cursor + room * length))
+                need -= (stop - first) * room
+            if need and stop < end:
+                # Fewer than ``room`` pieces left: one subarray's part.
+                run.append((stop, stop + 1, need, cursor))
+                updated.append((stop, stop + 1, cursor + need * length))
+                stop, need = stop + 1, 0
+            if not need:
+                if stop < end:
+                    updated.append((stop, end, cursor))
+                return run, updated
+        raise MemoryError(f"no PIM subarray has {length} free words left")
+
+    def _deal(
+        self, ring: List[Segment], length: int, count: int, size: int
+    ) -> Tuple[list, List[Segment], int]:
+        """DISTRIBUTE: deal the pieces round by round over ``ring``, the
+        ``size`` subarrays of a pool.
+
+        Returns the run's ``(first, end, taken, cursor)`` segments and
+        the new cursors of the ring parts it walked, both in ring order,
+        and the pool index after the subarray that took the last piece.
+        """
+        capacity = self._capacity
+        run, updated = [], []
+        need = count
+        # One round: the first ``count`` subarrays with room in ring
+        # order take a piece each; the walk stops at the last of them.
+        for first, end, cursor in ring if count <= size else ():
+            if (capacity - cursor) // length:
+                stop = min(end, first + need)
+                run.append((first, stop, 1, cursor))
+                updated.append((first, stop, cursor + length))
+                need -= stop - first
+                if not need:
+                    if stop < end:
+                        updated.append((stop, end, cursor))
+                    return run, updated, stop
+            else:
+                updated.append((first, end, cursor))
+        # More rounds: every subarray takes min(room, last round) pieces
+        # and the first ``need`` with more room one more.
+        groups = [
+            (end - first, (capacity - cursor) // length)
+            for first, end, cursor in ring
+        ]
+        if sum(subarrays * room for subarrays, room in groups) < count:
+            raise MemoryError(f"no PIM subarray has {length} free words left")
+        last_round = self._last_round(groups, count)
+        need = count - sum(
+            subarrays * min(room, last_round) for subarrays, room in groups
+        )
+        run, updated = [], []
+        for (first, end, cursor), (_, room) in zip(ring, groups):
+            took = min(room, last_round)
+            stop = first
+            if need and room > last_round:
+                stop = min(end, first + need)
+                run.append((first, stop, took + 1, cursor))
+                updated.append((first, stop, cursor + (took + 1) * length))
+                need -= stop - first
+                if not need:
+                    pointer = stop
+            if stop < end:
+                if took:
+                    run.append((stop, end, took, cursor))
+                updated.append((stop, end, cursor + took * length))
+        return run, updated, pointer
 
     @staticmethod
-    def _last_round(room: np.ndarray, count: int) -> int:
-        """Round of the ``count``-th piece when every subarray with
-        room takes one piece per round (0-based).
+    def _splice(segments: List[Segment], parts: List[Segment]) -> None:
+        """Write the pool-contiguous ``parts`` over ``segments`` in one
+        pass, merging neighbours with equal cursors."""
+        first, end = parts[0][0], parts[-1][1]
+        i = bisect_right(segments, first, key=_FIRST) - 1
+        j = bisect_left(segments, end, key=_END)
+        head_first, _, head_cursor = segments[i]
+        _, tail_end, tail_cursor = segments[j]
+        head = [(head_first, first, head_cursor)] if head_first < first else []
+        tail = [(end, tail_end, tail_cursor)] if end < tail_end else []
+        lo, hi = max(i - 1, 0), min(j + 2, len(segments))
+        merged: List[Segment] = []
+        for part in chain(
+            segments[lo:i], head, parts, tail, segments[j + 1 : hi]
+        ):
+            if merged and merged[-1][2] == part[2]:
+                merged[-1] = (merged[-1][0], part[1], part[2])
+            else:
+                merged.append(part)
+        segments[lo:hi] = merged
 
-        ``F(r) = sum(min(room, r))`` pieces fill rounds ``0..r-1``; the
-        answer is the least ``r`` with ``F(r + 1) >= count``.  ``F`` is
-        linear between sorted ``room`` values, so one search over them
-        and one division find it.  When every subarray has room for
-        ``ceil(count / size)`` pieces, that is the ``i = 0`` case and
-        needs no sort.
+    @staticmethod
+    def _last_round(groups: List[Tuple[int, int]], count: int) -> int:
+        """Round of the ``count``-th piece when every subarray with
+        room takes one piece per round (0-based), over
+        ``(subarrays, room)`` groups.
+
+        ``F(r) = sum(subarrays * min(room, r))`` pieces fill rounds
+        ``0..r-1``; the answer is the least ``r`` with
+        ``F(r + 1) >= count``.  ``F`` is linear between sorted ``room``
+        values, so one walk over them and one division find it.  When
+        every subarray has room for ``ceil(count / size)`` pieces, that
+        is the first step and needs no sort.
         """
-        size = len(room)
-        if int(room.min()) * size >= count:
+        size = sum(subarrays for subarrays, _ in groups)
+        if min(room for _, room in groups) * size >= count:
             return -(-count // size) - 1
-        ordered = np.sort(room)
-        below = np.concatenate(([0], np.cumsum(ordered)))
-        at_value = below[:-1] + ordered * (size - np.arange(size))
-        i = int(np.searchsorted(at_value, count))
-        rounds = -(-(count - int(below[i])) // (size - i))
-        return rounds - 1
+        below, active = 0, size
+        for subarrays, room in sorted(groups, key=lambda group: group[1]):
+            if below + room * active >= count:
+                break
+            below += subarrays * room
+            active -= subarrays
+        return -(-(count - below) // active) - 1

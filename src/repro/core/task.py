@@ -63,6 +63,10 @@ from repro.isa.encoding import NO_OPERAND_SENTINEL
 from repro.isa.vpc import VPC
 from repro.sim.stats import EnergyBreakdown, RunStats, TimeBreakdown
 
+#: The one read-only zero word every shape-only operand views.
+_ZERO_WORD = np.zeros(1, dtype=np.int64)
+_ZERO_WORD.flags.writeable = False
+
 
 class TaskOp(enum.Enum):
     """Matrix-grained operations a task understands."""
@@ -162,7 +166,9 @@ class PimTask:
             # dimensions would make the allocator zero-fill every page
             # it serves from the heap.  The functional path copies every
             # operand before writing, and trace seeding only reads.
-            values = np.broadcast_to(np.int64(0), (rows, cols))
+            values = np.ndarray(
+                (rows, cols), np.int64, _ZERO_WORD, strides=(0, 0)
+            )
         else:
             values = np.asarray(values, dtype=np.int64)
             if values.ndim == 1:

@@ -225,23 +225,6 @@ class ColumnarTrace:
             elements_moved=int(size[~compute].sum()),
         )
 
-    # ------------------------------------------------------------------
-    # Summary arrays (analytic-model inputs)
-    # ------------------------------------------------------------------
-    def opcode_counts(self) -> np.ndarray:
-        """Command count per wire opcode byte (length-256 int64 vector)."""
-        return np.bincount(self.records["opcode"], minlength=256).astype(
-            np.int64
-        )
-
-    def words_by_opcode(self) -> np.ndarray:
-        """Total ``size`` words per wire opcode byte (length-256 vector)."""
-        return np.bincount(
-            self.records["opcode"],
-            weights=self.records["size"].astype(np.float64),
-            minlength=256,
-        ).astype(np.int64)
-
     @property
     def num_ops(self) -> Optional[int]:
         """Number of source operations, when boundaries were recorded."""

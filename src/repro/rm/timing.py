@@ -138,23 +138,6 @@ class RMTimingConfig:
             [self.read_pj, self.write_pj, self.shift_pj], dtype=np.float64
         )
 
-    def opcode_element_energy_pj_vector(self) -> np.ndarray:
-        """Per-element RM-processor energy keyed by wire opcode byte.
-
-        A length-256 vector: ``vec[opcode_byte]`` is the compute energy
-        of processing one element under that opcode (``pim_mul_pj`` for
-        MUL/SMUL, ``pim_add_pj`` for ADD, zero for TRAN and unused
-        bytes), so a trace's total compute energy is one
-        ``vec[trace.opcode] @ trace.size`` reduction.
-        """
-        from repro.isa.columnar import ADD_BYTE, MUL_BYTE, SMUL_BYTE
-
-        vec = np.zeros(256, dtype=np.float64)
-        vec[MUL_BYTE] = self.pim_mul_pj
-        vec[SMUL_BYTE] = self.pim_mul_pj
-        vec[ADD_BYTE] = self.pim_add_pj
-        return vec
-
     def scaled_to_process(self, process_nm: float) -> "RMTimingConfig":
         """Return a copy of this config at a different fabrication process.
 

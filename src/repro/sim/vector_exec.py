@@ -257,11 +257,12 @@ class VectorExecState:
     bit.
 
     Functional state advances per chunk through the dataflow-batched
-    apply (:func:`_apply_functional_chunk`), which hands a chunk whose
-    ranges overlap without being equal to the exact per-command loop
-    (:func:`_apply_functional_columnar`).  A chunk holding a negative
-    seed or result falls back to that loop from the unchanged store,
-    so error behaviour (message and offending command) is preserved.
+    apply (:func:`_apply_functional_chunk`), which cuts a chunk before
+    each command whose ranges overlap an earlier one's without being
+    equal and batches each piece.  A chunk whose first piece holds a
+    negative seed or result falls back to the exact per-command loop
+    (:func:`_apply_functional_columnar`) from the unchanged store, so
+    error behaviour (message and offending command) is preserved.
     ``exact_apply=True`` forces the per-command loop for every chunk —
     the phased ``execute_trace`` uses it to stay the unchanged
     bit-identity reference, and it is implied whenever a fault session
@@ -738,40 +739,30 @@ def _apply_functional_chunk(
     """Dataflow-batched functional apply of one trace chunk.
 
     Every word range the chunk reads or writes is one row of a single
-    sort keyed on (start address, command, read before write).  When
-    ranges that overlap are always equal (the chunk is *interval-exact*),
-    each range is a variable and the sort yields, per read, the command
-    that last wrote it, and per range, its final writer.  Values then
-    live in a version buffer: the chunk's ranges as gathered from the
-    store, then one private slot per compute result, so a staging word
-    reused row to row carries no WAR or WAW hazard.  A TRAN is a
-    rename: a read of its output resolves to what the TRAN itself read,
-    and no TRAN is executed.  Compute commands run by RAW depth, each
-    ``(level, opcode, size)`` group as one gather of operand windows and
-    one row-wise ``einsum`` (MUL), ``+`` (ADD) or broadcast ``*``
-    (SMUL); one scatter of the final writers' values updates the store.
+    sort keyed on (start address, command, read before write).  Where
+    ranges that overlap are always equal (*interval-exact*), each range
+    is a variable and the sort yields, per read, the command that last
+    wrote it.  The chunk is cut before each command whose range clashes
+    with an earlier one's (overlaps it without being equal), and every
+    interval-exact piece is applied in order by
+    :func:`_apply_interval_exact`, read from the store as the pieces
+    before it left it.  A command that clashes with itself, or a piece
+    with an empty range, leaves the rest of the chunk to the exact loop
+    :func:`_apply_functional_columnar`.
 
-    The arithmetic skips ``RMProcessor.apply``'s operand-range checks.
-    Soundness is restored by monitoring: the gathered ranges and every
-    compute result are checked once for negatives.  If both checks
-    pass, no per-command operand check could have fired — every value a
-    command read was a non-negative seed or a non-negative earlier
-    result, and int64 arithmetic wraps identically in any order — so
-    the store ends bit-identical to the exact loop's.
-
-    A chunk that is not interval-exact, or holds an empty range, is
-    applied by the exact loop :func:`_apply_functional_columnar` here.  Returns False *without
-    touching the store* when a negative value appears (seed or result):
-    the caller replays the chunk through the exact loop, which
-    reproduces the canonical ``ValueError`` at the first offending
-    command if one of its operands really is negative.
+    Returns False *without touching the store* when the first piece
+    sees a negative value (seed or result): the caller replays the
+    chunk through the exact loop, which reproduces the canonical
+    ``ValueError`` at the first offending command if one of its
+    operands really is negative.  A later piece that sees one hands
+    the chunk from that piece on, at its global index, to the exact
+    loop here.
     """
     n = len(cols)
     if n == 0:
         return True
     opcode = cols.opcode
     size = cols.size
-    compute = cols.is_compute
 
     # Range rows 3i (src1), 3i+1 (src2, compute only) and 3i+2 (des):
     # row order is command order with reads first, so a stable sort on
@@ -786,19 +777,112 @@ def _apply_functional_chunk(
         axis=1,
     ).ravel()
     present = np.ones(3 * n, dtype=bool)
-    present[1::3] = compute
+    present[1::3] = cols.is_compute
     row = np.flatnonzero(present)
     row = row[np.argsort(starts[row], kind="stable")]
     start = starts[row]
     length = lengths[row]
     del starts, lengths, present
+    begin = 0
+    while begin < n:
+        if begin:
+            # Filtering keeps the sort order: the rest's own sort.
+            rest = row >= 3 * begin
+            row, start, length = row[rest], start[rest], length[rest]
+        if not length.all():
+            break
+        end, (piece_row, piece_start, piece_length) = _exact_prefix(
+            row, start, length, n
+        )
+        if end == begin:
+            break
+        if not _apply_interval_exact(
+            device,
+            ColumnarTrace(cols.records[begin:end]),
+            piece_row - 3 * begin,
+            piece_start,
+            piece_length,
+        ):
+            if not begin:
+                return False
+            break
+        begin = end
+    if begin < n:
+        _apply_functional_columnar(
+            device,
+            ColumnarTrace(cols.records[begin:]) if begin else cols,
+            index_offset=index_offset + begin,
+        )
+    return True
+
+
+def _exact_prefix(
+    row: np.ndarray, start: np.ndarray, length: np.ndarray, end: int
+) -> Tuple[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The longest interval-exact run of commands from the first one
+    in ``row``, and its rows in sort order.
+
+    Returns ``end``, the first command whose range clashes with an
+    earlier one's or its own (or the given ``end``), and the sorted
+    ``(row, start, length)`` of the commands before it.  A clash
+    shows between neighbours in the sort, and the later command of a
+    clashing pair bounds the run.  Dropping the commands past the
+    least such bound can make two earlier ranges neighbours, so the
+    bound is refined until the run is clean.
+    """
+    command = row // 3
+    while True:
+        same = start[1:] == start[:-1]
+        clash = np.flatnonzero(
+            np.where(
+                same,
+                length[1:] != length[:-1],
+                start[:-1] + length[:-1] > start[1:],
+            )
+        )
+        if not len(clash):
+            return end, (row, start, length)
+        end = int(np.maximum(command[clash], command[clash + 1]).min())
+        keep = command < end
+        row, start, length, command = (
+            row[keep], start[keep], length[keep], command[keep]
+        )
+
+
+def _apply_interval_exact(
+    device,
+    cols: ColumnarTrace,
+    row: np.ndarray,
+    start: np.ndarray,
+    length: np.ndarray,
+) -> bool:
+    """Apply an interval-exact chunk, given its range rows in sort
+    order (``row`` as in :func:`_apply_functional_chunk`).
+
+    Values live in a version buffer: the chunk's ranges as gathered
+    from the store, then one private slot per compute result, so a
+    staging word reused row to row carries no WAR or WAW hazard.  A
+    TRAN is a rename: a read of its output resolves to what the TRAN
+    itself read, and no TRAN is executed.  Compute commands run by RAW
+    depth, each ``(level, opcode, size)`` group as one gather of
+    operand windows and one row-wise ``einsum`` (MUL), ``+`` (ADD) or
+    broadcast ``*`` (SMUL); one scatter of the final writers' values
+    updates the store.
+
+    The arithmetic skips ``RMProcessor.apply``'s operand-range checks.
+    Soundness is restored by monitoring: the gathered ranges and every
+    compute result are checked once for negatives.  If both checks
+    pass, no per-command operand check could have fired — every value a
+    command read was a non-negative seed or a non-negative earlier
+    result, and int64 arithmetic wraps identically in any order — so
+    the store ends bit-identical to the exact loop's.  Returns False
+    without touching the store when a check fails.
+    """
+    n = len(cols)
+    opcode = cols.opcode
+    size = cols.size
+    compute = cols.is_compute
     same = start[1:] == start[:-1]
-    clash = np.where(
-        same, length[1:] != length[:-1], start[:-1] + length[:-1] > start[1:]
-    )
-    if clash.any() or not length.all():
-        _apply_functional_columnar(device, cols, index_offset=index_offset)
-        return True
 
     # Groups of equal ranges; each read's producer is the last write
     # sorted before it in its group (a command's reads sort before its
@@ -851,7 +935,7 @@ def _apply_functional_chunk(
     src_a = version[sorted_at[3 * c]]
     src_b = version[sorted_at[3 * c + 1]]
     seed_addresses = _expand(start[first], group_len)
-    del row, start, length, same, clash, group_first, last_write, produced
+    del row, start, length, same, group_first, last_write, produced
     del producer, version, sorted_at, ref, position, is_write
 
     seeds = device.store.gather(seed_addresses)

@@ -59,6 +59,17 @@ def _oracle_cursors(oracle, geometry):
     ]
 
 
+def _assert_merged_segments(placer):
+    """Each pool's segments tile it in order, neighbours differing."""
+    for kind, (lo, hi) in placer._pools.items():
+        segments = placer._segments[kind]
+        assert segments[0][0] == lo and segments[-1][1] == hi
+        for (_, end, cursor), (first, _, after) in zip(
+            segments, segments[1:]
+        ):
+            assert end == first and cursor != after
+
+
 def _plan_json(plan) -> str:
     return json.dumps(plan.to_dict(), sort_keys=True)
 
@@ -138,7 +149,7 @@ class TestArrayPlacerDifferential:
                     continue
                 for row, slices in enumerate(theirs.rows_placement):
                     assert ours.row_slices(row) == slices
-            assert placer._cursors.tolist() == _oracle_cursors(
+            assert placer.cursors.tolist() == _oracle_cursors(
                 oracle, geometry
             )
             assert placer._rr_next == oracle._rr_next
@@ -221,6 +232,73 @@ class TestArrayPlacerDifferential:
         assert placer._rr_next == oracle._rr_next
 
 
+class TestFragmentedSegments:
+    """Mixed row lengths leave the pool's cursors all different, so the
+    placer's cursor segments approach one per subarray."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "policy,disjoint",
+        [
+            (PlacementPolicy.DISTRIBUTE, False),
+            (PlacementPolicy.DISTRIBUTE, True),
+            (PlacementPolicy.BASE, False),
+            (PlacementPolicy.BASE, True),
+        ],
+    )
+    def test_matches_row_oracle(self, seed, policy, disjoint):
+        geometry = _geometry(2, 12, 256)
+        capacity = geometry.subarray_capacity_words
+        pool = geometry.pim_banks * geometry.bank.subarrays
+        rng = np.random.default_rng(seed)
+        args = (geometry, policy, disjoint, 0.25)
+        placer = Placer(*args)
+        oracle = scalar_placer.Placer(*args)
+        placed, most_segments, failures = [], 0, 0
+        for index in range(400):
+            name = f"M{index}"
+            shape = dict(
+                rows=int(rng.integers(1, pool + 1)),
+                # Mostly short rows of many lengths, and now and then a
+                # row longer than a subarray (sliced).
+                cols=int(
+                    rng.integers(capacity, 2 * capacity)
+                    if rng.random() < 0.05
+                    else rng.integers(1, capacity // 32)
+                ),
+                result=bool(rng.random() < 0.3),
+            )
+            before = placer.cursors
+            try:
+                placer.place_matrix(name, **shape)
+            except MemoryError:
+                failures += 1
+                assert np.array_equal(placer.cursors, before)
+                with pytest.raises(MemoryError):
+                    oracle.place_matrix(name, **shape)
+                oracle = scalar_placer.Placer(*args)
+                for done, done_shape in placed:
+                    oracle.place_matrix(done, **done_shape)
+                if failures == 3:
+                    break
+                continue
+            oracle.place_matrix(name, **shape)
+            placed.append((name, shape))
+            assert placer.cursors.tolist() == _oracle_cursors(
+                oracle, geometry
+            )
+            assert placer._rr_next == oracle._rr_next
+            _assert_merged_segments(placer)
+            most_segments = max(
+                most_segments,
+                len(placer._segments["operand"])
+                + len(placer._segments["result"]),
+            )
+        assert failures == 3
+        assert most_segments >= pool // 3
+        assert _plan_json(placer.plan) == _plan_json(oracle.plan)
+
+
 class TestDeferredTables:
     def test_round_model_builds_no_table(self, monkeypatch):
         """The round model reads only ``subarray_count`` and
@@ -242,6 +320,9 @@ class TestDeferredTables:
             for one in (handle, handle.mirror):
                 if one is not None:
                     assert one._slices is None and one._row_ptr is None
+                    # No run built its per-subarray arrays either.
+                    for run in one.placed.runs:
+                        assert "arrays" not in vars(run)
 
     def test_table_given_or_placed(self):
         with pytest.raises(ValueError):
@@ -255,7 +336,7 @@ class TestAllOrNothing:
         pool = len(placer.operand_pool)
         with pytest.raises(MemoryError):
             placer.place_matrix("A", rows=pool + 1, cols=capacity)
-        assert not placer._cursors.any()
+        assert not placer.cursors.any()
         assert placer._rr_next == {"operand": 0, "result": 0}
         assert "A" not in placer.plan.matrices
         placer.place_matrix("x", rows=1, cols=1)
@@ -265,14 +346,14 @@ class TestAllOrNothing:
         capacity = placer.subarray_capacity_words
         pool = len(placer.operand_pool)
         placer.place_matrix("x", rows=1, cols=1)
-        cursors = placer._cursors.copy()
+        cursors = placer.cursors.copy()
         # The primary's full-subarray rows take every subarray but the
         # first; its mirror needs that much room again.
         with pytest.raises(MemoryError):
             placer.place_matrix(
                 "A", rows=pool - 1, cols=capacity, mirror=True
             )
-        assert np.array_equal(placer._cursors, cursors)
+        assert np.array_equal(placer.cursors, cursors)
         assert list(placer.plan.matrices) == ["x"]
 
 
@@ -328,6 +409,44 @@ class TestRemapTarget:
         assert placer.remap_target([(1, 2), (0, 9)]) == (0, 2)
         with pytest.raises(MemoryError, match="quarantined"):
             placer.remap_target(placer.operand_pool)
+
+    @pytest.mark.parametrize("disjoint", [False, True])
+    def test_fragmented_placer(self, disjoint):
+        """Vectors of many lengths dealt round-robin leave nearly every
+        subarray with its own cursor; the pick is still the
+        least-loaded healthy subarray, ties to the lowest key, as the
+        row oracle's cursors give it."""
+        geometry = _geometry(2, 8, 64)
+        args = (geometry, PlacementPolicy.DISTRIBUTE, disjoint)
+        placer = Placer(*args)
+        oracle = scalar_placer.Placer(*args)
+        for index in range(40):
+            for one in (placer, oracle):
+                one.place_matrix(
+                    f"v{index}", 1, 7 * index % 23 + 1, result=index % 3 == 0
+                )
+        for result, pool in (
+            (False, placer.operand_pool),
+            (True, placer.result_pool),
+        ):
+            kind = "result" if result and disjoint else "operand"
+            load = {key: oracle._cursors.get(key, 0) for key in pool}
+            assert len(placer._segments[kind]) >= len(pool) * 3 // 4
+            lowest = min(load[key] for key in pool)
+            for quarantined in (
+                [],
+                pool[: len(pool) // 2],
+                pool[::2],
+                pool[1::3],
+                [key for key in pool if load[key] == lowest],
+            ):
+                healthy = [
+                    (load[key], key) for key in pool if key not in quarantined
+                ]
+                assert (
+                    placer.remap_target(quarantined, result=result)
+                    == min(healthy)[1]
+                )
 
     def test_result_pool_when_disjoint(self, small_geometry):
         placer = Placer(small_geometry, disjoint_result_sets=True)

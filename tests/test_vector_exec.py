@@ -299,18 +299,21 @@ def _feed_chunks(device, cols, cuts):
 
 
 class _ExactLoopSpy:
-    """Counts the chunks handed to the exact per-command loop."""
+    """Counts the chunks handed to the exact per-command loop and
+    records each one's ``(commands, index_offset)``."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
+        self.handed = []
         self._inner = vector_exec._apply_functional_columnar
         monkeypatch.setattr(
             vector_exec, "_apply_functional_columnar", self
         )
 
-    def __call__(self, *args, **kwargs):
+    def __call__(self, device, cols, **kwargs):
         self.calls += 1
-        return self._inner(*args, **kwargs)
+        self.handed.append((len(cols), kwargs.get("index_offset", 0)))
+        return self._inner(device, cols, **kwargs)
 
 
 class TestBatchedApply:
@@ -376,7 +379,9 @@ class TestBatchedApply:
         ]
     )
 
-    def test_chunk_not_interval_exact_runs_exact_loop(self, monkeypatch):
+    def test_chunk_cut_before_clash_skips_exact_loop(self, monkeypatch):
+        """The chunk is cut before the MUL that reads the vector whole,
+        and both interval-exact pieces are batched."""
         seeds = list(range(3, 3 + 8 * _VECTOR_SLOTS + _SCALAR_SLOTS))
         oracle = _seeded_device(seeds)
         scalar_exec.execute_trace(oracle, self.NOT_INTERVAL_EXACT)
@@ -386,9 +391,65 @@ class TestBatchedApply:
         state = VectorExecState(device)
         state.feed(ColumnarTrace.from_trace(self.NOT_INTERVAL_EXACT))
 
-        assert spy.calls == 1
+        assert spy.calls == 0
         assert state.fallbacks == 0
         assert device.store.snapshot() == oracle.store.snapshot()
+
+    def test_self_clash_hands_rest_to_exact_loop(self, monkeypatch):
+        """A TRAN whose source and destination overlap unequally clashes
+        with itself: the pieces before it are batched and the exact
+        loop takes the chunk from it on, at its global index."""
+        trace = VPCTrace(
+            [
+                VPC.tran(256, 0, 1),
+                VPC.tran(257, 1, 1),
+                VPC.mul(0, 8, 300, 2),
+                VPC.tran(16, 17, 4),
+                VPC.add(17, 24, 32, 4),
+            ]
+        )
+        seeds = list(range(3, 3 + 8 * _VECTOR_SLOTS + _SCALAR_SLOTS))
+        oracle = _seeded_device(seeds)
+        scalar_exec.execute_trace(oracle, trace)
+        device = _seeded_device(seeds)
+        spy = _ExactLoopSpy(monkeypatch)
+
+        state = VectorExecState(device)
+        state.offset = 100
+        state.feed(ColumnarTrace.from_trace(trace))
+
+        assert spy.handed == [(2, 103)]
+        assert state.fallbacks == 0
+        assert device.store.snapshot() == oracle.store.snapshot()
+
+    def test_negative_in_later_piece_replays_from_it(self, monkeypatch):
+        """The first piece is applied; the second reads a value that
+        wraps negative, so only it goes to the exact loop, which raises
+        the oracle's error."""
+        trace = VPCTrace(
+            [
+                VPC.tran(256, 0, 1),
+                VPC.tran(257, 1, 1),
+                VPC.mul(0, 0, 258, 2),
+                VPC.add(258, 258, 259, 1),
+            ]
+        )
+        # The scalars moved into words 0 and 1 square to 2**62 each.
+        seeds = [1] * (8 * _VECTOR_SLOTS) + [1 << 31] * _SCALAR_SLOTS
+        oracle = _seeded_device(seeds)
+        with pytest.raises(ValueError) as expected:
+            scalar_exec.execute_trace(oracle, trace)
+        device = _seeded_device(seeds)
+        spy = _ExactLoopSpy(monkeypatch)
+        cols = ColumnarTrace.from_trace(trace)
+
+        with pytest.raises(ValueError) as raised:
+            vector_exec._apply_functional_chunk(device, cols)
+
+        assert str(raised.value) == str(expected.value)
+        assert spy.handed == [(2, 2)]
+        # The first piece's writes reached the store before the error.
+        assert device.store.read(0, 2).tolist() == [1 << 31] * 2
 
     def test_interval_exact_chunk_skips_exact_loop(self, monkeypatch):
         spy = _ExactLoopSpy(monkeypatch)
