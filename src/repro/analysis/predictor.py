@@ -46,8 +46,8 @@ Prediction runs in three stages, which is what makes sweeps cheap:
   chains — all independent of timing constants;
 * **cost**, once per distinct set of cost tables (profile time, shift
   and compute energy per ``(opcode, size)`` shape; copy time, read and
-  write energy per word count, priced by the vector engine's own
-  ``shape_costs``/``copy_costs``), remembered on the predictor: exact
+  write energy per word count, read from the vector engine's
+  process-wide cost memo), remembered on the predictor: exact
   energy, category sums, and per operation a priced summary — its
   per-subarray loads and three bus-pipeline maxima, nothing per
   command;
@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.isa.columnar import ColumnarTrace, MUL_BYTE, TRAN_BYTE
 from repro.sim.stats import EnergyBreakdown, TimeBreakdown
-from repro.sim.vector_exec import copy_costs, shape_costs, shape_keys
+from repro.sim.vector_exec import priced_costs, pricing_inputs, shape_keys
 from repro.workloads.spec import DEFAULT_SEED
 
 class AnalyticDevice:
@@ -282,7 +282,8 @@ class TracePredictor:
         self.words_per_subarray = int(words_per_subarray)
         self.commands = len(trace)
         # Cost-stage results keyed by the device inputs the tables are
-        # priced from (see _pricing_inputs), so a hit prices nothing.
+        # priced from (see vector_exec.pricing_inputs), so a hit prices
+        # nothing.
         self._priced: Dict[tuple, _PricedTrace] = {}
         opcode = trace.opcode
         size = trace.size.astype(np.int64)
@@ -536,9 +537,9 @@ class TracePredictor:
         The cost stage (:meth:`_price`) runs once per distinct set of
         cost tables and is remembered on the predictor, keyed by the
         engine class and the config fields the tables are priced from
-        (:meth:`_pricing_inputs`), so points that differ only in
-        ``vpc_decode_ns`` pay for the point stage alone and price no
-        table.
+        (:func:`~repro.sim.vector_exec.pricing_inputs`), so points that
+        differ only in ``vpc_decode_ns`` pay for the point stage alone
+        and price no table.
         """
         if device.address_map.words_per_subarray != self.words_per_subarray:
             raise ValueError(
@@ -563,7 +564,7 @@ class TracePredictor:
             )
 
         # ---- cost stage, once per distinct set of cost tables -----------
-        inputs = self._pricing_inputs(device)
+        inputs = pricing_inputs(device)
         priced = self._priced.get(inputs)
         if priced is None:
             priced = self._priced[inputs] = self._price(
@@ -615,35 +616,17 @@ class TracePredictor:
             cross_trans=self.cross_trans,
         )
 
-    @staticmethod
-    def _pricing_inputs(device) -> tuple:
-        """Every device input the cost tables are priced from.
-
-        The engine model's class (a device may swap in another engine)
-        and the config fields :meth:`SubarrayEngine.profile` and
-        ``_copy_cost_ns`` read; of the scheduler policy only whether it
-        overlaps preparation, so BASE and DISTRIBUTE share an entry.
-        The geometry is checked by :meth:`predict` and
-        ``vpc_decode_ns`` is read by the point stage alone.
-        """
-        config = device.config
-        return (
-            type(device.engine_model),
-            config.timing,
-            config.processor,
-            config.bus,
-            config.scheduler_policy.overlaps_prep,
-            config.prep_model,
-        )
-
     def _cost_tables(self, device) -> tuple:
         """The six per-shape cost tables: profile time, shift and compute
         energy per ``(opcode, size)`` shape, and copy time, read energy
         and write energy per word count.  They hold every device input
-        the cost stage reads."""
-        return shape_costs(device, self._shape_keys) + copy_costs(
-            device, self._word_uniq.tolist()
-        )
+        the cost stage reads, and come from the vector engine's
+        process-wide memo (:func:`~repro.sim.vector_exec.priced_costs`),
+        so a table an equal configuration priced before is not priced
+        again."""
+        return priced_costs(
+            device, "shape", self._shape_keys
+        ) + priced_costs(device, "copy", self._word_uniq.tolist())
 
     def _price(
         self, prof_tbl, prof_shift_tbl, prof_comp_tbl,

@@ -854,6 +854,7 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
         config=_fault_config(args),
         seed=args.seed,
         workload=spec.name,
+        placement=compiled.task.placement_plan,
     )
     _print_run_report(report)
     if stats is not None and stats.time_breakdown.recovery_ns > 0.0:

@@ -94,6 +94,15 @@ class StreamExecResult:
     fallbacks: int
 
 
+def run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal neighbours in the
+    non-empty 1-D ``values``."""
+    head = np.empty(len(values), dtype=bool)
+    head[0] = True
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    return head
+
+
 class WordStore:
     """Paged word-addressable data store backing event-mode execution.
 
@@ -152,15 +161,20 @@ class WordStore:
             raise ValueError(
                 f"{len(addresses)} addresses but {len(values)} values"
             )
+        if not len(addresses):
+            return
+        # Addresses come in runs that share a page: each run's page is
+        # looked up, and allocated when missing, once.
         pages = addresses >> self._PAGE_SHIFT
-        rows = self._rows_of(pages)
+        first = np.flatnonzero(run_heads(pages))
+        run_pages = pages[first]
+        rows = self._lookup_rows(run_pages)
         missing = rows < 0
         if missing.any():
-            # Addresses come in runs that share a page: keep each run's
-            # head before sorting the page ids.
-            absent = pages[missing]
-            self._allocate(np.unique(absent[self._run_heads(absent)]))
-            rows = self._rows_of(pages)
+            absent = run_pages[missing]
+            self._allocate(np.unique(absent))
+            rows[missing] = self._lookup_rows(absent)
+        rows = np.repeat(rows, np.diff(np.append(first, len(pages))))
         words = (rows << self._PAGE_SHIFT) | (addresses & self._PAGE_MASK)
         # The page arrays are always C-contiguous (np.zeros / np.empty),
         # so reshape(-1) is a view and these writes land in the store.
@@ -185,34 +199,35 @@ class WordStore:
         word ranges), so each run's page is looked up once and its row
         repeated over the run.
         """
-        ids = self._page_ids
         flat = pages.ravel()
-        if not len(ids) or not len(flat):
+        if not len(flat):
             return np.full(pages.shape, -1, dtype=np.int64)
-        first = np.flatnonzero(self._run_heads(flat))
-        run_pages = flat[first]
-        pos = np.minimum(np.searchsorted(ids, run_pages), len(ids) - 1)
-        rows = np.where(ids[pos] == run_pages, self._page_rows[pos], -1)
+        first = np.flatnonzero(run_heads(flat))
+        rows = self._lookup_rows(flat[first])
         return np.repeat(rows, np.diff(np.append(first, len(flat)))).reshape(
             pages.shape
         )
 
-    @staticmethod
-    def _run_heads(values: np.ndarray) -> np.ndarray:
-        """Mask of the first element of each run of equal neighbours
-        in the non-empty 1-D ``values``."""
-        head = np.empty(len(values), dtype=bool)
-        head[0] = True
-        np.not_equal(values[1:], values[:-1], out=head[1:])
-        return head
+    def _lookup_rows(self, page_ids: np.ndarray) -> np.ndarray:
+        """Row of each 1-D page id; -1 where the page is not allocated."""
+        ids = self._page_ids
+        if not len(ids):
+            return np.full(len(page_ids), -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(ids, page_ids), len(ids) - 1)
+        return np.where(ids[pos] == page_ids, self._page_rows[pos], -1)
 
     def _allocate(self, new_pages: np.ndarray) -> None:
         """Add zeroed rows for ``new_pages`` (sorted, none allocated
-        yet).  Spare capacity is left uninitialised until allocated."""
+        yet).
+
+        Growth makes room for twice the rows needed, so the allocations
+        after the first big one (the operand seeding) seldom copy the
+        store.  Spare capacity is left uninitialised until allocated.
+        """
         used = len(self._page_ids)
         need = used + len(new_pages)
         if need > len(self._pages):
-            rows = max(need, 2 * len(self._pages), 8)
+            rows = max(2 * need, 8)
             pages = np.empty((rows, self.PAGE_WORDS), dtype=np.int64)
             written = np.empty((rows, self.PAGE_WORDS), dtype=bool)
             pages[:used] = self._pages[:used]

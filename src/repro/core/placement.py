@@ -398,6 +398,26 @@ class PlacementPlan:
         except KeyError:
             raise KeyError(f"matrix {name!r} was never placed") from None
 
+    def loads(self) -> Dict[Tuple[int, int], int]:
+        """Words placed in each ``(bank, subarray)``, mirrors included."""
+        loads: Dict[Tuple[int, int], int] = {}
+        pending = list(self.matrices.values())
+        while pending:
+            handle = pending.pop()
+            if handle.mirror is not None:
+                pending.append(handle.mirror)
+            slices = handle.slices
+            keys, inverse = np.unique(
+                (slices[:, BANK] << 32) | slices[:, SUBARRAY],
+                return_inverse=True,
+            )
+            words = np.zeros(len(keys), dtype=np.int64)
+            np.add.at(words, inverse, slices[:, LENGTH])
+            for key, count in zip(keys.tolist(), words.tolist()):
+                key = (key >> 32, key & 0xFFFFFFFF)
+                loads[key] = loads.get(key, 0) + count
+        return loads
+
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form (stored next to cached traces)."""
         return {
@@ -541,6 +561,37 @@ class Placer:
         # argmin keeps the first of equal cursors: the lowest key.
         pick = lo + int(candidates[np.argmin(cursors[candidates])])
         return divmod(pick, per_bank)
+
+    def charge(self, loads: Dict[Tuple[int, int], int]) -> None:
+        """Count ``loads[(bank, subarray)]`` more allocated words in each
+        pool subarray, with no capacity check; keys outside the pools
+        are ignored.
+
+        This is load placed outside :meth:`place_matrix`: a fault
+        session seeds its placer with a task's placement plan
+        (:meth:`PlacementPlan.loads`) and charges each remap to its
+        target, so :meth:`remap_target` sees the task's load.
+        """
+        per_bank = self.geometry.bank.subarrays
+        kinds = ["operand"]
+        if self._segments["result"] is not self._segments["operand"]:
+            kinds.append("result")
+        for kind in kinds:
+            lo, hi = self._pools[kind]
+            segments = self._segments[kind]
+            first, end, cursor = np.array(segments, dtype=np.int64).T
+            cursors = np.repeat(cursor, end - first)
+            for (bank, subarray), words in loads.items():
+                index = bank * per_bank + subarray
+                if 0 <= subarray < per_bank and lo <= index < hi:
+                    cursors[index - lo] += words
+            heads = np.flatnonzero(np.diff(cursors, prepend=cursors[0] - 1))
+            ends = np.append(heads[1:], hi - lo)
+            segments[:] = zip(
+                (heads + lo).tolist(),
+                (ends + lo).tolist(),
+                cursors[heads].tolist(),
+            )
 
     # ------------------------------------------------------------------
     def place_matrix(

@@ -30,6 +30,7 @@ matrix-vector products collect each scalar result).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.device import StreamPIMDevice, StreamPIMConfig
+from repro.core.device import StreamPIMDevice, StreamPIMConfig, run_heads
 from repro.core.placement import (
     ADDRESS,
     BANK,
@@ -724,7 +725,8 @@ class PimTask:
     def materialize_matrices(
         self, device: Optional[StreamPIMDevice] = None
     ) -> None:
-        """Seed every placed matrix (but not the scalar slots).
+        """Seed every placed matrix (but not the scalar slots) with one
+        scatter, so the word store allocates every matrix page at once.
 
         The streamed pipeline calls this once placement exists (after
         the first chunk of :meth:`to_trace_chunks`) and seeds scalar
@@ -732,8 +734,16 @@ class PimTask:
         """
         device = device or self.device
         handles = self._require_trace_state()
-        for name, values in self._matrices.items():
-            self._write_matrix(device, handles[name], values)
+        words = [
+            pair
+            for name, values in self._matrices.items()
+            for pair in self._stored_words(handles[name], values)
+        ]
+        if words:
+            device.store.scatter(
+                np.concatenate([addresses for addresses, _ in words]),
+                np.concatenate([values for _, values in words]),
+            )
 
     def materialize_scalar_slots(
         self, device: Optional[StreamPIMDevice] = None, start: int = 0
@@ -811,20 +821,23 @@ class PimTask:
         return dict(self._trace_scalar_slots)
 
     @staticmethod
-    def _write_matrix(device, handle, values) -> None:
+    def _stored_words(
+        handle, values
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``(addresses, values)`` that store ``values`` in ``handle``'s
+        layout: one pair for the primary layout, one per mirror."""
         stored = np.asarray(
             np.asarray(values).T if handle.stored_transposed else values
-        )
+        ).astype(np.int64, copy=False)
         first = handle.first_slices()
         addresses = first[:, ADDRESS]
         # Each stored row's first slice takes the row's leading words.
         columns = np.arange(stored.shape[1])
         inside = columns < first[:, LENGTH, None]
-        device.store.scatter(
-            (addresses[:, None] + columns)[inside], stored[inside]
-        )
+        words = [((addresses[:, None] + columns)[inside], stored[inside])]
         if handle.mirror is not None:
-            PimTask._write_matrix(device, handle.mirror, np.asarray(values).T)
+            words += PimTask._stored_words(handle.mirror, np.asarray(values).T)
+        return words
 
     @staticmethod
     def _read_matrix(device, handle) -> np.ndarray:
@@ -1188,10 +1201,13 @@ class ScratchAllocator:
         return (bank << cls._KEY_SHIFT) | subarray
 
     @classmethod
-    def _decode_key(cls, encoded: int) -> Tuple[int, int]:
-        return (
-            encoded >> cls._KEY_SHIFT,
-            encoded & ((1 << cls._KEY_SHIFT) - 1),
+    def _decode_keys(cls, encoded: np.ndarray) -> List[Tuple[int, int]]:
+        """The ``(bank, subarray)`` key of each encoded key."""
+        return list(
+            zip(
+                (encoded >> cls._KEY_SHIFT).tolist(),
+                (encoded & ((1 << cls._KEY_SHIFT) - 1)).tolist(),
+            )
         )
 
     def near(self, row_slice, words: int) -> int:
@@ -1248,57 +1264,75 @@ class ScratchAllocator:
         n = keys.size
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        unique_keys, key_inv = np.unique(keys, return_inverse=True)
-        unique_sizes, size_inv = np.unique(sizes, return_inverse=True)
-        group_ids, ginv = np.unique(
-            key_inv * len(unique_sizes) + size_inv, return_inverse=True
-        )
-        counts = np.bincount(ginv)
-        order = np.argsort(ginv, kind="stable")
-        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+        # One stable sort groups the calls by (subarray, size), each group
+        # in call order; groups, counts and ranks come from run heads.
+        if (sizes == sizes[0]).all():
+            order = np.argsort(keys, kind="stable")
+            head = run_heads(keys[order])
+        else:
+            order = np.lexsort((sizes, keys))
+            head = run_heads(keys[order]) | run_heads(sizes[order])
+        heads = np.flatnonzero(head)
+        counts = np.diff(np.append(heads, n))
+        ginv = np.empty(n, dtype=np.int64)
+        ginv[order] = np.cumsum(head) - 1
         ranks = np.empty(n, dtype=np.int64)
-        ranks[order] = np.arange(n, dtype=np.int64) - np.repeat(
-            starts, counts
+        ranks[order] = np.arange(n, dtype=np.int64) - np.repeat(heads, counts)
+        first = order[heads]
+        pool_keys = list(
+            zip(self._decode_keys(keys[first]), sizes[first].tolist())
         )
-        n_sizes = len(unique_sizes)
-        group_keys = [
-            self._decode_key(encoded)
-            for encoded in unique_keys[group_ids // n_sizes].tolist()
+        pools = list(map(self._pools.get, pool_keys))
+        for group in [g for g, pool in enumerate(pools) if pool is None]:
+            pools[group] = self._pools[pool_keys[group]] = []
+        # Invariant of near(): while the pool is not full the next
+        # rotation index equals the pool length, so one start value
+        # covers both the growth and the steady-state phases.
+        slot_start = np.fromiter(
+            map(self._next_slot.get, pool_keys, itertools.repeat(0)),
+            np.int64,
+            len(pool_keys),
+        )
+        self._next_slot.update(
+            zip(pool_keys, ((slot_start + counts) % self.SLOTS).tolist())
+        )
+        held = np.fromiter(map(len, pools), np.int64, len(pools))
+        grow = np.minimum(self.SLOTS - held, counts)
+        if grow.any():
+            self._grow_pools(keys, sizes, ginv, ranks, pools, pool_keys, grow)
+        # One (groups, SLOTS) pool table, padded where a pool is not
+        # full, and one gather.
+        if (held + grow == self.SLOTS).all():
+            table = np.array(pools, dtype=np.int64)
+        else:
+            table = np.array(
+                [pool + [0] * (self.SLOTS - len(pool)) for pool in pools],
+                dtype=np.int64,
+            )
+        return table.ravel()[
+            ginv * self.SLOTS + (slot_start[ginv] + ranks) % self.SLOTS
         ]
-        group_words = unique_sizes[group_ids % n_sizes].tolist()
-        pools: List[List[int]] = []
-        slot_start: List[int] = []
-        grow: List[int] = []
-        taken: List[int] = []
+
+    def _grow_pools(self, keys, sizes, ginv, ranks, pools, pool_keys, grow):
+        """Add ``grow[g]`` slots to each group's pool, in call order.
+
+        A group's first new slots come off its free list (:meth:`_allocate`
+        pops the tail first), the rest advance its subarray's cursor,
+        which the groups of one subarray share in call order.
+        """
+        growing_groups = np.flatnonzero(grow).tolist()
+        taken = np.zeros(len(pools), dtype=np.int64)
         reused: List[int] = []
-        for key, words, count in zip(
-            group_keys, group_words, counts.tolist()
+        for group, free in zip(
+            growing_groups,
+            map(self._free.get, [pool_keys[g] for g in growing_groups]),
         ):
-            pool_key = (key, words)
-            pool = self._pools.setdefault(pool_key, [])
-            # Invariant of near(): while the pool is not full the next
-            # rotation index equals the pool length, so one start value
-            # covers both the growth and the steady-state phases.
-            start = self._next_slot.get(pool_key, 0)
-            self._next_slot[pool_key] = (start + count) % self.SLOTS
-            need = min(self.SLOTS - len(pool), count)
-            # _allocate pops the free list from the tail first.
-            free = self._free.get(pool_key) or []
-            take = min(need, len(free))
-            if take:
+            if free:
+                take = min(int(grow[group]), len(free))
                 reused.extend(reversed(free[-take:]))
                 del free[-take:]
-            slot_start.append(start)
-            grow.append(need)
-            taken.append(take)
-            pools.append(pool)
-        slot_start = np.array(slot_start, dtype=np.int64)
-        taken = np.array(taken, dtype=np.int64)
-
-        # Pool growth in call order: a group's first `taken` new slots
-        # come off its free list, the rest advance its subarray's
-        # cursor, which the groups of one subarray share in call order.
-        growing = np.flatnonzero(ranks < np.array(grow)[ginv])
+                taken[group] = take
+        growing = np.flatnonzero(ranks < grow[ginv])
         grow_group = ginv[growing]
         grow_rank = ranks[growing]
         new_slots = np.empty(len(growing), dtype=np.int64)
@@ -1314,16 +1348,10 @@ class ScratchAllocator:
         # Within a group the growing calls come in rank order.
         new_list = new_slots[np.argsort(grow_group, kind="stable")].tolist()
         at = 0
-        for pool, need in zip(pools, grow):
-            pool.extend(new_list[at : at + need])
+        for group in growing_groups:
+            need = int(grow[group])
+            pools[group].extend(new_list[at : at + need])
             at += need
-
-        # One padded (groups, SLOTS) pool table and one gather.
-        table = np.array(
-            [pool + [0] * (self.SLOTS - len(pool)) for pool in pools],
-            dtype=np.int64,
-        )
-        return table[ginv, (slot_start[ginv] + ranks) % self.SLOTS]
 
     def _advance_cursors(
         self, encoded: np.ndarray, words: np.ndarray
@@ -1335,37 +1363,42 @@ class ScratchAllocator:
         calls move it.  This is :meth:`unique_block` and the growth of
         :meth:`near_block` pools past their free lists.
         """
-        if not len(encoded):
+        n = len(encoded)
+        if not n:
             return np.empty(0, dtype=np.int64)
-        unique_keys, key_id = np.unique(encoded, return_inverse=True)
-        keys = [self._decode_key(e) for e in unique_keys.tolist()]
-        capacity = self._placer.subarray_capacity_words
-        start = np.array(
-            [self._cursors.get(key, capacity - 1) for key in keys],
-            dtype=np.int64,
-        )
-        base = np.array(
-            [self._placer.address_map.subarray_base(*key) for key in keys],
-            dtype=np.int64,
-        )
         # Running words per subarray: one stable sort by subarray, one
         # cumsum, minus each subarray's total before its first call.
-        order = np.argsort(key_id, kind="stable")
-        running = np.cumsum(words[order])
-        first = np.flatnonzero(np.diff(key_id[order], prepend=-1))
-        before = (running - words[order])[first]
-        used = np.empty(len(order), dtype=np.int64)
-        used[order] = running - np.repeat(
-            before, np.diff(np.append(first, len(order)))
+        order = np.argsort(encoded, kind="stable")
+        head = run_heads(encoded[order])
+        first = np.flatnonzero(head)
+        sizes = np.diff(np.append(first, n))
+        keys = self._decode_keys(encoded[order[first]])
+        capacity = self._placer.subarray_capacity_words
+        start = np.fromiter(
+            map(self._cursors.get, keys, itertools.repeat(capacity - 1)),
+            np.int64,
+            len(keys),
         )
+        base = np.fromiter(
+            itertools.starmap(self._placer.address_map.subarray_base, keys),
+            np.int64,
+            len(keys),
+        )
+        key_id = np.empty(n, dtype=np.int64)
+        key_id[order] = np.cumsum(head) - 1
+        running = np.cumsum(words[order])
+        before = (running - words[order])[first]
+        used = np.empty(n, dtype=np.int64)
+        used[order] = running - np.repeat(before, sizes)
         cursor = start[key_id] - used
         exhausted = cursor < 0
         if exhausted.any():
             key = keys[int(key_id[np.argmax(exhausted)])]
             raise MemoryError(f"scratch exhausted in subarray {key}")
-        last = np.append(first[1:], len(order)) - 1
-        for key, value in zip(keys, (start - running[last] + before).tolist()):
-            self._cursors[key] = value
+        last = np.append(first[1:], n) - 1
+        self._cursors.update(
+            zip(keys, (start - running[last] + before).tolist())
+        )
         return base[key_id] + cursor + 1
 
     def unique_block(self, keys, words: int) -> np.ndarray:

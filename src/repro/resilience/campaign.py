@@ -19,6 +19,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.placement import PlacementPlan
 from repro.isa.columnar import ColumnarTrace
 from repro.resilience.plan import (
     FaultCampaignConfig,
@@ -44,8 +45,15 @@ def build_session(
     trace,
     config: FaultCampaignConfig,
     seed: Union[int, np.random.SeedSequence],
+    placement: Optional[PlacementPlan] = None,
 ) -> FaultSession:
-    """Sample a fault plan for ``trace`` and resolve it on ``device``."""
+    """Sample a fault plan for ``trace`` and resolve it on ``device``.
+
+    ``placement`` is the plan the trace was lowered against: ``degrade``
+    remaps to the least-loaded healthy subarray under it (see
+    :class:`FaultSession`); without one every remap takes the lowest
+    healthy key.
+    """
     if not isinstance(trace, ColumnarTrace):
         trace = ColumnarTrace.from_trace(trace)
     plan = build_fault_plan(
@@ -55,7 +63,7 @@ def build_session(
         device.config.bus,
         seed,
     )
-    return FaultSession(device, plan, config)
+    return FaultSession(device, plan, config, placement)
 
 
 def run_with_faults(
@@ -66,6 +74,7 @@ def run_with_faults(
     workload: str = "trace",
     functional: bool = True,
     verify: bool = True,
+    placement: Optional[PlacementPlan] = None,
 ) -> Tuple[Optional[RunStats], ReliabilityRunReport]:
     """Execute one trace under seeded fault injection.
 
@@ -73,10 +82,11 @@ def run_with_faults(
     run (or a retry budget runs out), the executor's typed
     :class:`~repro.sim.errors.SimulationFault` is caught here, ``stats``
     is None, and the report records the abort; unplanned faults still
-    propagate.
+    propagate.  ``placement`` is the trace's placement plan, which
+    ``degrade`` remaps against (:func:`build_session`).
     """
     config = config or FaultCampaignConfig()
-    session = build_session(device, trace, config, seed)
+    session = build_session(device, trace, config, seed, placement)
     try:
         stats = device.execute_trace(
             trace,
@@ -104,7 +114,8 @@ def _build_run(
     cache_dir=None,
     deep_check: bool = False,
 ):
-    """(device, trace) for one workload name; raises ValueError.
+    """(device, trace, placement plan) for one workload name; raises
+    ValueError.
 
     Every Monte-Carlo run rebuilds the identical workload, so the trace
     comes from the content-addressed cache
@@ -152,7 +163,7 @@ def _build_run(
         from repro.verify.trace_verifier import TraceVerificationError
 
         raise TraceVerificationError(compiled.deep_report)
-    return compiled.device, compiled.trace
+    return compiled.device, compiled.trace, compiled.task.placement_plan
 
 
 def _campaign_worker(job) -> ReliabilityRunReport:
@@ -167,7 +178,7 @@ def _campaign_worker(job) -> ReliabilityRunReport:
         use_cache,
         cache_dir,
     ) = job
-    device, trace = _build_run(
+    device, trace, placement = _build_run(
         workload, scale, use_cache=use_cache, cache_dir=cache_dir
     )
     seed = np.random.SeedSequence(master_seed, spawn_key=(run_index,))
@@ -178,6 +189,7 @@ def _campaign_worker(job) -> ReliabilityRunReport:
         seed=seed,
         workload=workload,
         functional=functional,
+        placement=placement,
     )
     return report
 

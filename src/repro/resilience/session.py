@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.placement import Placer
+from repro.core.placement import PlacementPlan, Placer
 from repro.obs.spans import NULL_COLLECTOR
 from repro.resilience.corruption import corrupt_words
 from repro.resilience.plan import (
@@ -39,13 +39,21 @@ from repro.sim.errors import SimulationFault
 
 
 class FaultSession:
-    """One run's resolved fault decisions and recovery accounting."""
+    """One run's resolved fault decisions and recovery accounting.
+
+    Under ``degrade`` each quarantined subarray's data is remapped to
+    the least-loaded healthy PIM subarray.  The load is the words the
+    run's ``placement`` plan put in each subarray, plus every earlier
+    remap's load charged to its target.  A bare trace given no plan has
+    no load to read, so every pick falls to the lowest healthy key.
+    """
 
     def __init__(
         self,
         device,
         plan: FaultPlan,
         config: FaultCampaignConfig,
+        placement: Optional[PlacementPlan] = None,
     ) -> None:
         self.plan = plan
         self.config = config
@@ -60,14 +68,16 @@ class FaultSession:
         self.recovered = 0
         self.quarantined: List[Tuple[int, int]] = []
         self.remapped: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
-        self._resolve(device)
+        self._resolve(device, placement)
 
     # ------------------------------------------------------------------
-    def _resolve(self, device) -> None:
+    def _resolve(self, device, placement: Optional[PlacementPlan]) -> None:
         policy = self.config.policy
         hop_ns = device.bus.hop_ns
         hop_pj = device.bus.energy_per_hop_pj
         placer = None
+        # Words in each subarray: the placement plan's, plus remaps.
+        loads: Dict[Tuple[int, int], int] = {}
         quarantine_set = set()
         # Observation sink, checked once per session resolve; every
         # retry attempt / quarantine re-copy becomes a span on the
@@ -116,12 +126,20 @@ class FaultSession:
             # DEGRADE: quarantine the faulty subarray, replay placement.
             if placer is None:
                 placer = Placer(geometry=device.config.geometry)
+                if placement is not None:
+                    loads = placement.loads()
+                placer.charge(loads)
             key = device.address_map.subarray_of(event.src1)
             if key not in quarantine_set:
-                target = placer.remap_target(self.quarantined)
                 quarantine_set.add(key)
                 self.quarantined.append(key)
+                target = placer.remap_target(self.quarantined)
                 self.remapped.append((key, target))
+                # The evicted data, and what was remapped to it, now
+                # loads the target.
+                moved = loads.get(key, 0)
+                loads[target] = loads.get(target, 0) + moved
+                placer.charge({target: moved})
             remap_ns = device.bus.transfer_ns(event.words)
             if emitting:
                 obs.emit(

@@ -137,9 +137,6 @@ class PhysicalAddress:
     group: int
     word: int
 
-    def same_subarray(self, other: "PhysicalAddress") -> bool:
-        return self.bank == other.bank and self.subarray == other.subarray
-
 
 class AddressMap:
     """Bijective mapping between linear word addresses and hierarchy.

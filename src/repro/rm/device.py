@@ -102,10 +102,6 @@ class RMDevice:
         return latency
 
     # ------------------------------------------------------------------
-    def subarray_at(self, bank: int, subarray: int):
-        """Direct access to a subarray object (used by the PIM engine)."""
-        return self.bank(bank).subarray(subarray)
-
     def _mat_at(self, loc: PhysicalAddress):
         return self.bank(loc.bank).subarray(loc.subarray).mat(loc.mat)
 

@@ -20,16 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-#: Indices into the access-constant vectors returned by
-#: :meth:`RMTimingConfig.access_latency_ns_vector` /
-#: :meth:`RMTimingConfig.access_energy_pj_vector`.
-ACCESS_READ = 0
-ACCESS_WRITE = 1
-ACCESS_SHIFT = 2
-
-
 #: Reference point of the fabrication-process scaling law (section V-F).
 _GATE_ENERGY_REF_PJ = 20.0
 _GATE_ENERGY_REF_NM = 1000.0  # 1.0 um
@@ -117,26 +107,6 @@ class RMTimingConfig:
     def gate_energy_pj(self) -> float:
         """Energy of one domain-wall logic gate at ``process_nm``."""
         return energy_per_gate_pj(self.process_nm)
-
-    # ------------------------------------------------------------------
-    # Constant vectors (analytic-model inputs)
-    # ------------------------------------------------------------------
-    def access_latency_ns_vector(self) -> np.ndarray:
-        """Table III access latencies as ``[read, write, shift]`` ns.
-
-        Index with :data:`ACCESS_READ` / :data:`ACCESS_WRITE` /
-        :data:`ACCESS_SHIFT` so vectorized cost models can gather
-        latencies by access-kind arrays instead of branching.
-        """
-        return np.array(
-            [self.read_ns, self.write_ns, self.shift_ns], dtype=np.float64
-        )
-
-    def access_energy_pj_vector(self) -> np.ndarray:
-        """Table III access energies as ``[read, write, shift]`` pJ."""
-        return np.array(
-            [self.read_pj, self.write_pj, self.shift_pj], dtype=np.float64
-        )
 
     def scaled_to_process(self, process_nm: float) -> "RMTimingConfig":
         """Return a copy of this config at a different fabrication process.

@@ -13,8 +13,9 @@ splits the work into
 * **bulk array passes** for everything value-parallel: subarray ids of
   every operand (one integer division per column), the chunk's *event
   table* — one row per busy span in the reference loop's order, with
-  its duration and energy (priced once per unique ``(opcode, size)``
-  shape or copy word count and gathered) — decode-ready times, and the
+  its duration and energy (priced once per process for each unique
+  ``(opcode, size)`` shape or copy word count, :func:`priced_costs`,
+  and gathered) — decode-ready times, and the
   exclusive-category time sweep (:func:`sweep_spans`);
 * a **begin-only busy-until scan** for the one genuinely sequential
   part — the per-subarray blocking recurrence — one Python loop over
@@ -102,35 +103,46 @@ def _ordered_sum_carry(carry: float, values: np.ndarray) -> float:
     return float(compressed.cumsum()[-1])
 
 
+#: One pim span in :func:`sweep_spans`'s packed running count (rw spans
+#: count in the bits below).
+_PIM_COUNT = 1 << 32
+
+
 def sweep_spans(
     starts: np.ndarray, finishes: np.ndarray, is_rw: np.ndarray
 ) -> TimeBreakdown:
     """Sweep busy spans into exclusive time categories (vectorized).
 
-    Array-pass replacement for the O(spans^2) interval scan: sort the
-    unique edges once, count rw/pim coverage per elementary interval
-    with difference arrays, and reduce the per-interval contributions in
-    edge order (bit-identical to the sequential scan).
+    Array-pass replacement for the O(spans^2) interval scan: one sort
+    of every start and finish, the rw and pim coverage as one running
+    total of +1/-1 deltas in sorted order, read at the last position of
+    each distinct edge, and the per-interval contributions reduced in
+    edge order (bit-identical to the sequential scan).  Edges are never
+    searched for, so the sort is the only pass that is not linear.
+
+    The sort is stable, which keeps every start ahead of the finishes
+    tied with it (starts come first in the concatenation): no running
+    count ever goes negative, so both classes share one int64 total,
+    rw in the low 32 bits and pim above.
     """
     if len(starts) == 0:
         return TimeBreakdown()
-    starts = np.asarray(starts, dtype=np.float64)
-    finishes = np.asarray(finishes, dtype=np.float64)
     is_rw = np.asarray(is_rw, dtype=bool)
-    edges = np.unique(np.concatenate((starts, finishes)))
-    n_edges = len(edges)
-    if n_edges < 2:
+    edges = np.concatenate((starts, finishes)).astype(np.float64, copy=False)
+    order = np.argsort(edges, kind="stable")
+    edges = edges[order]
+    # Each distinct edge's first position holds its value (as np.unique
+    # picks it) and its last the coverage after every delta at it.
+    change = edges[1:] != edges[:-1]
+    if not change.any():
         return TimeBreakdown()
-    first = np.searchsorted(edges, starts)
-    last = np.searchsorted(edges, finishes)
-    rw_delta = np.bincount(
-        first[is_rw], minlength=n_edges
-    ) - np.bincount(last[is_rw], minlength=n_edges)
-    pim_delta = np.bincount(
-        first[~is_rw], minlength=n_edges
-    ) - np.bincount(last[~is_rw], minlength=n_edges)
-    rw_cover = np.cumsum(rw_delta)[:-1] > 0
-    pim_cover = np.cumsum(pim_delta)[:-1] > 0
+    delta = np.where(is_rw, 1, _PIM_COUNT)
+    running = np.concatenate((delta, -delta))[order].cumsum()[
+        np.append(change, True)
+    ][:-1]
+    edges = edges[np.insert(change, 0, True)]
+    rw_cover = (running & (_PIM_COUNT - 1)) > 0
+    pim_cover = running >= _PIM_COUNT
     widths = np.diff(edges)
     both = rw_cover & pim_cover
     rw_only = rw_cover & ~pim_cover
@@ -199,6 +211,67 @@ def copy_costs(
             math.ceil(words / model.write_access_width_words) * write_pj
         )
     return time_ns, reads_pj, writes_pj
+
+
+def pricing_inputs(device) -> tuple:
+    """Every device input :func:`shape_costs` and :func:`copy_costs`
+    read.
+
+    The engine model's class (a device may swap in another engine, as
+    StPIM-e does) and its ``econfig`` when it has one, and the config
+    fields :meth:`SubarrayEngine.profile` and ``_copy_cost_ns`` read; of
+    the scheduler policy only whether it overlaps preparation, so BASE
+    and DISTRIBUTE share an entry.  Neither the geometry nor
+    ``vpc_decode_ns`` enters a cost.
+    """
+    config = device.config
+    engine = device.engine_model
+    return (
+        type(engine),
+        getattr(engine, "econfig", None),
+        config.timing,
+        config.processor,
+        config.bus,
+        config.scheduler_policy.overlaps_prep,
+        config.prep_model,
+    )
+
+
+#: Most pricing configurations (:func:`pricing_inputs`) the process-wide
+#: cost memo keeps.  An ``explore`` sweep adds one per timing point;
+#: past the bound the oldest configuration is dropped.
+PRICE_MEMO_CONFIGS = 64
+
+#: The process-wide cost memo: per pricing configuration, a
+#: ``{key: (three costs)}`` dict for ``"shape"`` (:func:`shape_costs`,
+#: by packed shape key) and one for ``"copy"`` (:func:`copy_costs`, by
+#: word count).  Costs are pure functions of those inputs, so every
+#: device and predictor with an equal configuration shares them.
+_PRICES: Dict[tuple, Dict[str, dict]] = {}
+
+
+def priced_costs(
+    device, kind: str, keys: List[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`shape_costs` (``kind`` ``"shape"``) or :func:`copy_costs`
+    (``"copy"``) of ``keys`` on ``device``, pricing only the keys no
+    device of an equal pricing configuration has priced in this
+    process."""
+    inputs = pricing_inputs(device)
+    memos = _PRICES.get(inputs)
+    if memos is None:
+        if len(_PRICES) >= PRICE_MEMO_CONFIGS:
+            del _PRICES[next(iter(_PRICES))]
+        memos = _PRICES[inputs] = {"shape": {}, "copy": {}}
+    memo = memos[kind]
+    missing = [key for key in keys if key not in memo]
+    if missing:
+        price = shape_costs if kind == "shape" else copy_costs
+        memo.update(zip(missing, zip(*price(device, missing))))
+    costs = np.array([memo[key] for key in keys], dtype=np.float64)
+    # Contiguous tables: a strided one can change how ``@`` associates
+    # (the predictor's exact-energy dot products).
+    return tuple(np.ascontiguousarray(costs.reshape(-1, 3).T))
 
 
 def check_addresses(device, cols: ColumnarTrace) -> None:
@@ -307,22 +380,7 @@ class VectorExecState:
         self._write_pj = 0.0
         self._shift_pj = 0.0
         self._compute_pj = 0.0
-        #: Costs already priced, by copy word count and by packed shape
-        #: key: a device prices them the same in every chunk.
-        self._copy_costs: Dict[int, Tuple[float, float, float]] = {}
-        self._shape_costs: Dict[int, Tuple[float, float, float]] = {}
         self._stats: "RunStats | None" = None
-
-    def _priced(
-        self, memo, price, keys: List[int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``price(device, keys)`` (:func:`copy_costs` or
-        :func:`shape_costs`), pricing only the keys ``memo`` lacks."""
-        missing = [key for key in keys if key not in memo]
-        if missing:
-            memo.update(zip(missing, zip(*price(self.device, missing))))
-        costs = np.array([memo[key] for key in keys], dtype=np.float64)
-        return tuple(costs.reshape(-1, 3).T)
 
     def feed(self, cols: ColumnarTrace) -> None:
         """Advance the execution by one chunk of the trace."""
@@ -385,14 +443,14 @@ class VectorExecState:
             opcode[result_copy] == MUL_BYTE, 1, size[result_copy]
         )
         words, word_of = np.unique(copy_words[is_rw], return_inverse=True)
-        copy_ns, read_pj, write_pj = self._priced(
-            self._copy_costs, copy_costs, words.tolist()
+        copy_ns, read_pj, write_pj = priced_costs(
+            device, "copy", words.tolist()
         )
         keys, shape_of = np.unique(
             shape_keys(opcode[~cross], size[~cross]), return_inverse=True
         )
-        profile_ns, shift_pj, compute_pj = self._priced(
-            self._shape_costs, shape_costs, keys.tolist()
+        profile_ns, shift_pj, compute_pj = priced_costs(
+            device, "shape", keys.tolist()
         )
         duration = np.empty(rows, dtype=np.float64)
         duration[is_rw] = copy_ns[word_of]

@@ -23,9 +23,9 @@ from repro.rm.nanowire import ShiftError
 from repro.sim.engine import Resource
 from repro.sim.errors import SimulationFault
 from repro.sim.stats import EnergyBreakdown, RunStats, TimeBreakdown
-from repro.sim.vector_exec import sweep_spans
 from repro.verify.trace_verifier import TraceVerificationError
 from tests.oracles.scalar_verify import verify as scalar_verify
+from tests.oracles.span_sweep import sweep_spans
 
 
 @dataclass

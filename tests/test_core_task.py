@@ -205,7 +205,8 @@ class TestMatrixStoreRoundTrip:
             stored_transposed=True,
         )
         values = np.array([[1, 2, 3], [4, 5, 6]])
-        PimTask._write_matrix(device, handle, values)
+        (words,) = PimTask._stored_words(handle, values)
+        device.store.scatter(*words)
         assert device.store.snapshot() == {
             100: 1, 101: 4, 110: 2, 111: 5, 120: 3, 121: 6,
         }

@@ -448,6 +448,19 @@ class TestRemapTarget:
                     == min(healthy)[1]
                 )
 
+    def test_charge_loads_the_pick(self, small_geometry):
+        """Charged words count like placed ones; keys outside the pool
+        are ignored and equal neighbours stay one segment."""
+        placer = Placer(small_geometry, PlacementPolicy.BASE)
+        placer.place_matrix("B", 1, 3)  # (0, 0) holds 3 words
+        placer.charge({(0, 2): 5, (1, 2): 7, (0, 99): 1})
+        assert placer.cursors.tolist() == [3, 0, 5, 0]
+        assert placer.remap_target([]) == (0, 1)
+        placer.charge({(0, 1): 5, (0, 3): 9})
+        assert placer.cursors.tolist() == [3, 5, 5, 9]
+        assert placer._segments["operand"] == [(0, 1, 3), (1, 3, 5), (3, 4, 9)]
+        assert placer.remap_target([(0, 0)]) == (0, 1)
+
     def test_result_pool_when_disjoint(self, small_geometry):
         placer = Placer(small_geometry, disjoint_result_sets=True)
         (result_key,) = placer.result_pool

@@ -28,6 +28,7 @@ from repro.core.compile import compile_workload
 from repro.core.device import StreamPIMConfig, StreamPIMDevice
 from repro.core.scheduler import SchedulerPolicy
 from repro.core.subarray_engine import SubarrayEngine
+from repro.sim import vector_exec
 from repro.isa.columnar import (
     ADD_BYTE,
     ColumnarTraceBuilder,
@@ -260,6 +261,9 @@ class TestMemo:
         distinct cost-table sets (4 timing scales x 5 decode latencies):
         each set is profiled and copy-priced once, and a memo hit prices
         nothing."""
+        # Start from an empty process-wide cost memo, so the count does
+        # not depend on what earlier tests priced.
+        monkeypatch.setattr(vector_exec, "_PRICES", {})
         calls = {"profile": 0, "copy": 0}
         profile = SubarrayEngine.profile
         copy_cost = AnalyticDevice._copy_cost_ns

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.compile import compile_workload
 from repro.core.redundancy import RedundancyAnalysis, RedundancyConfig
 from repro.isa.columnar import ColumnarTrace
 from repro.resilience import (
@@ -179,6 +180,71 @@ class TestRecoveryPolicies:
         assert len(report.quarantined) >= 1
         assert len(set(report.quarantined)) == len(report.quarantined)
         assert report.recovery_ns > 0.0
+
+
+class TestDegradeRemapTarget:
+    """``degrade`` remaps each quarantined subarray to the least-loaded
+    healthy PIM subarray of the run's placement, charging each remap's
+    load to its target."""
+
+    CONFIG = FaultCampaignConfig(faults=NOISY, policy=RecoveryPolicy.DEGRADE)
+
+    @staticmethod
+    def _plan_loads(plan):
+        """Words per subarray, summed straight from the slice tables."""
+        loads = {}
+        handles = list(plan.matrices.values())
+        while handles:
+            handle = handles.pop()
+            if handle.mirror is not None:
+                handles.append(handle.mirror)
+            for bank, subarray, _, _, length in handle.slices.tolist():
+                loads[bank, subarray] = loads.get((bank, subarray), 0) + length
+        return loads
+
+    @staticmethod
+    def _pool(device):
+        """Every PIM subarray key, in key order."""
+        geometry = device.config.geometry
+        per_bank = geometry.bank.subarrays
+        return [
+            divmod(index, per_bank)
+            for index in range(geometry.pim_banks * per_bank)
+        ]
+
+    def test_targets_follow_plan_load(self):
+        compiled = compile_workload(
+            polybench_workload("gemm", scale=SCALE), use_cache=False
+        )
+        plan = compiled.task.placement_plan
+        session = build_session(
+            compiled.device, compiled.trace, self.CONFIG, 9, plan
+        )
+        pool = self._pool(compiled.device)
+        loads = self._plan_loads(plan)
+        quarantined = set()
+        assert len(session.remapped) > 1
+        for key, target in session.remapped:
+            quarantined.add(key)
+            healthy = [
+                (loads.get(candidate, 0), candidate)
+                for candidate in pool
+                if candidate not in quarantined
+            ]
+            assert target == min(healthy)[1]
+            loads[target] = loads.get(target, 0) + loads.get(key, 0)
+        targets = [target for _, target in session.remapped]
+        assert len(set(targets)) > len(targets) // 2
+
+    def test_bare_trace_takes_lowest_healthy_key(self, gemm_trace):
+        device = _task().device
+        session = build_session(device, gemm_trace, self.CONFIG, 9)
+        pool = self._pool(device)
+        quarantined = set()
+        assert session.remapped
+        for key, target in session.remapped:
+            quarantined.add(key)
+            assert target == min(set(pool) - quarantined)
 
 
 class TestShiftErrorWrapping:

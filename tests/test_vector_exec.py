@@ -1,12 +1,16 @@
 """Vector trace engine: exact equivalence with the per-VPC reference loop
 (``tests/oracles/scalar_exec.py``) + supporting machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.predictor import AnalyticDevice, TracePredictor
 from repro.cli import _check_specs, main
-from repro.core.device import StreamPIMDevice, WordStore
+from repro.core.compile import compile_workload
+from repro.core.device import StreamPIMConfig, StreamPIMDevice, WordStore
 from repro.isa.columnar import ColumnarTrace
 from repro.isa.trace import VPCTrace, write_trace_binary
 from repro.isa.vpc import VPC
@@ -15,7 +19,8 @@ from repro.sim.stats import TimeBreakdown
 from repro.sim import vector_exec
 from repro.sim.vector_exec import VectorExecState, sweep_spans
 from repro.verify.trace_verifier import TraceVerificationError
-from tests.oracles import scalar_exec
+from repro.workloads import polybench_workload
+from tests.oracles import scalar_exec, span_sweep
 
 _BREAKDOWN_FIELDS = (
     "read_ns", "write_ns", "shift_ns", "process_ns", "overlapped_ns"
@@ -682,6 +687,172 @@ class TestSweepSpans:
         finishes = np.array([5.0, 5.0])
         is_rw = np.array([True, False])
         assert sweep_spans(starts, finishes, is_rw).total_ns == 0.0
+
+    @staticmethod
+    def _assert_bitwise_reference(spans):
+        starts = np.array([s for s, _, _ in spans], dtype=np.float64)
+        finishes = np.array([f for _, f, _ in spans], dtype=np.float64)
+        is_rw = np.array([rw for _, _, rw in spans], dtype=bool)
+        got = sweep_spans(starts, finishes, is_rw)
+        want = span_sweep.sweep_spans(starts, finishes, is_rw)
+        for name in _BREAKDOWN_FIELDS:
+            assert getattr(got, name).hex() == getattr(want, name).hex(), name
+
+    @pytest.mark.parametrize(
+        "spans",
+        [
+            [],
+            [(1.5, 4.0, True)],
+            [(1.5, 4.0, False)],
+            [(3.0, 3.0, True), (3.0, 3.0, False), (3.0, 3.0, True)],
+            [(2.0, 2.0, False), (0.0, 5.0, True)],
+            [(0.0, 2.0, True), (2.0, 4.0, False), (2.0, 4.0, True)],
+            [(0.0, 1.0, True), (1.0, 2.0, True), (0.5, 1.0, False)],
+        ],
+        ids=[
+            "empty",
+            "one-rw",
+            "one-pim",
+            "all-equal-edges",
+            "zero-width-inside",
+            "shared-edges-across-classes",
+            "tied-edges",
+        ],
+    )
+    def test_edge_cases_equal_reference_bitwise(self, spans):
+        self._assert_bitwise_reference(spans)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5, 7.0]),
+                    st.floats(0.0, 1e6, allow_nan=False),
+                ),
+                st.one_of(
+                    st.just(0.0),
+                    st.sampled_from([0.1, 0.2, 1.0, 4.5]),
+                    st.floats(0.0, 1e3, allow_nan=False),
+                ),
+                st.booleans(),
+            ),
+            max_size=60,
+        )
+    )
+    def test_equals_reference_bitwise(self, drawn):
+        """Spans drawn from a few edge values tie often, across the rw
+        and pim classes too; some have zero width."""
+        self._assert_bitwise_reference(
+            [(start, start + width, rw) for start, width, rw in drawn]
+        )
+
+
+@pytest.fixture(scope="module")
+def gemm_trace():
+    spec = polybench_workload("gemm", scale=0.01)
+    return compile_workload(spec, use_cache=False).trace
+
+
+class TestPriceMemo:
+    """The process-wide cost memo prices a key once per pricing
+    configuration, whichever device or predictor asks."""
+
+    @pytest.fixture
+    def priced(self, monkeypatch):
+        """Keys ``shape_costs``/``copy_costs`` price, from an empty
+        memo."""
+        monkeypatch.setattr(vector_exec, "_PRICES", {})
+        priced = {"shape": [], "copy": []}
+        shape_costs = vector_exec.shape_costs
+        copy_costs = vector_exec.copy_costs
+
+        def count_shapes(device, keys):
+            priced["shape"].extend(keys)
+            return shape_costs(device, keys)
+
+        def count_copies(device, counts):
+            priced["copy"].extend(counts)
+            return copy_costs(device, counts)
+
+        monkeypatch.setattr(vector_exec, "shape_costs", count_shapes)
+        monkeypatch.setattr(vector_exec, "copy_costs", count_copies)
+        return priced
+
+    def test_equal_config_prices_no_key(self, priced, gemm_trace):
+        first = StreamPIMDevice().execute_trace(gemm_trace, functional=False)
+        assert priced["shape"] and priced["copy"]
+        assert len(set(priced["shape"])) == len(priced["shape"])
+        priced["shape"].clear()
+        priced["copy"].clear()
+        second = StreamPIMDevice(StreamPIMConfig()).execute_trace(
+            gemm_trace, functional=False
+        )
+        assert priced == {"shape": [], "copy": []}
+        assert second == first
+
+    def test_other_timing_reuses_no_entry(self, priced, gemm_trace):
+        StreamPIMDevice().execute_trace(gemm_trace, functional=False)
+        shapes = sorted(priced["shape"])
+        copies = sorted(priced["copy"])
+        priced["shape"].clear()
+        priced["copy"].clear()
+        base = StreamPIMConfig()
+        slower = replace(
+            base, timing=replace(base.timing, read_ns=2 * base.timing.read_ns)
+        )
+        device = StreamPIMDevice(slower)
+        stats = device.execute_trace(gemm_trace, functional=False)
+        assert sorted(priced["shape"]) == shapes
+        assert sorted(priced["copy"]) == copies
+        _assert_identical(
+            scalar_exec.execute_trace(
+                StreamPIMDevice(slower), gemm_trace, functional=False
+            ),
+            stats,
+        )
+
+    def test_predictor_prices_no_table_the_engine_priced(
+        self, priced, gemm_trace
+    ):
+        """The predictor also prices the shapes of cross-subarray TRANs,
+        which the engine times as bus copies; every other key it reads
+        from the engine's entries."""
+        device = StreamPIMDevice()
+        device.execute_trace(gemm_trace, functional=False)
+        engine = {kind: set(keys) for kind, keys in priced.items()}
+        priced["shape"].clear()
+        priced["copy"].clear()
+        predictor = TracePredictor(
+            gemm_trace, device.address_map.words_per_subarray
+        )
+        predictor.predict(AnalyticDevice(device.config))
+        assert not engine["shape"] & set(priced["shape"])
+        assert priced["copy"] == []
+        assert len(priced["shape"]) < len(predictor._shape_keys)
+
+    def test_configurations_kept_are_bounded(self, priced):
+        base = StreamPIMConfig()
+        extra = 3
+        configs = [
+            replace(
+                base,
+                timing=replace(
+                    base.timing, read_ns=base.timing.read_ns * (1 + step)
+                ),
+            )
+            for step in range(vector_exec.PRICE_MEMO_CONFIGS + extra)
+        ]
+        for config in configs:
+            vector_exec.priced_costs(AnalyticDevice(config), "copy", [1, 8])
+        kept = vector_exec._PRICES
+        assert len(kept) == vector_exec.PRICE_MEMO_CONFIGS
+        # The oldest configurations were dropped, the newest kept.
+        inputs = [
+            vector_exec.pricing_inputs(AnalyticDevice(config))
+            for config in configs
+        ]
+        assert list(kept) == inputs[extra:]
 
 
 class TestEnginePendingCounter:
