@@ -333,11 +333,17 @@ class TracePredictor:
         self._insub = insub
         self._has_op = has_op
 
-        # Unique packed (opcode, size) shapes, priced per device.
+        # Unique packed (opcode, size) shapes of the profiled commands,
+        # priced per device.  A cross-subarray TRAN is timed as a bus
+        # copy, so it has no shape: its row points one past the table,
+        # at the zero profile `_price` appends.
         uniq, inverse = np.unique(
-            shape_keys(opcode, size), return_inverse=True
+            shape_keys(opcode[profiled], size[profiled]),
+            return_inverse=True,
         )
-        self._prof_inv = inverse
+        prof_inv = np.full(self.commands, len(uniq), np.int64)
+        prof_inv[profiled] = inverse
+        self._prof_inv = prof_inv
         self._shape_keys = uniq.tolist()
 
         # Unique copy word counts (operand/cross copies move `size`
@@ -354,13 +360,13 @@ class TracePredictor:
         n_w = len(self._word_uniq)
         self._cnt = {
             "prof_profiled": np.bincount(
-                inverse[profiled], minlength=n_p
+                inverse, minlength=n_p
             ).astype(np.float64),
             "prof_compute": np.bincount(
-                inverse[compute], minlength=n_p
+                prof_inv[compute], minlength=n_p
             ).astype(np.float64),
             "prof_insub": np.bincount(
-                inverse[insub], minlength=n_p
+                prof_inv[insub], minlength=n_p
             ).astype(np.float64),
             "w_operand": np.bincount(
                 self._inv_size[has_op], minlength=n_w
@@ -659,7 +665,7 @@ class TracePredictor:
         }
 
         # ---- per-command duration columns -------------------------------
-        prof = prof_tbl[self._prof_inv]
+        prof = np.append(prof_tbl, 0.0)[self._prof_inv]
         copy = cost_tbl[self._inv_size]
         res = cost_tbl[self._inv_res]
         cross = self._cross

@@ -44,13 +44,6 @@ class SweepResult:
         ratios = [ref[w] / now[w] for w in ref]
         return sum(ratios) / len(ratios)
 
-    def speedup_series(self, reference: Hashable) -> Dict[Hashable, float]:
-        """{point: average speed-up vs reference} for every point."""
-        return {
-            point: self.average_speedup(point, reference)
-            for point in self.points
-        }
-
 
 def sweep(
     parameter: str,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict, List
+from typing import Dict
 
 from repro.sim.stats import RunStats
 from repro.workloads.spec import WorkloadSpec
@@ -23,10 +23,6 @@ class Platform(abc.ABC):
     @abc.abstractmethod
     def run(self, workload: WorkloadSpec) -> RunStats:
         """Execute (analytically or by simulation) one workload."""
-
-    def run_many(self, workloads: List[WorkloadSpec]) -> Dict[str, RunStats]:
-        """Run several workloads; returns {workload name: stats}."""
-        return {w.name: self.run(w) for w in workloads}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"

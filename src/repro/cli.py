@@ -59,62 +59,59 @@ from repro.workloads import (
     extra_workload,
     polybench_workload,
 )
+from repro.workloads.request import (
+    CompileSpec,
+    RunSpec,
+    UnknownWorkloadError,
+    compile_spec,
+    resolve,
+    run_spec,
+)
 from repro.workloads.spec import DEFAULT_SEED
 
 
-def _lookup_workload(name: str, scale: float):
-    from repro.workloads import find_workload
-
+def _resolve(spec):
+    """:func:`~repro.workloads.request.resolve`, exiting with its
+    message on failure."""
     try:
-        return find_workload(name, scale=scale)
-    except KeyError as exc:
-        raise SystemExit(exc.args[0] if exc.args else str(exc))
+        return resolve(spec)
+    except UnknownWorkloadError as exc:
+        raise SystemExit(str(exc))
 
 
-def _compile_spec(spec, args, deep: bool = False):
-    """Compile one workload's trace, honouring the cache CLI flags."""
-    from repro.core.compile import compile_workload
-
-    return compile_workload(
-        spec,
-        use_cache=not args.no_trace_cache,
-        cache_dir=args.cache_dir,
-        deep_verify=deep,
+def _compile(args: argparse.Namespace):
+    """``(workload, compiled)`` of ``args.workload`` under the cache flags."""
+    spec = CompileSpec(
+        args.workload, scale=args.scale, no_cache=args.no_trace_cache
     )
+    workload = _resolve(spec)
+    return workload, compile_spec(spec, workload, cache_dir=args.cache_dir)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _lookup_workload(args.workload, args.scale)
-    platforms = default_platforms()
-    if args.platform not in platforms:
-        raise SystemExit(
-            f"unknown platform {args.platform!r}; choose from "
-            f"{sorted(platforms)}"
+    spec = RunSpec(args.workload, scale=args.scale, platform=args.platform)
+    workload = _resolve(spec)
+    result = run_spec(spec, workload)
+    print(f"workload : {workload.name} ({workload.description})")
+    print(f"platform : {result['platform']}")
+    print(f"time     : {result['time_ns'] / 1e6:.3f} ms")
+    print(f"energy   : {result['energy_pj'] / 1e9:.3f} mJ")
+    for label in ("time", "energy"):
+        shares = ", ".join(
+            f"{k} {v:.1%}"
+            for k, v in result[f"{label}_fractions"].items()
+            if v > 0.0005
         )
-    stats = platforms[args.platform].run(spec)
-    print(f"workload : {spec.name} ({spec.description})")
-    print(f"platform : {stats.platform}")
-    print(f"time     : {stats.time_ns / 1e6:.3f} ms")
-    print(f"energy   : {stats.energy.total_pj / 1e9:.3f} mJ")
-    fractions = stats.time_breakdown.fractions()
-    shares = ", ".join(
-        f"{k} {v:.1%}" for k, v in fractions.items() if v > 0.0005
-    )
-    print(f"time breakdown : {shares}")
-    fractions = stats.energy.fractions()
-    shares = ", ".join(
-        f"{k} {v:.1%}" for k, v in fractions.items() if v > 0.0005
-    )
-    print(f"energy breakdown : {shares}")
-    if stats.counters:
-        print(f"counters : {stats.counters}")
+        print(f"{label} breakdown : {shares}")
+    if result["counters"]:
+        print(f"counters : {result['counters']}")
     return 0
 
 
 def _sweep_worker(job):
     """Run one (platform, workload) pair; top-level so it pickles."""
     pname, wname, scale = job
-    spec = _lookup_workload(wname, scale)
+    spec = _resolve(RunSpec(wname, scale=scale))
     stats = default_platforms()[pname].run(spec)
     return pname, wname, stats.time_ns, stats.energy.total_pj
 
@@ -194,7 +191,7 @@ def _sweep_metrics(
 def _cmd_sweep(args: argparse.Namespace) -> int:
     names = args.workloads or list(POLYBENCH)
     for name in names:
-        _lookup_workload(name, args.scale)  # fail fast on bad names
+        _resolve(RunSpec(name, scale=args.scale))  # fail fast on bad names
     platform_names, metrics = _sweep_metrics(
         names, args.scale, args.jobs, job_timeout=args.job_timeout
     )
@@ -318,15 +315,12 @@ def _cmd_info(_args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    spec = _lookup_workload(args.workload, args.scale)
-    if spec.build is None:
-        raise SystemExit(f"workload {spec.name!r} has no task builder")
-    compiled = _compile_spec(spec, args)
+    workload, compiled = _compile(args)
     trace = compiled.trace
     source = "cache hit" if compiled.cache_hit else "compiled"
     stats = trace.stats
     print(
-        f"{spec.name} @ scale {args.scale}: {stats.pim_vpcs:,} PIM VPCs, "
+        f"{workload.name} @ scale {args.scale}: {stats.pim_vpcs:,} PIM VPCs, "
         f"{stats.move_vpcs:,} move VPCs ({source})"
     )
     if args.output:
@@ -393,7 +387,7 @@ def _parse_cases(items):
             cases.append((name, float(scale) if sep else None))
         except ValueError:
             raise SystemExit(f"bad workload spec {item!r}: scale must be a number")
-        _lookup_workload(name, 1.0)  # fail fast on bad names
+        _resolve(RunSpec(name))  # fail fast on bad names
     return cases
 
 
@@ -592,9 +586,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.device import StreamPIMDevice
     from repro.obs import Collector
 
-    spec = _lookup_workload(args.workload, args.scale)
-    if spec.build is None:
-        raise SystemExit(f"workload {args.workload!r} has no task builder")
+    spec = _resolve(CompileSpec(args.workload, scale=args.scale))
     collector = Collector()
     streamed = stream_workload(
         spec,
@@ -648,13 +640,19 @@ def _check_specs(scale: float):
 def _verify_spec(spec, hazard_window: int, args):
     """Enumerate a workload's trace and verify it with its placement.
 
-    When ``args.deep`` is set, :func:`_compile_spec` already ran the
-    whole-trace dataflow pass (SPV008–SPV012) during compilation —
-    including on cache hits — and its findings are merged here.
+    When ``args.deep`` is set, compilation already ran the whole-trace
+    dataflow pass (SPV008–SPV012) — including on cache hits — and its
+    findings are merged here.
     """
+    from repro.core.compile import compile_workload
     from repro.verify import TraceVerifier
 
-    compiled = _compile_spec(spec, args, deep=args.deep)
+    compiled = compile_workload(
+        spec,
+        use_cache=not args.no_trace_cache,
+        cache_dir=args.cache_dir,
+        deep_verify=args.deep,
+    )
     verifier = TraceVerifier(
         geometry=compiled.device.config.geometry,
         plan=compiled.task.placement_plan,
@@ -766,7 +764,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             )
         reports.append(report)
     else:
-        spec = _lookup_workload(args.target, args.scale)
+        spec = _resolve(CompileSpec(args.target, scale=args.scale))
         reports.append(_verify_spec(spec, args.hazard_window, args))
     failed = _report_findings(reports, args, strict=args.strict)
     if failed:
@@ -837,10 +835,7 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
 
     from repro.resilience import run_with_faults
 
-    spec = _lookup_workload(args.workload, args.scale)
-    if spec.build is None:
-        raise SystemExit(f"workload {args.workload!r} has no task builder")
-    compiled = _compile_spec(spec, args)
+    workload, compiled = _compile(args)
     trace = compiled.trace
     collector = None
     if args.profile:
@@ -853,7 +848,7 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
         trace,
         config=_fault_config(args),
         seed=args.seed,
-        workload=spec.name,
+        workload=workload.name,
         placement=compiled.task.placement_plan,
     )
     _print_run_report(report)
@@ -1101,8 +1096,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one workload on one platform")
     run.add_argument("workload")
-    run.add_argument("--platform", default="StPIM")
-    run.add_argument("--scale", type=float, default=1.0)
+    run.add_argument("--platform", default=RunSpec.platform)
+    run.add_argument("--scale", type=float, default=RunSpec.scale)
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser("sweep", help="Fig. 17/18 platform comparison")
@@ -1134,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("trace", help="enumerate a VPC trace")
     trace.add_argument("workload")
-    trace.add_argument("--scale", type=float, default=0.01)
+    trace.add_argument("--scale", type=float, default=CompileSpec.scale)
     trace.add_argument("-o", "--output", default=None)
     _add_cache_flags(trace)
     trace.set_defaults(func=_cmd_trace)
@@ -1221,7 +1216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_fault_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("workload")
-        cmd.add_argument("--scale", type=float, default=0.01)
+        cmd.add_argument("--scale", type=float, default=CompileSpec.scale)
         cmd.add_argument(
             "--policy",
             choices=("retry", "abort", "degrade"),

@@ -225,26 +225,6 @@ class ColumnarTrace:
             elements_moved=int(size[~compute].sum()),
         )
 
-    @property
-    def num_ops(self) -> Optional[int]:
-        """Number of source operations, when boundaries were recorded."""
-        if self.op_starts is None:
-            return None
-        return len(self.op_starts)
-
-    def op_slices(self) -> "List[tuple]":
-        """``(start, end)`` command ranges per source operation.
-
-        Falls back to one whole-trace range when no operation boundaries
-        were recorded (e.g. traces decoded from the wire format, which
-        does not carry them).
-        """
-        n = len(self.records)
-        if self.op_starts is None or len(self.op_starts) == 0:
-            return [] if n == 0 else [(0, n)]
-        starts = self.op_starts.tolist()
-        return list(zip(starts, starts[1:] + [n]))
-
     # ------------------------------------------------------------------
     # Conversion to/from the object form
     # ------------------------------------------------------------------

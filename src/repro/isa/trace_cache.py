@@ -41,7 +41,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro.isa.columnar import ColumnarTrace
 from repro.isa.trace import TraceFormatError
@@ -333,32 +333,6 @@ class TraceCache:
         )
         self._remember(entry)
         return path
-
-    def get_or_compile(
-        self,
-        key: str,
-        compile_fn: Callable[[], Tuple[ColumnarTrace, Dict[str, object]]],
-        provenance: Optional[Dict[str, object]] = None,
-    ) -> Tuple[CacheEntry, bool]:
-        """Load ``key`` or compile-and-store it.
-
-        ``compile_fn`` returns ``(trace, aux)``.  Returns
-        ``(entry, hit)``.
-        """
-        entry = self.get(key)
-        if entry is not None:
-            return entry, True
-        trace, aux = compile_fn()
-        self.put(key, trace, aux=aux, provenance=provenance)
-        return (
-            CacheEntry(
-                key=key,
-                trace=trace,
-                aux=aux,
-                provenance=dict(provenance or {}),
-            ),
-            False,
-        )
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:

@@ -29,6 +29,7 @@ from repro.resilience.report import CampaignReport, ReliabilityRunReport
 from repro.resilience.session import FaultSession
 from repro.sim.errors import SimulationFault
 from repro.sim.stats import RunStats
+from repro.workloads.request import CompileSpec, compile_spec, resolve
 
 
 def _seed_label(seed: Union[int, np.random.SeedSequence]) -> int:
@@ -114,8 +115,9 @@ def _build_run(
     cache_dir=None,
     deep_check: bool = False,
 ):
-    """(device, trace, placement plan) for one workload name; raises
-    ValueError.
+    """(device, trace, placement plan) for one workload name, looked up
+    as ``faults run`` does (:func:`~repro.workloads.request.resolve`);
+    raises ValueError.
 
     Every Monte-Carlo run rebuilds the identical workload, so the trace
     comes from the content-addressed cache
@@ -130,39 +132,10 @@ def _build_run(
     that already races or reads uninitialised state would attribute
     those defects to the injected faults.
     """
-    from repro.core.compile import compile_workload
-    from repro.workloads import (
-        DNN_WORKLOADS,
-        EXTRA_WORKLOADS,
-        POLYBENCH,
-        dnn_workload,
-        extra_workload,
-        polybench_workload,
+    spec = CompileSpec(
+        workload, scale=scale, deep=deep_check, no_cache=not use_cache
     )
-
-    if workload in POLYBENCH:
-        spec = polybench_workload(workload, scale=scale)
-    elif workload in DNN_WORKLOADS:
-        spec = dnn_workload(workload)
-    elif workload in EXTRA_WORKLOADS:
-        spec = extra_workload(workload, scale=scale)
-    else:
-        raise ValueError(
-            f"unknown workload {workload!r}; choose from "
-            f"{sorted([*POLYBENCH, *DNN_WORKLOADS, *EXTRA_WORKLOADS])}"
-        )
-    if spec.build is None:
-        raise ValueError(f"workload {workload!r} has no task builder")
-    compiled = compile_workload(
-        spec,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        deep_verify=deep_check,
-    )
-    if deep_check and not compiled.deep_report.ok():
-        from repro.verify.trace_verifier import TraceVerificationError
-
-        raise TraceVerificationError(compiled.deep_report)
+    compiled = compile_spec(spec, resolve(spec), cache_dir=cache_dir)
     return compiled.device, compiled.trace, compiled.task.placement_plan
 
 
@@ -197,7 +170,7 @@ def _campaign_worker(job) -> ReliabilityRunReport:
 def run_campaign(
     workload: str,
     config: Optional[FaultCampaignConfig] = None,
-    scale: float = 0.01,
+    scale: float = CompileSpec.scale,
     runs: int = 16,
     master_seed: int = 0,
     jobs: int = 1,

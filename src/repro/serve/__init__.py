@@ -45,10 +45,10 @@ from repro.serve.protocol import (
     Request,
     Response,
     ServeError,
-    WorkSpec,
     http_status,
     parse_request,
     parse_response,
+    work_spec,
 )
 from repro.serve.scheduling import DeficitRoundRobin
 from repro.serve.retry import (
@@ -84,9 +84,9 @@ __all__ = [
     "Request",
     "Response",
     "ServeError",
-    "WorkSpec",
     "parse_request",
     "parse_response",
+    "work_spec",
     "RetryPolicy",
     "CircuitBreaker",
     "BreakerBoard",

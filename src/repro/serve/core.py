@@ -440,7 +440,7 @@ class ServiceCore:
         Requests with equal ``group_key`` share one dispatch, as the
         method's :data:`~repro.serve.protocol.GROUP_POLICY` says (the
         server passes the request's
-        :attr:`~repro.serve.protocol.WorkSpec.group_key`).  Equal keys
+        :func:`~repro.serve.protocol.group_key`).  Equal keys
         must mean equal work, method included, as equal specs do.
         ``None`` always dispatches alone.
         """

@@ -25,10 +25,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
-from repro.workloads.spec import DEFAULT_SEED
+from repro.workloads.request import CompileSpec, RunSpec, WorkSpec
 
 #: Protocol revision; servers reject requests from newer majors.
 PROTOCOL_VERSION = 1
@@ -134,8 +134,8 @@ DEBUG_METHODS = frozenset({"x-crash", "x-sleep", "x-fault"})
 
 
 #: Same-key grouping policy per worker method (``docs/serving.md``).
-#: Requests with equal :attr:`WorkSpec.group_key` share one dispatch;
-#: a ``shared`` group dispatches only its oldest member and every member
+#: Requests with equal :func:`group_key` share one dispatch; a
+#: ``shared`` group dispatches only its oldest member and every member
 #: receives that one result, a ``per-item`` group dispatches every
 #: member, each with its own deadline, attempts and envelope, and the
 #: worker runs the deterministic spec once for all of them.
@@ -143,17 +143,8 @@ SHARED = "shared"
 PER_ITEM = "per-item"
 GROUP_POLICY: Dict[str, str] = {"compile": SHARED, "run": PER_ITEM}
 
-#: Params each worker method reads, with their defaults.  Params a
-#: method does not read are ignored, as they always were.
-_WORK_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "run": {"scale": 1.0, "platform": "StPIM"},
-    "compile": {
-        "scale": 0.01,
-        "seed": DEFAULT_SEED,
-        "deep": False,
-        "no_cache": False,
-    },
-}
+#: The typed spec each worker method's params are parsed into.
+WORK_SPECS = {"run": RunSpec, "compile": CompileSpec}
 _PARAM_TYPES = {"seed": int, "platform": str, "deep": bool, "no_cache": bool}
 
 
@@ -169,60 +160,49 @@ def _invalid(message: str) -> ProtocolError:
     return ProtocolError(ErrorCode.INVALID_REQUEST, message)
 
 
-@dataclass(frozen=True)
-class WorkSpec:
-    """The typed params of one ``run``/``compile`` request.
+def work_spec(method: str, params: Dict[str, object]) -> WorkSpec:
+    """Validate ``params`` of a worker method into its typed spec.
 
-    Frozen and hashable: two requests with equal specs do the same
-    work, so the spec itself is the same-key grouping key.  Fields a
-    method does not read stay at their neutral values (``seed``/
-    ``platform`` None, flags False).
+    Omitted params take the spec's field defaults, the CLI's defaults
+    too; params a method does not read are ignored.
+
+    Raises:
+        ProtocolError: ``INVALID_REQUEST`` for a wrong-typed or
+            out-of-range param.
     """
-
-    method: str
-    workload: str
-    scale: float
-    seed: Optional[int] = None
-    platform: Optional[str] = None
-    deep: bool = False
-    no_cache: bool = False
-
-    @classmethod
-    def from_params(cls, method: str, params: Dict[str, object]) -> "WorkSpec":
-        """Validate ``params`` of a worker method, filling its defaults.
-
-        Raises:
-            ProtocolError: ``INVALID_REQUEST`` for a wrong-typed or
-                out-of-range param.
-        """
-        values = {
-            name: params.get(name, default)
-            for name, default in _WORK_DEFAULTS[method].items()
-        }
-        workload = params.get("workload", "")
-        if not isinstance(workload, str):
-            raise _invalid(f"workload must be a string, got {workload!r}")
-        scale = values["scale"]
-        if type(scale) not in (int, float) or not (
-            math.isfinite(scale) and scale > 0
-        ):
+    kind = WORK_SPECS[method]
+    values = {
+        f.name: params.get(f.name, f.default)
+        for f in fields(kind)
+        if f.name != "workload"
+    }
+    workload = params.get("workload", "")
+    if not isinstance(workload, str):
+        raise _invalid(f"workload must be a string, got {workload!r}")
+    scale = values["scale"]
+    if type(scale) not in (int, float) or not (
+        math.isfinite(scale) and scale > 0
+    ):
+        raise _invalid(f"scale must be a finite number > 0, got {scale!r}")
+    values["scale"] = float(scale)
+    # Exact types: JSON booleans are not ints, and "false" is not a
+    # boolean.
+    for name, value in values.items():
+        expected = _PARAM_TYPES.get(name)
+        if expected is not None and type(value) is not expected:
             raise _invalid(
-                f"scale must be a finite number > 0, got {scale!r}"
+                f"{name} must be {expected.__name__}, got {value!r}"
             )
-        values["scale"] = float(scale)
-        # Exact types: JSON booleans are not ints, and "false" is not
-        # a boolean.
-        for name, kind in _PARAM_TYPES.items():
-            if name in values and type(values[name]) is not kind:
-                raise _invalid(
-                    f"{name} must be {kind.__name__}, got {values[name]!r}"
-                )
-        return cls(method=method, workload=workload, **values)
+    return kind(workload=workload, **values)
 
-    @property
-    def group_key(self) -> Optional["WorkSpec"]:
-        """Same-key grouping key; None for a fresh compile that must run."""
-        return None if self.no_cache else self
+
+def group_key(spec: Optional[WorkSpec]) -> Optional[WorkSpec]:
+    """Same-key grouping key: the frozen spec itself, since equal specs
+    do the same work; None without a spec or for a fresh compile that
+    must run."""
+    if spec is None or getattr(spec, "no_cache", False):
+        return None
+    return spec
 
 
 @dataclass(frozen=True)
@@ -346,8 +326,8 @@ def parse_request(obj: Dict[str, object]) -> Request:
     """Validate a decoded request object.
 
     The params of a ``run``/``compile`` request are parsed into its
-    :class:`WorkSpec` here, so malformed params are rejected before any
-    dispatch.
+    typed spec here (:func:`work_spec`), so malformed params are
+    rejected before any dispatch.
 
     Raises:
         ProtocolError: with ``INVALID_REQUEST`` on malformed input (the
@@ -382,11 +362,7 @@ def parse_request(obj: Dict[str, object]) -> Request:
         params=params,
         tenant=tenant,
         deadline_ms=deadline_ms,
-        spec=(
-            WorkSpec.from_params(method, params)
-            if method in WORKER_METHODS
-            else None
-        ),
+        spec=work_spec(method, params) if method in WORKER_METHODS else None,
     )
 
 

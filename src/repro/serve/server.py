@@ -44,6 +44,7 @@ from repro.serve.protocol import (
     ServeError,
     decode_line,
     encode_message,
+    group_key,
     parse_request,
 )
 from repro.serve.supervisor import WorkerOptions, WorkerPool
@@ -365,9 +366,9 @@ class SimulationServer:
         """Route + submit one parsed worker-method request.
 
         ``request`` comes from :func:`~repro.serve.protocol.parse_request`;
-        its :class:`~repro.serve.protocol.WorkSpec` is the same-key
-        grouping key, so identical compiles share one result and
-        identical runs share one dispatch.
+        its typed spec is the same-key grouping key
+        (:func:`~repro.serve.protocol.group_key`), so identical compiles
+        share one result and identical runs share one dispatch.
 
         ``sink`` receives the eventual response: a StreamWriter for the
         line protocol, or any callable taking a
@@ -396,9 +397,9 @@ class SimulationServer:
             )
             return
         self._routes[request.id] = sink
-        spec = request.spec
-        group_key = spec.group_key if spec is not None else None
-        self._apply(self.core.submit(request, now, group_key=group_key))
+        self._apply(
+            self.core.submit(request, now, group_key=group_key(request.spec))
+        )
         wake = self.core.next_wake(now)
         if wake is not None and wake < self._wake_at:
             # A new partial group's linger ends before the tick loop's

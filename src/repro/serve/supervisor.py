@@ -32,7 +32,15 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.serve.protocol import ErrorCode, ProtocolError, WorkSpec
+from repro.serve.protocol import ErrorCode, ProtocolError, work_spec
+from repro.workloads.request import (
+    CompileSpec,
+    RunSpec,
+    UnknownWorkloadError,
+    compile_spec,
+    resolve,
+    run_spec,
+)
 
 #: Environment override for the multiprocessing start method
 #: ("spawn" is the safe default alongside an asyncio loop).
@@ -67,88 +75,33 @@ def _check_deadline(deadline_ts: Optional[float]) -> None:
         raise _DeadlineExpired()
 
 
-class WorkloadLookupError(KeyError):
-    """An unknown workload / platform name in request params."""
-
-
-def _find_workload(spec: WorkSpec):
-    from repro.workloads import find_workload
-
-    try:
-        return find_workload(spec.workload, scale=spec.scale)
-    except KeyError as exc:
-        raise WorkloadLookupError(str(exc))
-
-
-def _do_run(spec: WorkSpec, deadline_ts: Optional[float]):
-    """Analytic platform run; the serving twin of ``repro-streampim run``."""
-    from repro.baselines import default_platforms
-
-    workload = _find_workload(spec)
-    platforms = default_platforms()
-    if spec.platform not in platforms:
-        raise WorkloadLookupError(
-            f"unknown platform {spec.platform!r}; choose from "
-            f"{sorted(platforms)}"
-        )
+def _do_run(spec: RunSpec, deadline_ts: Optional[float]):
+    """Analytic platform run (:func:`~repro.workloads.request.run_spec`)."""
+    workload = resolve(spec)
     _check_deadline(deadline_ts)
-    stats = platforms[spec.platform].run(workload)
+    result = run_spec(spec, workload)
     _check_deadline(deadline_ts)
-    return {
-        "workload": workload.name,
-        "platform": stats.platform,
-        "scale": spec.scale,
-        "time_ns": stats.time_ns,
-        "energy_pj": stats.energy.total_pj,
-        "time_fractions": stats.time_breakdown.fractions(),
-        "energy_fractions": stats.energy.fractions(),
-        "counters": dict(stats.counters),
-    }
+    return result
 
 
 def _do_compile(
-    spec: WorkSpec,
+    spec: CompileSpec,
     deadline_ts: Optional[float],
     options: Dict[str, object],
 ):
     """Cached trace compilation with crash-safe in-flight tracking."""
-    from repro.core.compile import compile_workload
-    from repro.isa.trace_cache import InflightTracker, TraceCache
+    from repro.isa.trace_cache import InflightTracker
 
-    workload = _find_workload(spec)
-    if workload.build is None:
-        raise WorkloadLookupError(
-            f"workload {spec.workload!r} has no task builder"
-        )
+    workload = resolve(spec)
     _check_deadline(deadline_ts)
     cache_dir = options.get("cache_dir")
-    cache = None if spec.no_cache else TraceCache(cache_dir)
-    tracker = (
-        InflightTracker(cache.cache_dir) if cache is not None else None
-    )
-    compiled = compile_workload(
+    compiled = compile_spec(
+        spec,
         workload,
-        seed=spec.seed,
-        cache=cache,
-        use_cache=not spec.no_cache,
-        deep_verify=spec.deep,
-        inflight=tracker,
+        cache_dir=cache_dir,
+        inflight=None if spec.no_cache else InflightTracker(cache_dir),
     )
     _check_deadline(deadline_ts)
-    if spec.deep and compiled.deep_report is not None:
-        if not compiled.deep_report.ok():
-            findings = [
-                f"{d.rule_id}: {d.message}"
-                for d in compiled.deep_report.diagnostics[:8]
-            ]
-            return {
-                "__error__": {
-                    "code": ErrorCode.VERIFY_FAILED.value,
-                    "message": "deep dataflow verification failed",
-                    "detail": {"findings": findings},
-                }
-            }
-    payload = compiled.trace.to_bytes()
     return {
         "workload": workload.name,
         "scale": spec.scale,
@@ -158,7 +111,7 @@ def _do_compile(
         "commands": len(compiled.trace),
         "cache_key": compiled.cache_key,
         "cache_hit": compiled.cache_hit,
-        "trace_sha256": hashlib.sha256(payload).hexdigest(),
+        "trace_sha256": hashlib.sha256(compiled.trace.to_bytes()).hexdigest(),
     }
 
 
@@ -181,9 +134,7 @@ def _do_debug(
             _check_deadline(deadline_ts)
             time.sleep(min(0.025, max(0.0, end - time.time())))
         return {"slept_ms": duration * 1000.0}
-    if method == "x-fault":
-        raise SimulationFault("injected chaos fault", index=0)
-    raise WorkloadLookupError(f"unknown debug method {method!r}")
+    raise SimulationFault("injected chaos fault", index=0)
 
 
 def _deadline_envelope() -> Dict[str, object]:
@@ -206,7 +157,7 @@ def execute_batch(
     (``DEADLINE_EXCEEDED``).  A failed run is never reused; the next
     member with its spec executes on its own.
     """
-    runs: Dict[WorkSpec, Dict[str, object]] = {}
+    runs: Dict[RunSpec, Dict[str, object]] = {}
     for item in items:
         if not isinstance(item, dict):
             continue
@@ -216,7 +167,7 @@ def execute_batch(
         spec = None
         if method == "run":
             try:
-                spec = WorkSpec.from_params(method, params)
+                spec = work_spec(method, params)
             except ProtocolError:
                 pass  # execute_request answers INVALID_REQUEST
         payload = runs.get(spec) if spec is not None else None
@@ -239,18 +190,19 @@ def execute_request(
 
     Every failure is mapped to a typed code here, in the worker, so the
     core never has to guess what an exception string meant.  ``run`` and
-    ``compile`` params go through :meth:`WorkSpec.from_params`, the
-    same validator the server applies at parse time.
+    ``compile`` params go through :func:`~repro.serve.protocol.work_spec`,
+    the same validator the server applies at parse time.
     """
     from repro.sim.errors import SimulationFault
+    from repro.verify.trace_verifier import TraceVerificationError
 
     try:
         _check_deadline(deadline_ts)
         if method == "run":
-            result = _do_run(WorkSpec.from_params(method, params), deadline_ts)
+            result = _do_run(work_spec(method, params), deadline_ts)
         elif method == "compile":
             result = _do_compile(
-                WorkSpec.from_params(method, params), deadline_ts, options
+                work_spec(method, params), deadline_ts, options
             )
         elif method in ("x-crash", "x-sleep", "x-fault"):
             if not options.get("enable_debug_methods"):
@@ -266,24 +218,28 @@ def execute_request(
                 "code": ErrorCode.UNKNOWN_METHOD.value,
                 "message": f"unknown method {method!r}",
             }
-        if isinstance(result, dict) and "__error__" in result:
-            error = result["__error__"]
-            return {
-                "ok": False,
-                "code": error["code"],
-                "message": error["message"],
-                "detail": error.get("detail", {}),
-            }
         return {"ok": True, "result": result}
     except ProtocolError as exc:
         return {"ok": False, "code": exc.code.value, "message": str(exc)}
     except _DeadlineExpired:
         return _deadline_envelope()
-    except WorkloadLookupError as exc:
+    except UnknownWorkloadError as exc:
         return {
             "ok": False,
             "code": ErrorCode.UNKNOWN_WORKLOAD.value,
-            "message": str(exc).strip("'\""),
+            "message": str(exc),
+        }
+    except TraceVerificationError as exc:
+        return {
+            "ok": False,
+            "code": ErrorCode.VERIFY_FAILED.value,
+            "message": "deep dataflow verification failed",
+            "detail": {
+                "findings": [
+                    f"{d.rule_id}: {d.message}"
+                    for d in exc.report.diagnostics[:8]
+                ]
+            },
         }
     except SimulationFault as exc:
         return {

@@ -17,32 +17,7 @@ from repro.workloads.polybench import (
 from repro.workloads.dnn import DNN_WORKLOADS, dnn_workload, mlp_spec, bert_spec
 from repro.workloads.extra import EXTRA_WORKLOADS, extra_workload
 from repro.workloads.generator import random_matrix, random_vector
-
-
-def find_workload(name, scale=1.0):
-    """Resolve a workload name from any suite into a spec.
-
-    The shared lookup behind the CLI and the serving layer.
-
-    Raises:
-        KeyError: unknown name, or ``--scale`` on a DNN workload
-            (their dimensions are fixed graphs).
-    """
-    if name in POLYBENCH:
-        return polybench_workload(name, scale=scale)
-    if name in DNN_WORKLOADS:
-        if scale != 1.0:
-            raise KeyError(
-                f"DNN workload {name!r} does not support scaling"
-            )
-        return dnn_workload(name)
-    if name in EXTRA_WORKLOADS:
-        return extra_workload(name, scale=scale)
-    raise KeyError(
-        f"unknown workload {name!r}; choose from "
-        f"{sorted([*POLYBENCH, *DNN_WORKLOADS, *EXTRA_WORKLOADS])}"
-    )
-
+from repro.workloads.request import find_workload
 
 __all__ = [
     "find_workload",

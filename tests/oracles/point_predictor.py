@@ -110,7 +110,9 @@ def predict(
     }
 
     # ---- per-command duration columns -------------------------------
-    prof = prof_tbl[predictor._prof_inv]
+    # Cross-subarray TRANs have no shape: their rows point one past the
+    # table, at a zero profile.
+    prof = np.append(prof_tbl, 0.0)[predictor._prof_inv]
     copy = cost_tbl[predictor._inv_size]
     res = cost_tbl[predictor._inv_res]
     cross = predictor._cross

@@ -51,10 +51,6 @@ class TestRegistry:
         for name, platform in default_platforms().items():
             assert platform.name == name
 
-    def test_run_many(self, tiny_gemm, tiny_atax):
-        results = CpuRM().run_many([tiny_gemm, tiny_atax])
-        assert set(results) == {tiny_gemm.name, tiny_atax.name}
-
 
 class TestCpu:
     def test_dram_faster_than_rm(self, tiny_gemm):

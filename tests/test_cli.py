@@ -193,8 +193,9 @@ class TestFaults:
     def test_run_engines_print_identical_reports(self, tmp_path, capsys):
         import json
 
-        from repro.cli import _compile_spec, _fault_config, _lookup_workload
+        from repro.cli import _fault_config
         from repro.resilience import run_with_faults
+        from repro.workloads.request import CompileSpec, compile_spec, resolve
 
         target = tmp_path / "report.json"
         argv = ["faults", "run", "gemm", "--scale", "0.01",
@@ -203,18 +204,28 @@ class TestFaults:
         capsys.readouterr()
         # The same run through the per-VPC reference loop.
         args = build_parser().parse_args(argv)
-        spec = _lookup_workload("gemm", 0.01)
-        compiled = _compile_spec(spec, args)
+        spec = CompileSpec("gemm", scale=0.01)
+        compiled = compile_spec(spec, resolve(spec), cache_dir=args.cache_dir)
         _, report = run_with_faults(
             scalar_exec.use_scalar_engine(compiled.device),
             compiled.trace,
             config=_fault_config(args),
             seed=3,
-            workload=spec.name,
+            workload="gemm",
         )
         expected = json.loads(json.dumps(report.to_dict()))
         assert json.loads(target.read_text()) == expected
         assert report.injected > 0
+
+    def test_campaign_refuses_scaled_dnn(self, capsys):
+        """A DNN's dimensions are fixed: ``faults campaign`` refuses a
+        scale, as ``faults run`` does, rather than run the full-size
+        graph under a scaled label."""
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", "campaign", "mlp", "--scale", "0.01",
+                  "--runs", "1"])
+        assert exc.value.code == "DNN workload 'mlp' does not support scaling"
+        assert capsys.readouterr().out == ""
 
     def test_campaign_writes_json_report(self, tmp_path, capsys):
         import json

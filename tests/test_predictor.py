@@ -130,6 +130,22 @@ class TestProperties:
         assert predicted.energy.total_pj == 0.0
         assert predicted.commands == 0
 
+    def test_cross_trans_only_trace_has_no_shape(self):
+        """Cross-subarray TRANs are bus copies: a trace of nothing else
+        prices no shape, and its energy is still the engine's."""
+        builder = ColumnarTraceBuilder()
+        builder.emit(TRAN_BYTE, 10, None, WPS + 100, 8)
+        builder.emit(TRAN_BYTE, 2 * WPS + 10, None, 3 * WPS + 100, 8)
+        trace = builder.build()
+        predictor = TracePredictor(trace, WPS)
+        predicted = predictor.predict(AnalyticDevice())
+        stats = StreamPIMDevice().execute_trace(trace, functional=False)
+        assert predictor._shape_keys == []
+        assert predicted.cross_trans == 2
+        assert predicted.energy.total_pj == pytest.approx(
+            stats.energy.total_pj, rel=1e-12
+        )
+
     def test_breakdown_conserves_category_busy_time(self):
         predicted = predict_trace(
             AnalyticDevice(), _synthetic_trace(3), workload="syn"
@@ -173,10 +189,8 @@ class TestAccuracy:
 class TestOpStarts:
     def test_builder_marks_boundaries(self):
         trace = _synthetic_trace(4)
-        assert trace.num_ops == 4
-        slices = trace.op_slices()
-        assert slices[0] == (0, 2)
-        assert slices[-1] == (6, 8)
+        assert trace.op_starts.tolist() == [0, 2, 4, 6]
+        assert len(trace) == 8
 
     def test_compile_cache_round_trip(self, tmp_path):
         spec = find_workload("atax", scale=0.02)

@@ -541,7 +541,7 @@ class ServiceCoreMachine(RuleBasedStateMachine):
     )
     def submit(self, method, key, tenants, deadline_s):
         """A burst of same-work requests, one per listed tenant."""
-        # A real key (a WorkSpec) names the method too.
+        # A real key (a RunSpec or CompileSpec) names the method too.
         group_key = (method, key) if key is not None else None
         for tenant in tenants:
             rid = f"r{len(self.submitted)}"

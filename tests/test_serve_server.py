@@ -29,6 +29,7 @@ from repro.serve.protocol import (
     ErrorCode,
     ProtocolError,
     encode_message,
+    group_key,
     parse_request,
 )
 from repro.serve.supervisor import (
@@ -225,17 +226,17 @@ class TestCoalesceKey:
         run = parse_request(
             {"id": "r", "method": "run", "params": {"workload": "atax"}}
         )
-        assert run.spec.group_key != self._compile_req().spec.group_key
+        assert group_key(run.spec) != group_key(self._compile_req().spec)
 
     def test_identical_compiles_share_a_key(self):
-        a = self._compile_req("r1").spec.group_key
-        b = self._compile_req("r2").spec.group_key
+        a = group_key(self._compile_req("r1").spec)
+        b = group_key(self._compile_req("r2").spec)
         assert a is not None and a == b and hash(a) == hash(b)
         # Omitted params take the compile defaults.
         bare = parse_request(
             {"id": "r3", "method": "compile", "params": {"workload": "atax"}}
         )
-        assert bare.spec.group_key == a
+        assert group_key(bare.spec) == a
 
     @pytest.mark.parametrize(
         "variant",
@@ -243,12 +244,12 @@ class TestCoalesceKey:
     )
     def test_different_work_gets_different_keys(self, variant):
         assert (
-            self._compile_req(**variant).spec.group_key
-            != self._compile_req().spec.group_key
+            group_key(self._compile_req(**variant).spec)
+            != group_key(self._compile_req().spec)
         )
 
     def test_no_cache_never_coalesces(self):
-        assert self._compile_req(no_cache=True).spec.group_key is None
+        assert group_key(self._compile_req(no_cache=True).spec) is None
 
     def test_unresolvable_params_never_coalesce(self):
         # Malformed params never reach a key: they are rejected at

@@ -136,28 +136,16 @@ class TestTraceCacheStore:
         assert registry.counter("trace_cache.corrupt").value == 1
 
     def test_corrupt_entry_recompiles_never_half_loads(self, tmp_path):
-        cache = TraceCache(tmp_path / "c")
-        key = "b" * 64
-        trace = _sample_trace()
-        calls = []
-
-        def compile_fn():
-            calls.append(1)
-            return trace, {"plan": {}}
-
-        entry, hit = cache.get_or_compile(key, compile_fn)
-        assert not hit and len(calls) == 1
-        path = cache.entry_path(key)
+        cold = compile_workload(_spec(), cache=TraceCache(tmp_path / "c"))
+        assert not cold.cache_hit
+        path = TraceCache(tmp_path / "c").entry_path(cold.cache_key)
         path.write_bytes(path.read_bytes()[:-2])
-        fresh = TraceCache(tmp_path / "c")
-        entry, hit = fresh.get_or_compile(key, compile_fn)
-        assert not hit and len(calls) == 2
-        assert entry.trace == trace
+        fresh = compile_workload(_spec(), cache=TraceCache(tmp_path / "c"))
+        assert not fresh.cache_hit
+        assert fresh.trace == cold.trace
         # The recompiled entry replaced the corrupt file.
-        again, hit = TraceCache(tmp_path / "c").get_or_compile(
-            key, compile_fn
-        )
-        assert hit and len(calls) == 2
+        again = compile_workload(_spec(), cache=TraceCache(tmp_path / "c"))
+        assert again.cache_hit and again.trace == cold.trace
 
     def test_memory_lru_front(self, tmp_path):
         registry = MetricsRegistry()
