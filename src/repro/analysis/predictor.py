@@ -43,7 +43,8 @@ Prediction runs in three stages, which is what makes sweeps cheap:
 
 * **build** (:class:`TracePredictor` construction), once per compiled
   trace: topology — dependency subarrays, bus event order, feeder
-  chains — all independent of timing constants;
+  chains — and every index the cost stage gathers durations through,
+  all independent of timing constants;
 * **cost**, once per distinct set of cost tables (profile time, shift
   and compute energy per ``(opcode, size)`` shape; copy time, read and
   write energy per word count, read from the vector engine's
@@ -60,13 +61,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.isa.columnar import ColumnarTrace, MUL_BYTE, TRAN_BYTE
 from repro.sim.stats import EnergyBreakdown, TimeBreakdown
-from repro.sim.vector_exec import priced_costs, pricing_inputs, shape_keys
+from repro.sim.vector_exec import (
+    priced_costs,
+    pricing_inputs,
+    shape_keys,
+    split_shape_keys,
+)
 from repro.workloads.spec import DEFAULT_SEED
 
 class AnalyticDevice:
@@ -163,40 +169,47 @@ class PredictedStats:
 
 @dataclass
 class _OpStructure:
-    """Timing-independent topology of one source operation."""
+    """Timing-independent topology of one source operation, and the
+    indices its durations are gathered through.
 
-    start: int
-    end: int
+    Every ``*_val`` and ``*_prof`` array indexes the cost stage's value
+    vector ``[profile times, 0.0, copy times]`` (see
+    :meth:`TracePredictor._price`); the ``0.0`` slot stands for "no
+    duration", so a sum of two gathers is exact where one term is
+    absent.
+    """
+
     count_end: int  # cumulative commands through this op
     src_subs: np.ndarray  # unique source subarrays (busy floor)
     load_subs: np.ndarray  # unique subarrays receiving load
-    load_pos: np.ndarray  # concat entry -> position in load_subs
-    grp_rem: np.ndarray  # op-local cmd idx with operand copies
-    grp_res: np.ndarray  # op-local cmd idx with result copies
-    grp_cross: np.ndarray  # op-local cmd idx of cross TRANs
+    # Load entries: every command's home occupancy, then its operand
+    # copy, result copy and cross-TRAN arrival, as present.
+    load_pos: np.ndarray  # load entry -> position in load_subs
+    load_val: np.ndarray  # load entry -> copy time (or 0.0)
+    home_prof: np.ndarray  # home entry -> profile time (or 0.0)
     # Bus event table (empty arrays when the op has no cross TRANs).
-    # Every field below is a pure topology artefact (event order,
-    # feeder pointers, reset positions); the cost stage only gathers
-    # through them, so pricing stays a fixed number of array passes.
+    # Every field below is a pure topology artefact (event order, value
+    # indices, feeder pointers, reset positions); the cost stage only
+    # gathers through them, so pricing stays a fixed number of array
+    # passes.
     K: int = 0
-    tr_idx: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    ev_cmd: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    res_cmds: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    # event -> value at the event (operand copy at a home, result copy
+    # at a join, 0.0 at an arrival); profiled homes add their profile
+    ev_val: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    ev_home: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    ev_prof: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    tr_val: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     respos: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    dst_flat: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     first_pos: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     seg_len: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     res_home: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    res_home_lr1: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    res_home_has1: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
-    lr2: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    has2: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
-    lr2_res_pos: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    lr2_res_rank: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    f2_clip: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    fmask: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
-    src_evpos: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    dst_evpos: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    # Reset and feeder pointers, where "none" points one past the event
+    # table (at a 0.0 running duration) or the TRAN chain (at -inf), and
+    # the events no TRAN feeds.
+    res_home_reset: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    last_reset: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    feeder: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    unfed: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     src_prev_idx: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     dst_prev_idx: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     L_src: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
@@ -232,17 +245,34 @@ class _PricedTrace:
     ops: List[_OpCost]
 
 
+class _Columns(NamedTuple):
+    """Per-command columns the build slices per operation: dependency
+    subarrays and masks (see ``trace_dependencies``) and value-vector
+    indices (see ``TracePredictor._price``)."""
+
+    home: np.ndarray
+    remote: np.ndarray
+    dest: np.ndarray
+    cross: np.ndarray
+    has_op: np.ndarray
+    has_res: np.ndarray
+    prof: np.ndarray  # profile time (0.0 slot for cross TRANs)
+    copy: np.ndarray  # copy time of `size` words
+    res: np.ndarray  # result-copy time
+    dur_copy: np.ndarray  # copy time in home occupancy (or 0.0)
+    load_copy: np.ndarray  # copy time in home load (or 0.0)
+    zero: int  # the 0.0 slot
+
+
 def _segmented_last_reset(
-    is_reset: np.ndarray, seg_id: np.ndarray
+    is_reset: np.ndarray, seg_first: np.ndarray
 ) -> np.ndarray:
     """Per event, index of the latest reset event at or before it within
-    its segment (-1 when none)."""
+    its segment, or the event count when there is none; ``seg_first``
+    holds each event's segment start."""
     m = len(is_reset)
-    idx = np.arange(m, dtype=np.float64)
-    rp = np.where(is_reset, idx, -1.0)
-    big = float(m + 2)
-    last = np.maximum.accumulate(rp + seg_id * big) - seg_id * big
-    return np.rint(last).astype(np.int64)
+    last = np.maximum.accumulate(np.where(is_reset, np.arange(m), -1))
+    return np.where(last >= seg_first, last, m)
 
 
 class TracePredictor:
@@ -306,21 +336,15 @@ class TracePredictor:
             self.cross_trans = 0
             self._ops: List[_OpStructure] = []
             self._shape_keys: List[int] = []
-            self._prof_inv = np.empty(0, np.int64)
             self._word_uniq = np.empty(0, np.int64)
-            self._inv_size = np.empty(0, np.int64)
-            self._inv_res = np.empty(0, np.int64)
             self._cnt = {}
-            self._cross = np.empty(0, bool)
-            self._insub = np.empty(0, bool)
-            self._has_op = np.empty(0, bool)
             return
 
         deps = trace_dependencies(trace, self.words_per_subarray)
-        home = deps.home.astype(np.int64)
-        remote = deps.remote.astype(np.int64)
-        dest = deps.dest.astype(np.int64)
-        cross = deps.uses_bus.astype(bool)
+        home = deps.home
+        remote = deps.remote
+        dest = deps.dest
+        cross = deps.uses_bus
         insub = (opcode == TRAN_BYTE) & ~cross
         has_op = remote >= 0
         has_res = compute & (dest >= 0)
@@ -329,39 +353,37 @@ class TracePredictor:
         self.n_subs = int(
             max(home.max(), remote.max(), dest.max()) + 1
         )
-        self._cross = cross
-        self._insub = insub
-        self._has_op = has_op
 
-        # Unique packed (opcode, size) shapes of the profiled commands,
-        # priced per device.  A cross-subarray TRAN is timed as a bus
-        # copy, so it has no shape: its row points one past the table,
-        # at the zero profile `_price` appends.
-        uniq, inverse = np.unique(
-            shape_keys(opcode[profiled], size[profiled]),
-            return_inverse=True,
+        # One unique over every command's packed (opcode, size) key;
+        # the shape and word-count tables derive from its few entries.
+        ukeys, key_inv = np.unique(
+            shape_keys(opcode, size), return_inverse=True
         )
-        prof_inv = np.full(self.commands, len(uniq), np.int64)
-        prof_inv[profiled] = inverse
-        self._prof_inv = prof_inv
-        self._shape_keys = uniq.tolist()
+        # Shapes of the profiled commands, priced per device.  A
+        # cross-subarray TRAN is timed as a bus copy, so it has no
+        # shape: its row points one past the table, at the value
+        # vector's 0.0 slot.
+        per_shape = np.bincount(key_inv[profiled], minlength=len(ukeys))
+        is_shape = per_shape > 0
+        n_p = int(is_shape.sum())
+        self._shape_keys = ukeys[is_shape].tolist()
+        shape_of = np.where(is_shape, np.cumsum(is_shape) - 1, n_p)
+        prof_inv = np.where(profiled, shape_of[key_inv], n_p)
 
         # Unique copy word counts (operand/cross copies move `size`
         # words; result copies move 1 word for MUL, `size` otherwise).
-        result_words = np.where(opcode == MUL_BYTE, 1, size)
-        self._word_uniq = np.unique(
-            np.concatenate((size, result_words))
+        key_op, key_size = split_shape_keys(ukeys)
+        key_res = np.where(key_op == MUL_BYTE, 1, key_size)
+        self._word_uniq, word_inv = np.unique(
+            np.concatenate((key_size, key_res)), return_inverse=True
         )
-        self._inv_size = np.searchsorted(self._word_uniq, size)
-        self._inv_res = np.searchsorted(self._word_uniq, result_words)
+        inv_size = word_inv[: len(ukeys)][key_inv]
+        inv_res = word_inv[len(ukeys) :][key_inv]
 
         # Static occurrence counts for the exact energy / category sums.
-        n_p = len(uniq)
         n_w = len(self._word_uniq)
         self._cnt = {
-            "prof_profiled": np.bincount(
-                inverse, minlength=n_p
-            ).astype(np.float64),
+            "prof_profiled": per_shape[is_shape].astype(np.float64),
             "prof_compute": np.bincount(
                 prof_inv[compute], minlength=n_p
             ).astype(np.float64),
@@ -369,158 +391,168 @@ class TracePredictor:
                 prof_inv[insub], minlength=n_p
             ).astype(np.float64),
             "w_operand": np.bincount(
-                self._inv_size[has_op], minlength=n_w
+                inv_size[has_op], minlength=n_w
             ).astype(np.float64),
             "w_cross": np.bincount(
-                self._inv_size[cross], minlength=n_w
+                inv_size[cross], minlength=n_w
             ).astype(np.float64),
             "w_result": np.bincount(
-                self._inv_res[has_res], minlength=n_w
+                inv_res[has_res], minlength=n_w
             ).astype(np.float64),
         }
 
-        self._ops = [
-            self._build_op(
-                s, e, home, remote, dest, cross, has_op, has_res
-            )
-            for s, e in slices
-        ]
+        # Per command, indices into the value vector [profile times
+        # (n_p), 0.0, copy times (n_w)]: the copy and result-copy times,
+        # and the copy time added to the profile at home — the operand
+        # copy for its home occupancy, and for its home load also the
+        # bus copy a cross TRAN charges there.  An operand copy implies
+        # a compute command, which is neither a TRAN nor on the bus.
+        copy_val = inv_size + (n_p + 1)
+        res_val = inv_res + (n_p + 1)
+        cols = _Columns(
+            home=home,
+            remote=remote,
+            dest=dest,
+            cross=cross,
+            has_op=has_op,
+            has_res=has_res,
+            prof=prof_inv,
+            copy=copy_val,
+            res=res_val,
+            dur_copy=np.where(has_op, copy_val, n_p),
+            load_copy=np.where(has_op | cross, copy_val, n_p),
+            zero=n_p,
+        )
+        self._ops = [self._build_op(s, e, cols) for s, e in slices]
 
     # ------------------------------------------------------------------
-    def _build_op(
-        self, s, e, home, remote, dest, cross, has_op, has_res
-    ) -> _OpStructure:
-        n = e - s
-        h = home[s:e]
-        r = remote[s:e]
-        d = dest[s:e]
-        cr = cross[s:e]
-        ho = has_op[s:e]
-        hr = has_res[s:e]
-        grp_rem = np.flatnonzero(ho)
-        grp_res = np.flatnonzero(hr)
+    def _build_op(self, s: int, e: int, cols: _Columns) -> _OpStructure:
+        h = cols.home[s:e]
+        r = cols.remote[s:e]
+        d = cols.dest[s:e]
+        cr = cols.cross[s:e]
+        c_copy = cols.copy[s:e]
+        c_res = cols.res[s:e]
+        grp_rem = np.flatnonzero(cols.has_op[s:e])
+        grp_res = np.flatnonzero(cols.has_res[s:e])
         grp_cross = np.flatnonzero(cr)
         concat_subs = np.concatenate(
             (h, r[grp_rem], d[grp_res], d[grp_cross])
         )
-        load_subs = np.unique(concat_subs)
-        load_pos = np.searchsorted(load_subs, concat_subs)
-        src_subs = np.unique(np.concatenate((h, r[grp_rem])))
+        # Subarray sets and positions from a dense mark/rank table over
+        # the trace's subarrays.
+        mark = np.zeros(self.n_subs, dtype=bool)
+        mark[concat_subs] = True
+        load_subs = np.flatnonzero(mark)
+        rank = np.cumsum(mark) - 1
+        mark[:] = False
+        mark[h] = True
+        mark[r[grp_rem]] = True
         op = _OpStructure(
-            start=int(s),
-            end=int(e),
             count_end=int(e),
-            src_subs=src_subs,
+            src_subs=np.flatnonzero(mark),
             load_subs=load_subs,
-            load_pos=load_pos,
-            grp_rem=grp_rem,
-            grp_res=grp_res,
-            grp_cross=grp_cross,
+            load_pos=rank[concat_subs],
+            load_val=np.concatenate(
+                (
+                    cols.load_copy[s:e],
+                    c_copy[grp_rem],
+                    c_res[grp_res],
+                    c_copy[grp_cross],
+                )
+            ),
+            home_prof=cols.prof[s:e],
         )
         K = len(grp_cross)
         if K == 0:
             return op
 
-        tr_idx = grp_cross
-        k_of = np.full(n, -1, dtype=np.int64)
-        k_of[tr_idx] = np.arange(K)
-
-        # Event table: home occupancy of every command (rank 1; kind 2
-        # when the command is a cross TRAN, else 0), result-copy joins
-        # on the destination subarray (rank 2, kind 1), and cross-TRAN
-        # arrivals on the destination (rank 1, kind 3).
-        ev_sub = np.concatenate((h, d[grp_res], d[tr_idx]))
-        ev_cmd = np.concatenate((np.arange(n), grp_res, tr_idx))
-        ev_rank = np.concatenate(
-            (
-                np.full(n, 1, np.int64),
-                np.full(len(grp_res), 2, np.int64),
-                np.full(K, 1, np.int64),
-            )
-        )
-        ev_kind = np.concatenate(
-            (
-                np.where(cr, 2, 0).astype(np.int64),
-                np.full(len(grp_res), 1, np.int64),
-                np.full(K, 3, np.int64),
-            )
-        )
-        order = np.lexsort((ev_rank, ev_cmd, ev_sub))
-        ev_sub = ev_sub[order]
-        ev_cmd = ev_cmd[order]
-        ev_kind = ev_kind[order]
-        m = len(ev_sub)
-        seg_start = np.zeros(m, dtype=bool)
+        # Event table: every command's home occupancy, then at its
+        # destination the result-copy join of a compute command or the
+        # arrival of a cross TRAN (a command has at most one, and never
+        # on its home subarray).  Listed in command order, a stable sort
+        # by subarray rank orders them by (subarray, command).  Ranks
+        # fit a small unsigned type, which NumPy stable-sorts by radix.
+        step = (cols.has_res[s:e] | cr) + 1
+        seq_home = np.cumsum(step) - step  # sequence index of each home
+        seq_res = seq_home[grp_res] + 1
+        seq_arr = seq_home[grp_cross] + 1
+        key = np.empty(self.n_subs, np.min_scalar_type(len(load_subs) - 1))
+        key[load_subs] = np.arange(len(load_subs))
+        seq_key = np.repeat(key[h], step)
+        seq_key[seq_res] = key[d[grp_res]]
+        seq_key[seq_arr] = key[d[grp_cross]]
+        order = np.argsort(seq_key, kind="stable")
+        m = len(order)
+        evpos = np.empty(m, dtype=np.int64)
+        evpos[order] = np.arange(m)
+        ev_key = seq_key[order]
+        seg_start = np.empty(m, dtype=bool)
         seg_start[0] = True
-        seg_start[1:] = ev_sub[1:] != ev_sub[:-1]
-        seg_id = (np.cumsum(seg_start) - 1).astype(np.float64)
+        np.not_equal(ev_key[1:], ev_key[:-1], out=seg_start[1:])
         first_pos = np.flatnonzero(seg_start)
         seg_len = np.diff(np.append(first_pos, m))
+        seg_first = np.repeat(first_pos, seg_len)
 
-        is_cross_ev = (ev_kind == 2) | (ev_kind == 3)
-        is_res_ev = ev_kind == 1
+        home_evpos = evpos[seq_home]
+        res_evpos = evpos[seq_res]
+        src_evpos = home_evpos[grp_cross]
+        dst_evpos = evpos[seq_arr]
+        karr = np.arange(K)
+        is_cross_ev = np.zeros(m, dtype=bool)
+        is_cross_ev[src_evpos] = True
+        is_cross_ev[dst_evpos] = True
+        is_res_ev = np.zeros(m, dtype=bool)
+        is_res_ev[res_evpos] = True
 
-        # Pass 1: feeders with only cross events as resets.
-        lr1 = _segmented_last_reset(is_cross_ev, seg_id)
-        has1 = lr1 >= 0
-        lr1_safe = np.where(has1, lr1, 0)
-        fvals1 = np.full(m, -1, dtype=np.int64)
-        fvals1[is_cross_ev] = k_of[ev_cmd[is_cross_ev]]
-        f1 = np.where(has1, fvals1[lr1_safe], -1)
+        # Pass 1: feeders with only cross events as resets.  Resets and
+        # feeders index one slot past the table for "none".
+        lr1 = _segmented_last_reset(is_cross_ev, seg_first)
+        fvals1 = np.full(m + 1, -1, dtype=np.int64)
+        fvals1[src_evpos] = karr
+        fvals1[dst_evpos] = karr
+        f1 = fvals1[lr1]
 
-        # Home-side event position of every command (kind 0 or 2).
-        home_ev = (ev_kind == 0) | (ev_kind == 2)
-        home_evpos = np.empty(n, dtype=np.int64)
-        home_evpos[ev_cmd[home_ev]] = np.flatnonzero(home_ev)
+        # Home-side event of each result join, in event order.
         respos = np.flatnonzero(is_res_ev)
-        res_home = home_evpos[ev_cmd[respos]]
+        join_home = np.empty(m, dtype=np.int64)
+        join_home[res_evpos] = home_evpos[grp_res]
+        res_home = join_home[respos]
 
         # Pass 2: result joins also reset (they import the home side's
         # feeder and accumulated appendage).
-        lr2 = _segmented_last_reset(is_cross_ev | is_res_ev, seg_id)
-        has2 = lr2 >= 0
-        lr2_safe = np.where(has2, lr2, 0)
+        lr2 = _segmented_last_reset(is_cross_ev | is_res_ev, seg_first)
         fvals2 = fvals1.copy()
         fvals2[respos] = f1[res_home]
-        f2 = np.where(has2, fvals2[lr2_safe], -1)
+        f2 = fvals2[lr2]
         prevf = np.empty(m, dtype=np.int64)
         prevf[0] = -1
         prevf[1:] = f2[:-1]
         prevf[seg_start] = -1
-
-        # Resets whose appendage base is a result join (vs zero).
-        lr2_res_pos = np.flatnonzero(has2 & is_res_ev[lr2_safe])
-        lr2_res_rank = np.searchsorted(respos, lr2_safe[lr2_res_pos])
-
-        cmask = ev_kind == 2
-        dmask = ev_kind == 3
-        src_evpos = np.empty(K, dtype=np.int64)
-        src_evpos[k_of[ev_cmd[cmask]]] = np.flatnonzero(cmask)
-        dst_evpos = np.empty(K, dtype=np.int64)
-        dst_evpos[k_of[ev_cmd[dmask]]] = np.flatnonzero(dmask)
-        karr = np.arange(K)
         pf_src = prevf[src_evpos]
         pf_dst = prevf[dst_evpos]
 
+        # Event durations: the value at every event (home occupancy's
+        # operand copy, the result-copy cost at join events, zero at
+        # arrivals) plus the profile at the home of a profiled command.
+        ev_val = np.full(m, cols.zero, dtype=np.int64)
+        ev_val[home_evpos] = cols.dur_copy[s:e]
+        ev_val[res_evpos] = c_res[grp_res]
+        profiled = ~cr
+
         op.K = K
-        op.tr_idx = tr_idx
-        op.ev_cmd = ev_cmd
-        op.res_cmds = ev_cmd[respos]
+        op.ev_val = ev_val
+        op.ev_home = home_evpos[profiled]
+        op.ev_prof = op.home_prof[profiled]
+        op.tr_val = c_copy[grp_cross]
         op.respos = respos
-        op.dst_flat = np.flatnonzero(dmask)
         op.first_pos = first_pos
         op.seg_len = seg_len
         op.res_home = res_home
-        op.res_home_lr1 = lr1_safe[res_home]
-        op.res_home_has1 = has1[res_home]
-        op.lr2 = lr2_safe
-        op.has2 = has2
-        op.lr2_res_pos = lr2_res_pos
-        op.lr2_res_rank = lr2_res_rank
-        op.f2_clip = np.clip(f2, 0, K - 1)
-        op.fmask = f2 >= 0
-        op.src_evpos = src_evpos
-        op.dst_evpos = dst_evpos
+        op.res_home_reset = lr1[res_home]
+        op.last_reset = lr2
+        op.feeder = np.where(f2 >= 0, f2, K)
+        op.unfed = np.flatnonzero(f2 < 0)
         op.src_prev_idx = np.maximum(src_evpos - 1, 0)
         op.dst_prev_idx = np.maximum(dst_evpos - 1, 0)
         op.L_src = np.maximum(karr - pf_src, 1)
@@ -664,67 +696,44 @@ class TracePredictor:
             "bus": float(cnt["w_cross"] @ cost_tbl),
         }
 
-        # ---- per-command duration columns -------------------------------
-        prof = np.append(prof_tbl, 0.0)[self._prof_inv]
-        copy = cost_tbl[self._inv_size]
-        res = cost_tbl[self._inv_res]
-        cross = self._cross
-        insub = self._insub
-        has_op = self._has_op
-        dur_home = np.where(
-            cross,
-            0.0,
-            np.where(insub, prof, prof + np.where(has_op, copy, 0.0)),
-        )
-        home_load = np.where(cross, copy, dur_home)
-
         # ---- per-operation priced summaries -----------------------------
+        # Every duration is a gather from one value vector; x + 0.0 == x,
+        # so a sum whose other term is the 0.0 slot is the term itself.
+        values = np.concatenate((prof_tbl, [0.0], cost_tbl))
         ops: List[_OpCost] = []
         for op in self._ops:
-            s, e = op.start, op.end
-            c_copy = copy[s:e]
-            c_res = res[s:e]
-            concat_vals = np.concatenate(
-                (
-                    home_load[s:e],
-                    c_copy[op.grp_rem],
-                    c_res[op.grp_res],
-                    c_copy[op.grp_cross],
-                )
-            )
+            weights = values[op.load_val]
+            weights[: len(op.home_prof)] += values[op.home_prof]
             load_vals = np.bincount(
                 op.load_pos,
-                weights=concat_vals,
+                weights=weights,
                 minlength=len(op.load_subs),
             )
             cost = _OpCost(load_vals, float(load_vals.max()))
             ops.append(cost)
             if not op.K:
                 continue
-            # Event durations: home occupancy by default, the
-            # result-copy cost at join events, zero at arrivals.
-            ev_dur = dur_home[s:e][op.ev_cmd]
-            res_dur = c_res[op.res_cmds]
-            ev_dur[op.respos] = res_dur
-            ev_dur[op.dst_flat] = 0.0
-            # Within-segment inclusive cumulative duration.
-            cd = np.cumsum(ev_dur)
-            seg_base = np.repeat(
+            ev_dur = values[op.ev_val]
+            ev_dur[op.ev_home] += values[op.ev_prof]
+            res_dur = ev_dur[op.respos]
+            # Within-segment inclusive cumulative duration; the slot past
+            # the last event is 0.0 ("no reset").
+            m = len(ev_dur)
+            cd = np.empty(m + 1)
+            np.cumsum(ev_dur, out=cd[:m])
+            cd[:m] -= np.repeat(
                 cd[op.first_pos] - ev_dur[op.first_pos], op.seg_len
             )
-            cd -= seg_base
+            cd[m] = 0.0
             # Appendage of each result join on its home side
             # (pass-1 feeders: cross resets only).
-            a1_res = cd[op.res_home] - np.where(
-                op.res_home_has1, cd[op.res_home_lr1], 0.0
-            )
-            reset_a_res = a1_res + res_dur
-            # appendage = cd - (cd[last reset] - resetA[last reset])
-            shift = np.where(op.has2, cd[op.lr2], 0.0)
-            if len(op.lr2_res_pos):
-                shift[op.lr2_res_pos] -= reset_a_res[op.lr2_res_rank]
-            appendage = cd - shift
-            c = c_copy[op.tr_idx]
+            reset_a_res = cd[op.res_home] - cd[op.res_home_reset] + res_dur
+            # appendage = cd - (cd[last reset] - resetA[last reset]),
+            # where resetA is zero at a cross reset.
+            reset_base = cd.copy()
+            reset_base[op.respos] -= reset_a_res
+            appendage = cd[:m] - reset_base[op.last_reset]
+            c = values[op.tr_val]
             period = c.copy()
             np.maximum(
                 period,
@@ -744,19 +753,17 @@ class TracePredictor:
                 ),
                 out=period,
             )
-            chain = np.cumsum(period)
+            # The slot past the last TRAN is -inf ("no feeder").
+            chain = np.empty(op.K + 1)
+            np.cumsum(period, out=chain[: op.K])
+            chain[op.K] = -np.inf
             # A fed event finishes at base + chain[feeder] + appendage,
             # an unfed one at floor + appendage; the point stage adds
             # base and floor to these maxima.
-            cost.fed_max = float(
-                np.where(
-                    op.fmask, chain[op.f2_clip] + appendage, -np.inf
-                ).max()
-            )
-            cost.unfed_max = float(
-                np.where(op.fmask, -np.inf, appendage).max()
-            )
-            cost.chain_end = float(chain[-1])
+            cost.fed_max = float((chain[op.feeder] + appendage).max())
+            if len(op.unfed):
+                cost.unfed_max = float(appendage[op.unfed].max())
+            cost.chain_end = float(chain[op.K - 1])
         return _PricedTrace(energy, category_ns, ops)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict
+from typing import Callable, Dict
 
 from repro.sim.stats import RunStats
 from repro.workloads.spec import WorkloadSpec
@@ -32,8 +32,9 @@ class PlatformRegistry:
     """Builds the standard platform sets used by the benchmarks."""
 
     @staticmethod
-    def default() -> Dict[str, Platform]:
-        """The seven platforms of Figs. 17/18, keyed by paper label."""
+    def constructors() -> Dict[str, Callable[[], Platform]]:
+        """The seven platforms of Figs. 17/18: paper label -> constructor,
+        so a caller that runs one platform builds only that one."""
         from repro.baselines.cpu import CpuRM, CpuDRAM
         from repro.baselines.coruscant import CoruscantPlatform
         from repro.baselines.elp2im import Elp2imPlatform
@@ -41,13 +42,20 @@ class PlatformRegistry:
         from repro.baselines.stpim import StreamPIMPlatform
         from repro.baselines.stpim_e import StpimEPlatform
 
-        platforms = [
-            CpuRM(),
-            CpuDRAM(),
-            Elp2imPlatform(),
-            FelixPlatform(),
-            CoruscantPlatform(),
-            StpimEPlatform(),
-            StreamPIMPlatform(),
-        ]
-        return {p.name: p for p in platforms}
+        return {
+            "CPU-RM": CpuRM,
+            "CPU-DRAM": CpuDRAM,
+            "ELP2IM": Elp2imPlatform,
+            "FELIX": FelixPlatform,
+            "CORUSCANT": CoruscantPlatform,
+            "StPIM-e": StpimEPlatform,
+            "StPIM": StreamPIMPlatform,
+        }
+
+    @staticmethod
+    def default() -> Dict[str, Platform]:
+        """The seven platforms of Figs. 17/18, keyed by paper label."""
+        return {
+            name: make()
+            for name, make in PlatformRegistry.constructors().items()
+        }

@@ -50,7 +50,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.area import AreaModel
 from repro.analysis.report import format_table
-from repro.baselines import default_platforms
+from repro.baselines import PlatformRegistry
 from repro.isa.trace import write_trace
 from repro.workloads import (
     DNN_WORKLOADS,
@@ -112,7 +112,7 @@ def _sweep_worker(job):
     """Run one (platform, workload) pair; top-level so it pickles."""
     pname, wname, scale = job
     spec = _resolve(RunSpec(wname, scale=scale))
-    stats = default_platforms()[pname].run(spec)
+    stats = PlatformRegistry.constructors()[pname]().run(spec)
     return pname, wname, stats.time_ns, stats.energy.total_pj
 
 
@@ -156,7 +156,7 @@ def _sweep_metrics(
     it is being waited on — the timeout bounds *additional* wait, not
     queue time.
     """
-    platform_names = list(default_platforms())
+    platform_names = list(PlatformRegistry.constructors())
     jobs_list = [
         (pname, wname, scale)
         for pname in platform_names

@@ -160,6 +160,12 @@ def shape_keys(opcode: np.ndarray, size: np.ndarray) -> np.ndarray:
     return (opcode.astype(np.int64) << 48) | size
 
 
+def split_shape_keys(keys):
+    """Unpack :func:`shape_keys` (an array or one key) into
+    ``(opcode byte, size)``."""
+    return keys >> 48, keys & ((1 << 48) - 1)
+
+
 def shape_costs(
     device, keys
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,8 +181,8 @@ def shape_costs(
     compute_pj = np.empty(count, dtype=np.float64)
     profile = device.engine_model.profile
     for j, packed in enumerate(keys):
-        vpc_opcode = BYTE_TO_OPCODE[packed >> 48]
-        words = packed & ((1 << 48) - 1)
+        op_byte, words = split_shape_keys(packed)
+        vpc_opcode = BYTE_TO_OPCODE[op_byte]
         if vpc_opcode is VPCOpcode.TRAN:
             proto = VPC.tran(0, 0, words)
         else:

@@ -79,9 +79,9 @@ def find_workload(name: str, scale: float = 1.0) -> WorkloadSpec:
 
 @functools.lru_cache(maxsize=None)
 def _platform_names() -> Tuple[str, ...]:
-    from repro.baselines import default_platforms
+    from repro.baselines import PlatformRegistry
 
-    return tuple(sorted(default_platforms()))
+    return tuple(sorted(PlatformRegistry.constructors()))
 
 
 def resolve(spec: WorkSpec) -> WorkloadSpec:
@@ -111,9 +111,10 @@ def run_spec(spec: RunSpec, workload: WorkloadSpec) -> Dict[str, object]:
     Returns the serve ``run`` result, which ``repro-streampim run``
     prints.
     """
-    from repro.baselines import default_platforms
+    from repro.baselines import PlatformRegistry
 
-    stats = default_platforms()[spec.platform].run(workload)
+    platform = PlatformRegistry.constructors()[spec.platform]()
+    stats = platform.run(workload)
     return {
         "workload": workload.name,
         "platform": stats.platform,

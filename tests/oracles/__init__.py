@@ -2,6 +2,6 @@
 
 Slow, straightforward twins of product paths in ``src/repro`` (the
 per-VPC executor, lowering, per-row placer, per-round schedule
-composition, per-point predictor and verifier walk) plus the
+composition, predictor build, per-point predictor and verifier walk) plus the
 cycle-by-cycle pipeline and RM-bus simulators.  Nothing under ``src/`` imports them.
 """

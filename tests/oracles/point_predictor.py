@@ -3,7 +3,10 @@
 :func:`predict` is :meth:`repro.analysis.predictor.TracePredictor.predict`
 as it was before the cost stage was split out: it rebuilds every
 per-command duration column from the device's cost tables and walks
-each operation's bus events at every design point, with no memo.  The
+each operation's bus events at every design point, with no memo.  It
+reads its columns and topology from the reference build
+(:class:`~tests.oracles.predictor_build.PredictorBuild`), never from the
+predictor under test, so a build fault shows in the differential.  The
 differential tests hold the staged predictor equal to it (``time_ns`` to
 rounding, since ``term_c`` is reassociated there; energy and
 ``category_ns`` bit for bit).
@@ -15,21 +18,23 @@ import math
 
 import numpy as np
 
-from repro.analysis.predictor import PredictedStats, TracePredictor
+from repro.analysis.predictor import PredictedStats
 from repro.isa.encoding import BYTE_TO_OPCODE
 from repro.isa.vpc import VPC, VPCOpcode
 from repro.sim.stats import EnergyBreakdown, TimeBreakdown
+from tests.oracles.predictor_build import PredictorBuild
 
 
 def predict(
-    predictor: TracePredictor, device, workload: str = "trace"
+    predictor: PredictorBuild, device, workload: str = "trace"
 ) -> PredictedStats:
     """Evaluate one device configuration against ``predictor``'s trace.
 
-    ``device`` is anything with the device cost surface —
-    a :class:`~repro.core.device.StreamPIMDevice` or the lighter
+    ``predictor`` is the reference build of the trace.  ``device`` is
+    anything with the device cost surface — a
+    :class:`~repro.core.device.StreamPIMDevice` or the lighter
     :class:`AnalyticDevice` — whose geometry matches the
-    ``words_per_subarray`` the predictor was built with.
+    ``words_per_subarray`` the build was made with.
     """
     if device.address_map.words_per_subarray != predictor.words_per_subarray:
         raise ValueError(

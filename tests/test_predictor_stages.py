@@ -5,7 +5,9 @@ distinct set of cost tables once (the cost stage, remembered on the
 predictor) and then evaluates each design point in O(operations) (the
 point stage).  ``tests/oracles/point_predictor.py`` is the per-point
 ``predict`` it replaced, which rebuilds every per-command column at
-every point.
+every point; it reads its topology from the reference build
+``tests/oracles/predictor_build.py``, which :class:`TestBuildAgainstOracle`
+holds equal to the predictor's build and cost stage field by field.
 
 Contract with the oracle: energy and ``category_ns`` are bit-identical
 (their formulas did not move); ``time_ns`` agrees within 1e-12 relative,
@@ -22,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.analysis import predictor as predictor_module
 from repro.analysis.explore import build_grid
 from repro.analysis.predictor import AnalyticDevice, TracePredictor
 from repro.core.compile import compile_workload
@@ -36,9 +39,10 @@ from repro.isa.columnar import (
     SMUL_BYTE,
     TRAN_BYTE,
 )
-from repro.workloads import POLYBENCH, polybench_workload
+from repro.workloads import POLYBENCH, find_workload, polybench_workload
 from repro.workloads.dnn import MLPShape, mlp_spec
-from tests.oracles import point_predictor
+from tests.oracles import point_predictor, predictor_build
+from tests.oracles.predictor_build import PredictorBuild
 from tests.test_predictor import WPS, _synthetic_trace
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -74,9 +78,9 @@ def _config(
     )
 
 
-def assert_matches_oracle(predictor, device):
+def assert_matches_oracle(predictor, build, device):
     got = predictor.predict(device, workload="w")
-    want = point_predictor.predict(predictor, device, workload="w")
+    want = point_predictor.predict(build, device, workload="w")
     assert math.isclose(got.time_ns, want.time_ns, rel_tol=1e-12)
     assert got.energy == want.energy
     assert got.category_ns == want.category_ns
@@ -130,9 +134,12 @@ class TestAgainstOracle:
     def test_synthetic_groups(
         self, groups, seed, policy, read, write, decode_ns
     ):
-        predictor = TracePredictor(_synthetic_trace(groups, seed), WPS)
+        trace = _synthetic_trace(groups, seed)
+        predictor = TracePredictor(trace, WPS)
         config = _config(policy, read, write, decode_ns)
-        assert_matches_oracle(predictor, AnalyticDevice(config))
+        assert_matches_oracle(
+            predictor, PredictorBuild(trace, WPS), AnalyticDevice(config)
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -149,7 +156,9 @@ class TestAgainstOracle:
         trace = _random_trace(seed, commands, subarrays, op_every)
         predictor = TracePredictor(trace, WPS)
         config = _config(policy, read, write, decode_ns)
-        assert_matches_oracle(predictor, AnalyticDevice(config))
+        assert_matches_oracle(
+            predictor, PredictorBuild(trace, WPS), AnalyticDevice(config)
+        )
 
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
     @pytest.mark.parametrize("name", [*POLYBENCH, "mlp"])
@@ -164,15 +173,156 @@ class TestAgainstOracle:
         predictor = TracePredictor(
             compiled.trace, device.address_map.words_per_subarray
         )
+        build = PredictorBuild(
+            compiled.trace, device.address_map.words_per_subarray
+        )
         for read, write, decode_ns in [
             (1.0, 1.0, 10.0), (0.5, 2.0, 10.0), (1.0, 1.0, 40.0),
         ]:
             config = _config(policy, read, write, decode_ns)
-            got = assert_matches_oracle(predictor, AnalyticDevice(config))
+            got = assert_matches_oracle(
+                predictor, build, AnalyticDevice(config)
+            )
             fresh = TracePredictor(
                 compiled.trace, device.address_map.words_per_subarray
             )
             assert fresh.predict(StreamPIMDevice(config), workload="w") == got
+
+
+#: Topology fields both builds hold; the rest of each ``_OpStructure``
+#: is the other side's own indexing (per-command columns in the
+#: reference, value-vector indices in the predictor).
+SHARED_OP_FIELDS = {
+    "count_end", "src_subs", "load_subs", "load_pos", "K", "respos",
+    "first_pos", "seg_len", "res_home", "src_prev_idx", "dst_prev_idx",
+    "L_src", "L_dst", "ok_src", "ok_dst",
+}
+
+
+def _assert_same(got, want, what):
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype, (what, got.dtype, want.dtype)
+        if want.dtype.kind == "f":
+            assert [x.hex() for x in got.tolist()] == [
+                x.hex() for x in want.tolist()
+            ], what
+        else:
+            assert np.array_equal(got, want), what
+    elif isinstance(want, float):
+        assert type(got) is float and got.hex() == want.hex(), (
+            what, got, want,
+        )
+    else:
+        assert type(got) is type(want) and got == want, (what, got, want)
+
+
+def assert_build_matches_oracle(trace, words_per_subarray, devices):
+    """The build's topology and counts, and the cost stage's priced
+    summaries at each device, equal the reference build's: arrays by
+    value and dtype, floats by ``float.hex``."""
+    predictor = TracePredictor(trace, words_per_subarray)
+    build = PredictorBuild(trace, words_per_subarray)
+    for name in (
+        "commands", "ops", "n_subs", "cross_trans", "pim_vpcs",
+        "move_vpcs", "_shape_keys", "_word_uniq",
+    ):
+        _assert_same(getattr(predictor, name), getattr(build, name), name)
+    assert predictor._cnt.keys() == build._cnt.keys()
+    for key, want in build._cnt.items():
+        _assert_same(predictor._cnt[key], want, key)
+    mine_fields = dataclasses.fields(predictor_module._OpStructure)
+    ref_fields = dataclasses.fields(predictor_build._OpStructure)
+    assert {f.name for f in mine_fields} & {
+        f.name for f in ref_fields
+    } == SHARED_OP_FIELDS
+    assert len(predictor._ops) == len(build._ops)
+    for i, (mine, ref) in enumerate(zip(predictor._ops, build._ops)):
+        for name in sorted(SHARED_OP_FIELDS):
+            _assert_same(getattr(mine, name), getattr(ref, name), (i, name))
+    for device in devices:
+        tables = vector_exec.priced_costs(
+            device, "shape", build._shape_keys
+        ) + vector_exec.priced_costs(
+            device, "copy", build._word_uniq.tolist()
+        )
+        got = predictor._price(*tables)
+        want = build.price(*tables)
+        for f in dataclasses.fields(want.energy):
+            _assert_same(
+                getattr(got.energy, f.name), getattr(want.energy, f.name),
+                f.name,
+            )
+        assert got.category_ns.keys() == want.category_ns.keys()
+        for key, value in want.category_ns.items():
+            _assert_same(got.category_ns[key], value, key)
+        assert len(got.ops) == len(want.ops)
+        for i, (mine, ref) in enumerate(zip(got.ops, want.ops)):
+            for f in dataclasses.fields(ref):
+                _assert_same(
+                    getattr(mine, f.name), getattr(ref, f.name), (i, f.name)
+                )
+    return build
+
+
+def _devices(policy=SchedulerPolicy.UNBLOCK):
+    return [
+        AnalyticDevice(_config(policy)),
+        AnalyticDevice(_config(policy, read=0.5, write=3.0, decode_ns=40.0)),
+    ]
+
+
+class TestBuildAgainstOracle:
+    """The dense-index build and its cost stage against the reference
+    build (``tests/oracles/predictor_build.py``), field by field."""
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    @pytest.mark.parametrize("name", POLYBENCH)
+    def test_shipped_kernels(self, name, policy):
+        device = StreamPIMDevice(_config(policy))
+        compiled = compile_workload(
+            polybench_workload(name, scale=0.03), device=device,
+            use_cache=False,
+        )
+        assert_build_matches_oracle(
+            compiled.trace, device.address_map.words_per_subarray,
+            _devices(policy),
+        )
+
+    def test_mlp(self):
+        device = StreamPIMDevice(_config())
+        compiled = compile_workload(
+            find_workload("mlp"), device=device, use_cache=False
+        )
+        build = assert_build_matches_oracle(
+            compiled.trace, device.address_map.words_per_subarray,
+            _devices(),
+        )
+        assert build.cross_trans
+
+    def test_random_trace_mixes_every_case(self):
+        """Operations with and without cross TRANs, single-command
+        operations and operand copies all occur in the fixed traces."""
+        mixed = assert_build_matches_oracle(
+            _random_trace(3, 200, 4, 7), WPS, _devices()
+        )
+        single = assert_build_matches_oracle(
+            _random_trace(5, 40, 3, 1), WPS, _devices()
+        )
+        ks = [op.K for op in mixed._ops + single._ops]
+        assert 0 in ks and max(ks) > 1
+        assert any(op.end - op.start == 1 for op in single._ops)
+        assert mixed._has_op.any() and mixed._cross.any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        commands=st.integers(1, 200),
+        subarrays=st.integers(1, 6),
+        op_every=st.integers(1, 60),
+    )
+    def test_random_traces(self, seed, commands, subarrays, op_every):
+        trace = _random_trace(seed, commands, subarrays, op_every)
+        assert_build_matches_oracle(trace, WPS, _devices())
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ error messages cannot drift apart.  These tests fail on any drift.
 import pytest
 
 from repro import cli
+from repro.baselines import PlatformRegistry, default_platforms
 from repro.cli import build_parser, main
 from repro.resilience import run_campaign
 from repro.serve.protocol import ErrorCode, work_spec
@@ -19,6 +20,7 @@ from repro.workloads.request import (
     UnknownWorkloadError,
     find_workload,
     resolve,
+    run_spec,
 )
 
 
@@ -130,3 +132,45 @@ class TestVerifyFailed:
         assert envelope["code"] == ErrorCode.VERIFY_FAILED.value
         assert envelope["message"] == "deep dataflow verification failed"
         assert isinstance(envelope["detail"]["findings"], list)
+
+
+class TestRunSpec:
+    """``run_spec`` builds the one platform it runs, and returns what a
+    run of that platform in the full set returns."""
+
+    @pytest.mark.parametrize("name", sorted(default_platforms()))
+    def test_builds_only_its_platform(self, name, monkeypatch):
+        spec = RunSpec("atax", scale=0.05, platform=name)
+        workload = resolve(spec)
+        stats = default_platforms()[name].run(workload)
+        built = []
+        makers = PlatformRegistry.constructors()
+
+        def counted(label):
+            def make():
+                built.append(label)
+                return makers[label]()
+
+            return make
+
+        monkeypatch.setattr(
+            PlatformRegistry,
+            "constructors",
+            staticmethod(lambda: {label: counted(label) for label in makers}),
+        )
+        assert run_spec(spec, workload) == {
+            "workload": workload.name,
+            "platform": stats.platform,
+            "scale": spec.scale,
+            "time_ns": stats.time_ns,
+            "energy_pj": stats.energy.total_pj,
+            "time_fractions": stats.time_breakdown.fractions(),
+            "energy_fractions": stats.energy.fractions(),
+            "counters": dict(stats.counters),
+        }
+        assert built == [name]
+
+    def test_registry_builds_the_full_set_from_one_map(self):
+        assert list(default_platforms()) == list(
+            PlatformRegistry.constructors()
+        )
