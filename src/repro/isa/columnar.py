@@ -135,43 +135,55 @@ class ColumnarTrace:
     # ------------------------------------------------------------------
     # Interval index (address footprints, one row per access)
     # ------------------------------------------------------------------
+    def operand_ends(self) -> np.ndarray:
+        """Where each command's three word ranges end, ``(3, n)`` int64.
+
+        The half-open ranges start at ``src1``, ``src2`` and ``des``:
+        row 0 ends the ``src1`` read (one word for SMUL, whose first
+        operand is a scalar), row 1 the ``src2`` read (meaningful on
+        compute commands only) and row 2 the ``des`` write (one word
+        for MUL, a dot-product result).
+        """
+        rec = self.records
+        opcode = rec["opcode"]
+        size = rec["size"]
+        end = np.empty((3, len(rec)), dtype=np.int64)
+        np.add(rec["src1"], np.where(opcode == SMUL_BYTE, 1, size), out=end[0])
+        np.add(rec["src2"], size, out=end[1])
+        np.add(rec["des"], np.where(opcode == MUL_BYTE, 1, size), out=end[2])
+        return end
+
     def read_intervals(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Every word range a command reads, as parallel arrays.
 
         Returns ``(index, start, end)`` with one row per read access and
         half-open ``[start, end)`` ranges: the ``src1`` range of every
-        command (one word for SMUL, whose first operand is a scalar)
-        followed by the ``src2`` range of every compute command.  Rows
-        are grouped by operand, not sorted; callers that need address
-        order sort themselves.
+        command followed by the ``src2`` range of every compute command
+        (rows 0 and 1 of :meth:`operand_ends`).  Rows are grouped by
+        operand, not sorted; callers that need address order sort
+        themselves.
         """
         rec = self.records
-        size = rec["size"]
+        end = self.operand_ends()
         compute = self.is_compute
-        n = len(rec)
-        first_len = np.where(rec["opcode"] == SMUL_BYTE, 1, size)
-        index1 = np.arange(n, dtype=np.int64)
-        start1 = rec["src1"].astype(np.int64, copy=True)
-        start2 = rec["src2"][compute].astype(np.int64, copy=True)
+        index = np.arange(len(rec), dtype=np.int64)
         return (
-            np.concatenate([index1, index1[compute]]),
-            np.concatenate([start1, start2]),
-            np.concatenate([start1 + first_len, start2 + size[compute]]),
+            np.concatenate([index, index[compute]]),
+            np.concatenate([rec["src1"], rec["src2"][compute]]),
+            np.concatenate([end[0], end[1][compute]]),
         )
 
     def write_intervals(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Every word range a command writes, as ``(index, start, end)``.
 
-        One row per command: the ``des`` range, which is a single word
-        for MUL (dot-product result) and ``size`` words otherwise.
+        One row per command: the ``des`` range (row 2 of
+        :meth:`operand_ends`).
         """
         rec = self.records
-        length = np.where(rec["opcode"] == MUL_BYTE, 1, rec["size"])
-        start = rec["des"].astype(np.int64, copy=True)
         return (
             np.arange(len(rec), dtype=np.int64),
-            start,
-            start + length,
+            rec["des"].astype(np.int64, copy=True),
+            self.operand_ends()[2],
         )
 
     # ------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The per-VPC rules (SPV001-007) are local: each command is checked in
 isolation (plus a small hazard window).  This module analyses the whole
-program at once.  It builds a *def-use index* — last writer, first
-reader, and live range for every touched address range — directly from
-a :class:`~repro.isa.columnar.ColumnarTrace`'s columns, seeded from the
+program at once.  It builds a *def-use index* — every access to every
+touched address segment, in trace order — directly from a
+:class:`~repro.isa.columnar.ColumnarTrace`'s columns, seeded from the
 placement plan's initialised regions, and runs the deep rules on top:
 
 * **SPV008** uninitialised read — an operand read with no prior writer
@@ -188,27 +188,6 @@ class DataflowIndex:
         self.wp_seg = self.pair_seg[sel]
         self.wp_idx = self.p_idx[sel]
 
-        # Per-segment real first-reader / last-writer for queries.
-        n_segments = max(len(self.bounds) - 1, 0)
-        self.seg_last_write = np.full(n_segments, -1, dtype=np.int64)
-        if len(self.wp_seg):
-            first = np.concatenate(
-                ([True], self.wp_seg[1:] != self.wp_seg[:-1])
-            )
-            last_pos = np.concatenate(
-                (np.flatnonzero(first)[1:] - 1, [len(self.wp_seg) - 1])
-            )
-            self.seg_last_write[self.wp_seg[last_pos]] = self.wp_idx[
-                last_pos
-            ]
-        self.seg_first_read = np.full(n_segments, n, dtype=np.int64)
-        sel_read = ~self.p_write & real
-        rp_seg = self.pair_seg[sel_read]
-        rp_idx = self.p_idx[sel_read]
-        if len(rp_seg):
-            first = np.concatenate(([True], rp_seg[1:] != rp_seg[:-1]))
-            self.seg_first_read[rp_seg[first]] = rp_idx[first]
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -220,69 +199,6 @@ class DataflowIndex:
 
     def segment_bounds(self, segment: int) -> _Interval:
         return int(self.bounds[segment]), int(self.bounds[segment + 1])
-
-    def last_writer(self, start: int, end: int) -> int:
-        """Largest command index writing any word of ``[start, end)``.
-
-        ``-1`` means no command wrote the range (it may still be
-        placement-initialised).
-        """
-        lo, hi = self._segment_range(start, end)
-        if hi <= lo:
-            return -1
-        return int(self.seg_last_write[lo:hi].max())
-
-    def first_reader(self, start: int, end: int) -> int:
-        """Smallest command index reading any word of ``[start, end)``.
-
-        ``n_commands`` means no command reads the range.
-        """
-        lo, hi = self._segment_range(start, end)
-        if hi <= lo:
-            return self.n_commands
-        return int(self.seg_first_read[lo:hi].min())
-
-    def live_ranges(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per touched segment: ``(start, end, first_def, last_use)``.
-
-        ``first_def`` is the position of the first write (``-1`` for
-        placement init) and ``last_use`` the position of the last access
-        (``n_commands`` for a live-out read); segments never written
-        report ``first_def = n_commands`` (use before any def).
-        """
-        if not len(self.pair_seg):
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy(), empty.copy()
-        first_mask = self.new_group
-        segments = self.pair_seg[first_mask]
-        group_start = np.flatnonzero(first_mask)
-        group_end = np.concatenate(
-            (group_start[1:] - 1, [len(self.pair_seg) - 1])
-        )
-        last_use = self.p_idx[group_end]
-        first_def = np.full(len(segments), self.n_commands, dtype=np.int64)
-        if len(self.wp_seg):
-            # First write per segment, mapped back onto touched order.
-            wfirst = np.concatenate(
-                ([True], self.wp_seg[1:] != self.wp_seg[:-1])
-            )
-            pos = np.searchsorted(segments, self.wp_seg[wfirst])
-            first_def[pos] = self.wp_idx[wfirst]
-        # Pseudo init writes are not in wp_*; fold them in directly.
-        init_pairs = self.p_write & (self.p_idx < 0)
-        if init_pairs.any():
-            pos = np.searchsorted(
-                segments, np.unique(self.pair_seg[init_pairs])
-            )
-            first_def[pos] = -1
-        return (
-            self.bounds[segments],
-            self.bounds[segments + 1],
-            first_def,
-            last_use,
-        )
 
     def any_write_between(
         self, start: int, end: int, after: int, before: int

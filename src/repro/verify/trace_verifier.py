@@ -14,16 +14,19 @@ trace (plus an optional placement plan) and reports typed
 instead of a simulation run, so bad workload generators and bad
 placements are caught before (or instead of) execution.  The pass is
 chunked: :class:`StreamingTraceVerifier` carries the cross-chunk state,
-and a whole-trace :meth:`TraceVerifier.verify` is one chunk of it.
+and a whole-trace :meth:`TraceVerifier.verify` is one chunk of it.  The
+per-VPC walk the scan is held to lives in ``tests/oracles/`` only.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.rmbus import RMBusConfig
-from repro.isa.vpc import VPC, VPCOpcode
+from repro.isa.columnar import ColumnarTrace
+from repro.isa.encoding import BYTE_TO_OPCODE
 from repro.rm.address import AddressMap, DeviceGeometry
 from repro.verify.diagnostics import (
     TRACE_RULES,
@@ -39,9 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
 #: Default hazard window: the RM processor pipeline is four stages deep
 #: (Fig. 11), so up to four in-flight VPCs can overlap execution.
 DEFAULT_HAZARD_WINDOW = 4
-
-#: Interval: half-open [start, end) word-address range plus an access tag.
-_Interval = Tuple[int, int]
 
 
 class TraceVerificationError(RuntimeError):
@@ -60,35 +60,24 @@ class TraceVerificationError(RuntimeError):
         super().__init__(f"trace verification failed: {summary}")
 
 
-def _overlap(a: _Interval, b: _Interval) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
+#: Rules whose masks read where ranges start (SPV001/SPV007 need only
+#: range ends and sizes).
+_START_RULES = frozenset({"SPV002", "SPV003", "SPV004", "SPV005"})
 
 
-def _vpc_reads(vpc: VPC) -> List[_Interval]:
-    if vpc.opcode is VPCOpcode.TRAN:
-        return [(vpc.src1, vpc.src1 + vpc.size)]
-    if vpc.opcode is VPCOpcode.SMUL:
-        # src1 is the scalar: one word.
-        return [
-            (vpc.src1, vpc.src1 + 1),
-            (vpc.src2, vpc.src2 + vpc.size),
-        ]
-    return [
-        (vpc.src1, vpc.src1 + vpc.size),
-        (vpc.src2, vpc.src2 + vpc.size),
-    ]
-
-
-def _vpc_writes(vpc: VPC) -> List[_Interval]:
-    if vpc.opcode is VPCOpcode.MUL:
-        # A dot product reduces to a single result word.
-        return [(vpc.des, vpc.des + 1)]
-    return [(vpc.des, vpc.des + vpc.size)]
+def _overlaps(a_start, a_end, b_start, b_end):
+    """Elementwise overlap of half-open ranges (broadcasting)."""
+    return (a_start < b_end) & (b_start < a_end)
 
 
 class TraceVerifier:
-    """Walks a trace (and optionally a placement plan) and reports
+    """Checks a trace (and optionally a placement plan) and reports
     every invariant violation as a typed diagnostic.
+
+    The trace rules SPV001–SPV005 and SPV007 run as one columnar scan:
+    a boolean row mask per enabled rule, computed with array
+    operations, and a per-row explainer that turns only the flagged
+    rows into diagnostics.  SPV006 checks the plan alone.
 
     Args:
         geometry: device geometry the trace targets (defaults to the
@@ -137,273 +126,215 @@ class TraceVerifier:
         self._words_per_subarray = self.address_map.words_per_subarray
         self.bus = bus or RMBusConfig()
         self._segment_words = self.bus.words_per_segment
-        self._operand_spans: List[Tuple[int, int, str]] = []
-        self._operand_starts: List[int] = []
-        if plan is not None:
-            self._operand_spans = sorted(self._placed_spans(plan, False))
-            self._operand_starts = [s[0] for s in self._operand_spans]
+        # Operand-set spans a move-VPC must not overwrite (SPV005),
+        # sorted, with their starts and ends as search arrays.
+        self._operand_spans: List[Tuple[int, int, str]] = (
+            sorted(self._placed_spans(plan, False)) if plan is not None else []
+        )
+        self._span_starts = np.array(
+            [span[0] for span in self._operand_spans], dtype=np.int64
+        )
+        self._span_ends = np.array(
+            [span[1] for span in self._operand_spans], dtype=np.int64
+        )
 
     # ------------------------------------------------------------------
     def verify(self, trace, subject: str = "trace") -> VerifyReport:
         """Run every enabled rule over ``trace``; never raises.
 
-        The whole trace is one :class:`StreamingTraceVerifier` chunk,
-        so the vectorized fast path applies whenever the rule set
-        allows it.
+        The whole trace is one :class:`StreamingTraceVerifier` chunk.
         """
-        from repro.isa.columnar import ColumnarTrace
-
         if not isinstance(trace, ColumnarTrace):
             trace = ColumnarTrace.from_trace(trace)
         checker = StreamingTraceVerifier(self, subject=subject)
         checker.feed(trace)
         return checker.finish()
 
-    def _scan_vpcs(
-        self,
-        trace,
-        emit,
-        offset: int,
-        recent: List[Tuple[int, List[_Interval], List[_Interval]]],
-    ) -> List[Tuple[int, List[_Interval], List[_Interval]]]:
-        """Per-VPC rule scan over one (chunk of a) trace.
+    def _scan(self, records, first: int, base: int, emit) -> None:
+        """Check rows ``first:`` of ``records`` and emit their findings.
 
-        ``offset`` is the global trace index of ``trace``'s first
-        command and ``recent`` the SPV004 hazard ring carried in from
-        the previous chunk — feeding a trace as consecutive chunks
-        through this scan emits exactly the diagnostics one whole-trace
-        scan emits.  Returns the ring to carry into the next chunk.
+        Row ``k`` is trace command ``base + k``; the rows before
+        ``first`` are the trace's previous commands, there only as the
+        SPV004 window's history.  Each enabled rule is one boolean mask
+        over the rows, so only the enabled rules cost anything.  Only
+        flagged rows are explained, one diagnostic at a time, in the
+        order a per-VPC walk finds them: range findings (SPV001/SPV002)
+        range by range, then SPV007, SPV003, SPV005 and SPV004 — so any
+        chunking emits exactly the whole-trace findings.
         """
-        total_words = self._total_words
-        words_per_subarray = self._words_per_subarray
-        for index, vpc in enumerate(trace, start=offset):
-            reads = _vpc_reads(vpc)
-            writes = _vpc_writes(vpc)
+        cols = ColumnarTrace(records)
+        n = len(cols)
+        window = self.hazard_window
+        check_bounds = self._enabled("SPV001")
+        end = cols.operand_ends()
+        compute = cols.is_compute
+        # Row 1 (the src2 read) exists on compute commands only, so
+        # every per-range mask drops it on TRAN rows.
+        out = end > self._total_words
+        out[1] &= compute
+        outside = out[0] | out[1] | out[2]
+        flagged = outside if check_bounds else np.zeros(n, bool)
+        start = (
+            np.stack([cols.src1, cols.src2, cols.des])
+            if self.rules is None or self.rules & _START_RULES
+            else None
+        )
+        straddle = big = clash = overwrite = hazard = None
+        if self._enabled("SPV002"):
+            per = self._words_per_subarray
+            straddle = ~out & (start // per != (end - 1) // per)
+            straddle[1] &= compute
+            flagged = flagged | straddle.any(axis=0)
+        if self._enabled("SPV007"):
+            big = cols.size > self._segment_words
+            flagged = flagged | big
+        if self._enabled("SPV003"):
+            # Exactly aligned in-place access is well defined: an
+            # identity TRAN is a no-op copy (the operand delivery
+            # convention for pre-seeded scalars) and an element-aligned
+            # in-place ADD/SMUL reads each word before rewriting it.
+            # Only partial overlap is undefined per Table II.
+            clash = _overlaps(start[:2], end[:2], start[2], end[2]) & (
+                (start[:2] != start[2]) | (end[:2] != end[2])
+            )
+            clash[1] &= compute
+            flagged = flagged | clash.any(axis=0)
+        if self._enabled("SPV005") and self._operand_spans:
+            # Spans are checked from the last one starting at or before
+            # the destination: every later span starting inside the
+            # destination overlaps it, that last one only if it reaches
+            # past the destination's start.
+            span_starts, span_ends = self._span_starts, self._span_ends
+            pos = np.searchsorted(span_starts, start[2], side="right")
+            before = np.maximum(pos - 1, 0)
+            overwrite = ~compute & (
+                (np.searchsorted(span_starts, end[2]) > pos)
+                | (
+                    (pos > 0)
+                    & (span_starts[before] < end[2])
+                    & (span_ends[before] > start[2])
+                )
+            )
+            flagged = flagged | overwrite
+        if self._enabled("SPV004") and window > 1:
+            # hazard[lag, kind, k]: RAW/WAR/WAW between command k and
+            # command k - lag, both in-bounds computes.
+            live = compute & ~outside
+            hazard = np.zeros((window, 3, n), dtype=bool)
+            for lag in range(1, min(window, n)):
+                now, then = slice(lag, None), slice(None, n - lag)
+                pair = live[now] & live[then]
+                hazard[lag, 0, now] = pair & _overlaps(
+                    start[:2, now], end[:2, now], start[2, then], end[2, then]
+                ).any(axis=0)
+                hazard[lag, 1, now] = pair & _overlaps(
+                    start[2, now], end[2, now], start[:2, then], end[:2, then]
+                ).any(axis=0)
+                hazard[lag, 2, now] = pair & _overlaps(
+                    start[2, now], end[2, now], start[2, then], end[2, then]
+                )
+            flagged = flagged | hazard.any(axis=(0, 1))
+
+        for k in (np.flatnonzero(flagged[first:]) + first).tolist():
+            index = base + k
             location = f"vpc #{index}"
-            in_bounds = True
-            for start, end in reads + writes:
-                if end > total_words:
-                    in_bounds = False
-                    if self._enabled("SPV001"):
+            name = BYTE_TO_OPCODE[int(cols.opcode[k])].value
+            _, src1, src2, des, size = cols.records[k].tolist()
+            ranges = list(zip((src1, src2, des), end[:, k].tolist()))
+            rows = (0, 1, 2) if compute[k] else (0, 2)
+            for row in rows:
+                lo, hi = ranges[row]
+                if out[row, k]:
+                    if check_bounds:
                         emit(
                             make_diagnostic(
                                 "SPV001",
                                 location,
-                                f"{vpc.opcode.value} range [{start}, {end}) "
-                                f"exceeds the device's {total_words} words",
+                                f"{name} range [{lo}, {hi}) exceeds the "
+                                f"device's {self._total_words} words",
                                 index=index,
                             )
                         )
-                elif (
-                    start // words_per_subarray
-                    != (end - 1) // words_per_subarray
-                    and self._enabled("SPV002")
-                ):
+                elif straddle is not None and straddle[row, k]:
                     emit(
                         make_diagnostic(
                             "SPV002",
                             location,
-                            f"{vpc.opcode.value} range [{start}, {end}) "
-                            f"crosses a subarray boundary (capacity "
-                            f"{words_per_subarray} words)",
+                            f"{name} range [{lo}, {hi}) crosses a "
+                            f"subarray boundary (capacity "
+                            f"{self._words_per_subarray} words)",
                             index=index,
                         )
                     )
-            if (
-                self._enabled("SPV007")
-                and vpc.size > self._segment_words
-            ):
+            if big is not None and big[k]:
                 emit(
                     make_diagnostic(
                         "SPV007",
                         location,
-                        f"{vpc.opcode.value} moves {vpc.size} words in "
+                        f"{name} moves {size} words in "
                         f"one commanded shift train, exceeding the "
                         f"bounded segment length of "
                         f"{self._segment_words} words",
                         index=index,
                     )
                 )
-            if self._enabled("SPV003"):
-                for diagnostic in self._check_overlap(
-                    vpc, reads, writes, index
-                ):
-                    emit(diagnostic)
-            if (
-                self._enabled("SPV005")
-                and vpc.opcode is VPCOpcode.TRAN
-                and self._operand_spans
-            ):
-                for diagnostic in self._check_operand_overwrite(
-                    writes[0], index
-                ):
-                    emit(diagnostic)
-            if self._enabled("SPV004") and in_bounds:
-                if vpc.is_compute:
-                    for diagnostic in self._check_hazards(
-                        index, reads, writes, recent
-                    ):
-                        emit(diagnostic)
-                    recent.append((index, reads, writes))
-                # Drop entries outside the window for the *next* VPC.
-                recent = [
-                    entry
-                    for entry in recent
-                    if index + 1 - entry[0] < self.hazard_window
-                ]
-        return recent
-
-    # ------------------------------------------------------------------
-    def _scan_columnar_fast(self, cols, emit, offset: int) -> None:
-        """Vectorized SPV001/SPV007 scan over one (chunk of a) trace.
-
-        ``offset`` is the global trace index of ``cols[0]``; emitted
-        diagnostics carry whole-trace indices, so per-chunk scans merge
-        into exactly the whole-trace result.
-        """
-        import numpy as np
-
-        if len(cols) == 0:
-            return
-        from repro.isa.columnar import MUL_BYTE, SMUL_BYTE
-
-        total_words = self._total_words
-        opcode = cols.opcode
-        size = cols.size
-        compute = cols.is_compute
-        no_rows = np.zeros(len(cols), dtype=bool)
-        if "SPV001" in self.rules:
-            # Range ends in the VPC walk's order: reads then writes.
-            read1_end = cols.src1 + np.where(opcode == SMUL_BYTE, 1, size)
-            read2_end = cols.src2 + size  # meaningful on compute rows
-            write_end = cols.des + np.where(opcode == MUL_BYTE, 1, size)
-            bad_bounds = (
-                (read1_end > total_words)
-                | (compute & (read2_end > total_words))
-                | (write_end > total_words)
-            )
-        else:
-            bad_bounds = no_rows
-        if "SPV007" in self.rules:
-            bad_segment = size > self._segment_words
-        else:
-            bad_segment = no_rows
-        bad = bad_bounds | bad_segment
-        if not bad.any():
-            return
-
-        for local in np.flatnonzero(bad).tolist():
-            vpc = cols[local]
-            index = offset + local
-            if bad_bounds[local]:
-                for start, end in _vpc_reads(vpc) + _vpc_writes(vpc):
-                    if end <= total_words:
-                        continue
-                    emit(
-                        make_diagnostic(
-                            "SPV001",
-                            f"vpc #{index}",
-                            f"{vpc.opcode.value} range [{start}, {end}) "
-                            f"exceeds the device's {total_words} words",
-                            index=index,
+            des_lo, des_hi = ranges[2]
+            if clash is not None:
+                for row in rows[:-1]:
+                    if clash[row, k]:
+                        lo, hi = ranges[row]
+                        emit(
+                            make_diagnostic(
+                                "SPV003",
+                                location,
+                                f"{name} source [{lo}, {hi}) overlaps "
+                                f"destination [{des_lo}, {des_hi})",
+                                index=index,
+                            )
                         )
-                    )
-            if bad_segment[local]:
-                emit(
-                    make_diagnostic(
-                        "SPV007",
-                        f"vpc #{index}",
-                        f"{vpc.opcode.value} moves {vpc.size} words in "
-                        f"one commanded shift train, exceeding the "
-                        f"bounded segment length of "
-                        f"{self._segment_words} words",
-                        index=index,
-                    )
+            if overwrite is not None and overwrite[k]:
+                pos = int(
+                    np.searchsorted(self._span_starts, des_lo, side="right")
                 )
+                for lo, hi, matrix in self._operand_spans[max(0, pos - 1):]:
+                    if lo >= des_hi:
+                        break
+                    if hi > des_lo:
+                        emit(
+                            make_diagnostic(
+                                "SPV005",
+                                location,
+                                f"TRAN destination [{des_lo}, {des_hi}) "
+                                f"overwrites placed rows of operand "
+                                f"matrix {matrix!r} ([{lo}, {hi}))",
+                                index=index,
+                            )
+                        )
+            if hazard is not None:
+                # Oldest partner first, as the pipeline issued them.
+                for lag in range(window - 1, 0, -1):
+                    kinds = [
+                        kind
+                        for kind, hit in zip(
+                            ("RAW", "WAR", "WAW"), hazard[lag, :, k]
+                        )
+                        if hit
+                    ]
+                    if kinds:
+                        emit(
+                            make_diagnostic(
+                                "SPV004",
+                                location,
+                                f"{'/'.join(kinds)} hazard with compute "
+                                f"vpc #{index - lag} ({lag} apart, "
+                                f"pipeline depth {window})",
+                                index=index,
+                            )
+                        )
 
     # ------------------------------------------------------------------
     def _enabled(self, rule_id: str) -> bool:
         return self.rules is None or rule_id in self.rules
-
-    def _check_overlap(
-        self,
-        vpc: VPC,
-        reads: List[_Interval],
-        writes: List[_Interval],
-        index: int,
-    ):
-        for read in reads:
-            for write in writes:
-                if read == write:
-                    # Exactly aligned in-place access is well defined:
-                    # an identity TRAN is a no-op copy (the operand
-                    # delivery convention for pre-seeded scalars) and an
-                    # element-aligned in-place ADD/SMUL reads each word
-                    # before rewriting it.  Only partial overlap is
-                    # undefined per Table II.
-                    continue
-                if _overlap(read, write):
-                    yield make_diagnostic(
-                        "SPV003",
-                        f"vpc #{index}",
-                        f"{vpc.opcode.value} source [{read[0]}, {read[1]}) "
-                        f"overlaps destination [{write[0]}, {write[1]})",
-                        index=index,
-                    )
-
-    def _check_hazards(
-        self,
-        index: int,
-        reads: List[_Interval],
-        writes: List[_Interval],
-        recent: List[Tuple[int, List[_Interval], List[_Interval]]],
-    ):
-        for prev_index, prev_reads, prev_writes in recent:
-            # With a `hazard_window`-deep pipeline, VPCs a full window
-            # apart no longer overlap: the older one has drained.
-            if index - prev_index >= self.hazard_window:
-                continue
-            kinds = []
-            if any(
-                _overlap(r, w) for r in reads for w in prev_writes
-            ):
-                kinds.append("RAW")
-            if any(
-                _overlap(w, r) for w in writes for r in prev_reads
-            ):
-                kinds.append("WAR")
-            if any(
-                _overlap(w, pw) for w in writes for pw in prev_writes
-            ):
-                kinds.append("WAW")
-            if kinds:
-                yield make_diagnostic(
-                    "SPV004",
-                    f"vpc #{index}",
-                    f"{'/'.join(kinds)} hazard with compute vpc "
-                    f"#{prev_index} ({index - prev_index} apart, "
-                    f"pipeline depth {self.hazard_window})",
-                    index=index,
-                )
-
-    def _check_operand_overwrite(self, write: _Interval, index: int):
-        start, end = write
-        pos = bisect.bisect_right(self._operand_starts, start)
-        # The span just before `pos` may straddle `start`.
-        for span_start, span_end, name in self._operand_spans[
-            max(0, pos - 1):
-        ]:
-            if span_start >= end:
-                break
-            if _overlap((start, end), (span_start, span_end)):
-                yield make_diagnostic(
-                    "SPV005",
-                    f"vpc #{index}",
-                    f"TRAN destination [{start}, {end}) overwrites "
-                    f"placed rows of operand matrix {name!r} "
-                    f"([{span_start}, {span_end}))",
-                    index=index,
-                )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -465,17 +396,15 @@ class StreamingTraceVerifier:
     executes, and :meth:`TraceVerifier.verify` feeds a whole trace as
     one chunk.  This class keeps the cross-chunk state — one report,
     one ``max_diagnostics`` budget, the global command index, and the
-    SPV004 hazard ring — so the merged findings after :meth:`finish`
-    are exactly (same diagnostics, same order, same suppressed
-    tallies) what one whole-trace pass over the concatenated chunks
-    produces.
+    last ``hazard_window - 1`` trace rows that SPV004 compares the next
+    chunk against — so the merged findings after :meth:`finish` are
+    exactly (same diagnostics, same order, same suppressed tallies)
+    what one whole-trace pass over the concatenated chunks produces.
 
-    Plan-level diagnostics (SPV005 placement spans are per-VPC; SPV006
-    double booking is plan-only) are emitted once, up front, matching
-    the whole-trace pass's plan-first ordering.  When the wrapped
-    verifier's rule set is within the vectorized subset
-    ({SPV001, SPV007}), each chunk is scanned with the bulk array fast
-    path; any broader rule set walks the chunk's VPCs.
+    Plan-level diagnostics (SPV006 double booking) are emitted once, up
+    front, before any chunk's.  Every chunk goes through the one
+    columnar scan, whatever the rule set; the per-VPC walk it is held
+    to is the test oracle ``tests/oracles/scalar_verify.py``.
     """
 
     def __init__(
@@ -486,14 +415,11 @@ class StreamingTraceVerifier:
             subject=subject, max_diagnostics=verifier.max_diagnostics
         )
         self.offset = 0
-        self._recent: List[
-            Tuple[int, List[_Interval], List[_Interval]]
-        ] = []
+        self._history_rows = (
+            verifier.hazard_window - 1 if verifier._enabled("SPV004") else 0
+        )
+        self._history = None
         self._finished = False
-        self._fast = verifier.rules is not None and verifier.rules <= {
-            "SPV001",
-            "SPV007",
-        }
         if verifier.plan is not None:
             for diagnostic in verifier._check_plan(verifier.plan):
                 self.report.emit(diagnostic)
@@ -508,14 +434,17 @@ class StreamingTraceVerifier:
         """
         if self._finished:
             raise RuntimeError("verification already finished")
-        if self._fast:
-            self.verifier._scan_columnar_fast(
-                cols, self.report.emit, self.offset
-            )
-        else:
-            self._recent = self.verifier._scan_vpcs(
-                cols, self.report.emit, self.offset, self._recent
-            )
+        if len(cols) == 0:
+            return self.report
+        records = cols.records
+        if self._history is not None:
+            records = np.concatenate([self._history, records])
+        first = len(records) - len(cols)
+        self.verifier._scan(
+            records, first, self.offset - first, self.report.emit
+        )
+        if self._history_rows:
+            self._history = records[-self._history_rows :].copy()
         self.offset += len(cols)
         return self.report
 

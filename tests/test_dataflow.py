@@ -64,43 +64,6 @@ def _plan_at(base, length=16):
 
 
 class TestIndexQueries:
-    def test_def_use_chain(self, geometry, amap):
-        base = amap.subarray_base(0, 0)
-        a, b, c, d = base, base + 16, base + 32, base + 48
-        cols = cols_of(
-            VPC.tran(a, b, 4),
-            VPC.add(b, c, d, 4),
-        )
-        index = DataflowIndex(
-            cols,
-            init_intervals=[(a, a + 4), (c, c + 4)],
-            liveout_intervals=[(d, d + 4)],
-        )
-        assert index.last_writer(b, b + 4) == 0
-        assert index.last_writer(a, a + 4) == -1  # placement init only
-        assert index.first_reader(b, b + 4) == 1
-        # d is written by vpc#1 but no command reads it.
-        assert index.first_reader(d, d + 4) == index.n_commands
-
-    def test_live_ranges_sentinels(self, geometry, amap):
-        base = amap.subarray_base(0, 0)
-        a, b = base, base + 16
-        cols = cols_of(VPC.tran(a, b, 4))
-        index = DataflowIndex(
-            cols,
-            init_intervals=[(a, a + 4)],
-            liveout_intervals=[(a, a + 4)],
-        )
-        starts, ends, first_def, last_use = index.live_ranges()
-        ranges = {
-            (int(s), int(e)): (int(fd), int(lu))
-            for s, e, fd, lu in zip(starts, ends, first_def, last_use)
-        }
-        # a: defined by placement (-1), last used by the live-out read.
-        assert ranges[(a, a + 4)] == (-1, index.n_commands)
-        # b: defined by vpc#0, never used again.
-        assert ranges[(b, b + 4)] == (0, 0)
-
     def test_any_write_between_is_exclusive(self, geometry, amap):
         base = amap.subarray_base(0, 0)
         a, b = base, base + 16
@@ -112,8 +75,7 @@ class TestIndexQueries:
 
     def test_empty_trace(self):
         index = DataflowIndex(cols_of())
-        starts, ends, first_def, last_use = index.live_ranges()
-        assert len(starts) == 0
+        assert len(index.bounds) == 0
         report = DataflowAnalyzer().analyze(cols_of())
         assert report.ok(strict=True)
         assert not report.diagnostics

@@ -1,14 +1,17 @@
-"""Differential verification: scalar walk vs columnar fast path.
+"""Differential verification: scalar walk vs the columnar scan.
 
-Two layers of evidence that ``TraceVerifier.verify`` and the whole-trace
-VPC walk it is held to (``tests/oracles/scalar_verify.py``) implement the
-same rule semantics:
+Three layers of evidence that ``TraceVerifier.verify`` and the
+whole-trace VPC walk it is held to (``tests/oracles/scalar_verify.py``)
+implement the same rule semantics:
 
 * every shipped workload generator, compiled and verified through both
   entry points, must yield identical diagnostics;
 * hypothesis-generated traces seeded to trigger each of SPV001-SPV007
   must keep the two paths in lockstep on *dirty* traces too (the
-  workload sweep only ever exercises the clean path).
+  workload sweep only ever exercises the clean path);
+* random dirty traces under any rule subset, hazard window and
+  diagnostic cap, fed through random chunk cuts, must match the walk
+  finding for finding (``TestConfigurationLockstep``).
 
 ``StreamingTraceVerifier`` (the per-chunk gate of the streamed
 pipeline) is held to the same standard: feeding any chunking of a
@@ -31,9 +34,9 @@ from repro.core.placement import (  # noqa: E402
 from repro.core.rmbus import RMBusConfig  # noqa: E402
 from repro.isa.columnar import ColumnarTrace  # noqa: E402
 from repro.isa.trace import VPCTrace  # noqa: E402
-from repro.isa.vpc import VPC  # noqa: E402
+from repro.isa.vpc import VPC, VPCOpcode  # noqa: E402
 from repro.rm.address import AddressMap, DeviceGeometry  # noqa: E402
-from repro.verify import TraceVerifier  # noqa: E402
+from repro.verify import StreamingTraceVerifier, TraceVerifier  # noqa: E402
 from tests.oracles.scalar_verify import verify as scalar_verify  # noqa: E402
 
 GEOMETRY = DeviceGeometry()
@@ -80,6 +83,47 @@ def assert_parity(trace, **verifier_kwargs):
 
 def _rules(report):
     return set(report.rule_ids())
+
+
+def _assert_same_report(actual, expected):
+    assert actual.diagnostics == expected.diagnostics
+    assert actual.suppressed_by_rule == expected.suppressed_by_rule
+    assert actual.ok() == expected.ok()
+    assert actual.ok(strict=True) == expected.ok(strict=True)
+
+
+def _feed_cuts(verifier, cols, cuts):
+    """Feed ``cols`` cut at the sorted positions ``cuts`` (repeats give
+    empty chunks)."""
+    streaming = StreamingTraceVerifier(verifier)
+    edges = [0, *cuts, len(cols)]
+    for lo, hi in zip(edges, edges[1:]):
+        streaming.feed(ColumnarTrace(cols.records[lo:hi]))
+    return streaming.finish()
+
+
+def _operand_plan(*spans, result=None):
+    """A plan of one-row operand matrices at ``spans`` (start, length),
+    plus an optional result-set matrix at ``result``."""
+    plan = PlacementPlan(policy=PlacementPolicy.DISTRIBUTE)
+    for number, (start, length) in enumerate(spans):
+        name = f"M{number}"
+        plan.matrices[name] = MatrixHandle(
+            name=name,
+            rows=1,
+            cols=length,
+            slices=[(0, 0, start, 0, length)],
+            result_set=False,
+        )
+    if result is not None:
+        plan.matrices["R"] = MatrixHandle(
+            name="R",
+            rows=1,
+            cols=16,
+            slices=[(0, 0, result, 0, 16)],
+            result_set=True,
+        )
+    return plan
 
 
 class TestGeneratedTraces:
@@ -197,6 +241,152 @@ class TestGeneratedTraces:
         assert_parity(VPCTrace(vpcs))
 
 
+#: The rules the scan implements (SPV008-SPV012 are the deep pass's).
+_SCAN_RULES = [f"SPV00{number}" for number in range(1, 8)]
+
+#: Address neighbourhoods where the rules fire: a subarray boundary
+#: (SPV002), the end of the device (SPV001) and placed operand rows
+#: (SPV005); nearby operands overlap (SPV003) and chain (SPV004).  The
+#: device end is drawn least: a range past it exempts its command from
+#: the hazard check.
+_EDGE = BASE + CAP
+_ANCHORS = (_EDGE - 24, _EDGE - 24, _EDGE + 256, _EDGE + 256, TOTAL - 12)
+
+#: Plans: none, disjoint operand spans beside a result set, and
+#: double-booked operand spans (SPV006, nested SPV005 spans).
+_PLANS = (
+    None,
+    lambda: _operand_plan(
+        (_EDGE - 12, 8), (_EDGE + 256, 12), result=_EDGE + 280
+    ),
+    lambda: _operand_plan(
+        (_EDGE + 250, 30), (_EDGE + 256, 4), (_EDGE + 262, 6)
+    ),
+)
+
+
+#: Rules colliding on neighbouring rows: a TRAN hitting SPV002, SPV005
+#: and SPV007, then a compute hitting SPV002, SPV003 and SPV004 twice
+#: (with an operand span at ``_EDGE - 16`` and 16-word bus segments).
+_COLLIDING_VPCS = [
+    VPC.mul(BASE, BASE + 64, BASE + 200, 8),
+    VPC.add(BASE + 300, BASE + 400, BASE + 200, 4),
+    VPC.tran(BASE + 500, _EDGE - 8, 20),
+    VPC.add(BASE + 200, _EDGE - 4, BASE + 201, 8),
+]
+
+
+@st.composite
+def _dirty_vpc(draw):
+    def address():
+        return draw(st.sampled_from(_ANCHORS)) + draw(st.integers(0, 40))
+
+    # TRAN twice as likely: it alone can overwrite operands (SPV005).
+    opcode = draw(st.sampled_from([VPCOpcode.TRAN, *VPCOpcode]))
+    src1 = address()
+    src2 = None if opcode is VPCOpcode.TRAN else address()
+    return VPC(opcode, src1, src2, address(), draw(st.integers(1, 20)))
+
+
+class TestConfigurationLockstep:
+    """Any rule set, window, cap and chunking against the oracle walk."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vpcs=st.lists(_dirty_vpc(), min_size=1, max_size=14),
+        rules=st.sets(st.sampled_from(_SCAN_RULES), min_size=1),
+        hazard_window=st.sampled_from([1, 2, 3, 4, 8]),
+        max_diagnostics=st.integers(1, 5),
+        plan=st.sampled_from(range(len(_PLANS))),
+        small_bus=st.booleans(),
+        data=st.data(),
+    )
+    def test_rule_window_cap_and_cuts_match_walk(
+        self,
+        vpcs,
+        rules,
+        hazard_window,
+        max_diagnostics,
+        plan,
+        small_bus,
+        data,
+    ):
+        make_plan = _PLANS[plan]
+        verifier = TraceVerifier(
+            geometry=GEOMETRY,
+            plan=None if make_plan is None else make_plan(),
+            hazard_window=hazard_window,
+            rules=sorted(rules),
+            max_diagnostics=max_diagnostics,
+            bus=SMALL_BUS if small_bus else None,
+        )
+        trace = VPCTrace(vpcs)
+        cols = ColumnarTrace.from_trace(trace)
+        oracle = scalar_verify(verifier, trace)
+        _assert_same_report(verifier.verify(cols), oracle)
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(0, len(cols)), max_size=len(cols))
+            )
+        )
+        _assert_same_report(_feed_cuts(verifier, cols, cuts), oracle)
+
+    def test_hazard_straddle_and_overwrite_on_neighbouring_rows(self):
+        # SPV004 applies to compute commands only and SPV005 to TRANs
+        # only, so the densest collision is a straddling TRAN into
+        # placed rows (SPV002 + SPV005 + SPV007) followed, inside one
+        # hazard window, by a straddling compute that hazards with two
+        # earlier computes (SPV002 + SPV003 + SPV004 twice).
+        verifier = TraceVerifier(
+            geometry=GEOMETRY,
+            plan=_operand_plan((_EDGE - 16, 16)),
+            bus=SMALL_BUS,
+            max_diagnostics=50,
+        )
+        trace = VPCTrace(_COLLIDING_VPCS)
+        oracle = scalar_verify(verifier, trace)
+        by_row = {}
+        for diagnostic in oracle.diagnostics:
+            by_row.setdefault(diagnostic.index, []).append(
+                diagnostic.rule_id
+            )
+        assert by_row[2] == ["SPV002", "SPV007", "SPV005"]
+        assert by_row[3] == ["SPV002", "SPV003", "SPV004", "SPV004"]
+        self._assert_every_cut(verifier, trace, oracle)
+
+    @pytest.mark.parametrize("rule", _SCAN_RULES)
+    def test_each_rule_alone_matches_walk(self, rule):
+        # With one rule enabled, its mask alone decides which rows the
+        # explainer sees.  The extra TRANs overwrite a span that starts
+        # inside their destination and read past the device's end.
+        verifier = TraceVerifier(
+            geometry=GEOMETRY,
+            plan=_operand_plan((_EDGE - 16, 16), (_EDGE - 16, 4)),
+            rules=[rule],
+            bus=SMALL_BUS,
+        )
+        trace = VPCTrace(
+            [
+                *_COLLIDING_VPCS,
+                VPC.tran(BASE + 500, _EDGE - 20, 8),
+                VPC.tran(TOTAL - 2, BASE + 600, 4),
+            ]
+        )
+        oracle = scalar_verify(verifier, trace)
+        assert rule in _rules(oracle)
+        self._assert_every_cut(verifier, trace, oracle)
+
+    @staticmethod
+    def _assert_every_cut(verifier, trace, oracle):
+        cols = ColumnarTrace.from_trace(trace)
+        _assert_same_report(verifier.verify(cols), oracle)
+        for cut in range(len(cols) + 1):
+            _assert_same_report(_feed_cuts(verifier, cols, [cut]), oracle)
+        _assert_same_report(
+            _feed_cuts(verifier, cols, list(range(1, len(cols)))), oracle
+        )
+
+
 def _workload_specs():
     from repro.cli import _check_specs
 
@@ -246,8 +436,8 @@ class TestWorkloadDifferential:
         ids=[n for n, _ in _SPECS if n in ("gemm", "mvt")],
     )
     def test_streamed_fast_rule_subset_matches(self, spec):
-        # SPV001+SPV007 alone take the vectorized per-chunk scan in
-        # the streaming verifier; it must match the whole-trace result.
+        # SPV001+SPV007 alone (the rule set of a bounds gate) through
+        # the per-chunk scan must match the whole-trace result.
         task = spec.build_task()
         cols = task.to_trace()
         verifier = TraceVerifier(
@@ -265,8 +455,8 @@ class TestWorkloadDifferential:
         ids=[n for n, _ in _SPECS if n in ("gemm", "mvt")],
     )
     def test_vectorized_rule_subset_matches(self, spec):
-        # SPV001+SPV007 alone take the pure-columnar fast path inside
-        # verify; the result must still match the scalar walk.
+        # SPV001+SPV007 alone compute only their own masks in the
+        # scan; the result must still match the scalar walk.
         task = spec.build_task()
         cols = task.to_trace()
         verifier = TraceVerifier(
